@@ -15,14 +15,24 @@
 //!   headline of the stripe path, so compare `simd_stripe / 4` against
 //!   `batch_transposed`.
 //!
-//! All paths produce identical counts for the same per-image work (10 rows
-//! × 512 cycles per image). `BENCH_JSON=BENCH_kernel.json cargo bench
-//! --bench kernel` refreshes the committed baseline.
+//! All four paths produce identical counts for the same per-image work (10
+//! rows × 512 cycles per image). Two more rungs time one wide fan-in
+//! neuron of the paper's SNN (FC500: 800 XNOR taps + a bias row, N = 256)
+//! counted *and* activated for 256 images:
+//!
+//! - `scalar_fe_801` — per image, `column_counts_into` then
+//!   `FeatureExtraction::run_counts_resume_into`;
+//! - `lane_fe_801` — one `FeatureExtraction::run_rows_resume_into` call at
+//!   `Stripe<4>`, the slab compressor feeding the fused FSM sweep.
+//!
+//! `BENCH_JSON=BENCH_kernel.json cargo bench --bench kernel` refreshes the
+//! committed baseline.
 
 use aqfp_sc_bitstream::{
     column_counts_into, extract_plane_counts, lane_column_planes, pack_lanes_into, transpose64,
     BitStream, KernelRow, LaneRow, SplitMix64, Stripe, MAX_PLANES,
 };
+use aqfp_sc_core::FeatureExtraction;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -30,6 +40,10 @@ const LEN: usize = 512;
 const TAPS: usize = 9;
 const IMAGES: usize = 64;
 const STRIPE_W: usize = 4;
+/// Fan-in of the wide-kernel rungs (the SNN's FC500 layer).
+const WIDE_TAPS: usize = 800;
+/// Stream length of the wide-kernel rungs (the benchmark's N).
+const WIDE_LEN: usize = 256;
 
 fn stream(rng: &mut SplitMix64) -> BitStream {
     BitStream::from_bits((0..LEN).map(|_| rng.next_u64() >> 63 == 1))
@@ -168,6 +182,60 @@ fn bench_kernel_column_counts(c: &mut Criterion) {
                 &mut planes,
                 &mut counts,
             ))
+        })
+    });
+
+    // One FC500 neuron over 256 images: per-image activations, shared
+    // weights and bias. Lane packing happens outside the timed loop, as in
+    // the plan, where each layer's fire masks are already lane-packed.
+    let fe = FeatureExtraction::new(WIDE_TAPS + 1);
+    let wide = |rng: &mut SplitMix64| {
+        BitStream::from_words((0..WIDE_LEN / 64).map(|_| rng.next_u64()).collect(), WIDE_LEN)
+    };
+    let wide_w: Vec<BitStream> = (0..WIDE_TAPS).map(|_| wide(&mut rng)).collect();
+    let wide_bias = wide(&mut rng);
+    let wide_acts: Vec<Vec<BitStream>> = (0..IMAGES * STRIPE_W)
+        .map(|_| (0..WIDE_TAPS).map(|_| wide(&mut rng)).collect())
+        .collect();
+
+    group.bench_function("scalar_fe_801", |b| {
+        let mut counts = Vec::new();
+        let mut out = BitStream::zeros(0);
+        b.iter(|| {
+            let mut sum = 0u64;
+            for taps in &wide_acts {
+                let mut rows: Vec<KernelRow<'_>> = taps
+                    .iter()
+                    .zip(&wide_w)
+                    .map(|(x, w)| KernelRow::Xnor(x.words(), w.words()))
+                    .collect();
+                rows.push(KernelRow::Plain(wide_bias.words()));
+                column_counts_into(&rows, WIDE_LEN, &mut counts);
+                fe.run_counts_resume_into(&counts, &mut 0, &mut out);
+                sum += out.count_ones() as u64;
+            }
+            black_box(sum)
+        })
+    });
+
+    let mut wide_lanes: Vec<Vec<Stripe<STRIPE_W>>> = vec![Vec::new(); WIDE_TAPS];
+    for (tap, lane) in wide_lanes.iter_mut().enumerate() {
+        pack_lanes_into(wide_acts.iter().map(|taps| &taps[tap]), WIDE_LEN, lane)
+            .expect("group fits the stripe");
+    }
+    group.bench_function("lane_fe_801", |b| {
+        let mut rows: Vec<LaneRow<'_, STRIPE_W>> = wide_lanes
+            .iter()
+            .zip(&wide_w)
+            .map(|(lane, w)| LaneRow::Xnor(lane, w.words()))
+            .collect();
+        rows.push(LaneRow::Broadcast(wide_bias.words()));
+        let mut r = vec![0i64; IMAGES * STRIPE_W];
+        let mut out = vec![Stripe::<STRIPE_W>::ZERO; WIDE_LEN];
+        b.iter(|| {
+            r.fill(0);
+            fe.run_rows_resume_into(&rows, WIDE_LEN, &mut r, &mut out);
+            black_box(out.iter().map(|s| u64::from(s.0[0].count_ones())).sum::<u64>())
         })
     });
 

@@ -12,7 +12,7 @@
 //! * **Word-parallel** ([`column_counts_into`]): rows are ordinary
 //!   [`BitStream`] word slices for a single image. Each 64-bit word holds 64
 //!   consecutive cycles of one row.
-//! * **Batch-transposed** ([`lane_column_planes`] and friends): each lane
+//! * **Batch-transposed** ([`lane_counts_stream`] and friends): each lane
 //!   word holds the *same* cycle of up to `64·W` images ("lanes") in a
 //!   [`Stripe<W>`] of `W` machine words. Weight streams are
 //!   image-independent, so one sweep of the weight words serves the entire
@@ -344,7 +344,46 @@ fn scalar_bit(words: &[u64], t: usize) -> u64 {
     (words[t / WORD_BITS] >> (t % WORD_BITS)) & 1
 }
 
-impl<const W: usize> LaneRow<'_, W> {
+impl<'r, const W: usize> LaneRow<'r, W> {
+    /// The lane stripe this row contributes at cycle `t`: lane `g` holds
+    /// the row's bit for lane `g` (a broadcast scalar bit fills every
+    /// lane). The kernels count these words; the AQFP output head feeds
+    /// the same words to its majority chain.
+    #[inline(always)]
+    pub fn word(&self, t: usize) -> Stripe<W> {
+        match self {
+            LaneRow::Xnor(lanes, w) => lanes[t] ^ Stripe::splat(scalar_bit(w, t).wrapping_sub(1)),
+            LaneRow::Lanes(lanes) | LaneRow::PackedLanes(lanes) => lanes[t],
+            LaneRow::Broadcast(sw) => Stripe::splat(0u64.wrapping_sub(scalar_bit(sw, t))),
+            LaneRow::BroadcastXnor(a, b) => {
+                Stripe::splat(0u64.wrapping_sub(1 ^ (scalar_bit(a, t) ^ scalar_bit(b, t))))
+            }
+            LaneRow::XnorLanes(a, b) => !(a[t] ^ b[t]),
+        }
+    }
+
+    /// This row over cycles `t0 .. t0 + bw` (`t0` a multiple of 64,
+    /// `bw ≤ 64`), with missing lane operands read from `zeros`.
+    #[inline(always)]
+    fn cut<'a>(&self, t0: usize, bw: usize, zeros: &'a [Stripe<W>]) -> Cut<'a, W>
+    where
+        'r: 'a,
+    {
+        let (t1, word) = (t0 + bw, t0 / WORD_BITS);
+        match *self {
+            LaneRow::Xnor(lanes, w) => (&lanes[t0..t1], zeros, !w[word]),
+            LaneRow::Lanes(lanes) | LaneRow::PackedLanes(lanes) => (&lanes[t0..t1], zeros, 0),
+            LaneRow::Broadcast(s) => (zeros, zeros, s[word]),
+            LaneRow::BroadcastXnor(a, b) => (zeros, zeros, !(a[word] ^ b[word])),
+            LaneRow::XnorLanes(a, b) => (&a[t0..t1], &b[t0..t1], !0),
+        }
+    }
+
+    /// Whether the row has a second lane operand (the `b` of its cut).
+    fn is_pair(&self) -> bool {
+        matches!(self, LaneRow::XnorLanes(..))
+    }
+
     fn check(&self, clen: usize) {
         let scalar_need = words_for(clen);
         match self {
@@ -377,21 +416,21 @@ impl<const W: usize> LaneRow<'_, W> {
     }
 }
 
-/// Row-count ceiling for the per-cycle compressor-tree fast path of
-/// [`lane_column_planes`] and for [`lane_counts_stream`]. Kernels up to
-/// this many rows (every conv window and pool window in practice) count
-/// each cycle in registers with a branchless 3:2 full-adder tree; wider
-/// kernels fall back to streaming carry-save inserts through the plane
-/// arrays.
+/// Slab height of the lane compressor: the carry-save network of
+/// [`lane_counts_stream`] adds this many rows per step. Kernels up to this
+/// many rows (every conv-1 and pool window in practice) are counted cycle
+/// by cycle in registers; wider kernels are cut into slabs of this many
+/// rows, each folded into a per-block accumulator.
 pub const TREE_ROWS: usize = 16;
 
 /// Count bit-planes needed for [`TREE_ROWS`] rows.
 const TREE_PLANES: usize = usize::BITS as usize - TREE_ROWS.leading_zeros() as usize;
 
-/// Row-count floor for the tree path: below this the streaming carry-save
-/// insert wins (its two-level branchless insert is cheaper than the tree's
-/// per-cycle gather when there are only a handful of rows).
-const MIN_TREE_ROWS: usize = 6;
+/// Bits needed to represent `n` (`bit_width(0) == 0`).
+#[inline]
+fn bit_width(n: usize) -> usize {
+    (usize::BITS - n.leading_zeros()) as usize
+}
 
 /// 3:2 compressor: the bit-sliced full adder `(a + b + c) = sum + 2·carry`.
 #[inline(always)]
@@ -399,32 +438,11 @@ fn csa<const W: usize>(a: Stripe<W>, b: Stripe<W>, c: Stripe<W>) -> (Stripe<W>, 
     (a ^ b ^ c, (a & b) | (a & c) | (b & c))
 }
 
-/// The per-cycle word each [`LaneRow`] variant contributes at cycle `t`.
-#[inline(always)]
-fn row_word<const W: usize>(row: &LaneRow<'_, W>, t: usize) -> Stripe<W> {
-    match row {
-        LaneRow::Xnor(lanes, w) => lanes[t] ^ Stripe::splat(scalar_bit(w, t).wrapping_sub(1)),
-        LaneRow::Lanes(lanes) | LaneRow::PackedLanes(lanes) => lanes[t],
-        LaneRow::Broadcast(sw) => Stripe::splat(0u64.wrapping_sub(scalar_bit(sw, t))),
-        LaneRow::BroadcastXnor(a, b) => {
-            Stripe::splat(0u64.wrapping_sub(1 ^ (scalar_bit(a, t) ^ scalar_bit(b, t))))
-        }
-        LaneRow::XnorLanes(a, b) => !(a[t] ^ b[t]),
-    }
-}
-
-/// Batch-transposed column counting. For each of `clen` cycles, accumulate
-/// per-lane counts across `rows` in carry-save form: after the call,
+/// Batch-transposed column counting into plane arrays: after the call,
 /// `planes[p][t]` holds bit `p` of each lane's count for cycle `t`
-/// (LSB-first lane order within each stripe element). Returns the number of
-/// planes used.
-///
-/// Kernels with at most [`TREE_ROWS`] rows take a register-resident path:
-/// each cycle's row bits are gathered once and reduced weight-by-weight
-/// with a 3:2 full-adder tree (Dadda-style, `⌈(n−1)/2⌉` adders at weight
-/// 0), so no plane word is loaded or stored more than once per cycle and
-/// the reduction has no data-dependent branches. The binary count per lane
-/// is unique, so both paths produce bit-identical planes.
+/// (LSB-first lane order within each stripe element). Returns the number
+/// of planes written, `bit_width(rows.len())`. A plane-writing adapter
+/// over [`lane_counts_stream`] for callers that want the counts in memory.
 ///
 /// `planes` is grown/reused like a scratch arena; its contents on entry are
 /// ignored.
@@ -433,161 +451,191 @@ pub fn lane_column_planes<const W: usize>(
     clen: usize,
     planes: &mut Vec<Vec<Stripe<W>>>,
 ) -> usize {
-    assert!(rows.len() <= MAX_KERNEL_ROWS, "lane_column_planes: too many rows");
-    for r in rows {
-        r.check(clen);
+    let used = bit_width(rows.len());
+    if planes.len() < used {
+        planes.resize_with(used, Vec::new);
     }
-    let max_planes = usize::BITS as usize - rows.len().leading_zeros() as usize;
-    if planes.len() < max_planes {
-        planes.resize_with(max_planes, Vec::new);
-    }
-    for p in planes.iter_mut().take(max_planes) {
+    for p in planes.iter_mut().take(used) {
         p.clear();
         p.resize(clen, Stripe::ZERO);
     }
-    if (MIN_TREE_ROWS..=TREE_ROWS).contains(&rows.len()) {
-        lane_counts_stream(rows, clen, |t, counts| {
-            for (p, &c) in counts.iter().enumerate() {
-                planes[p][t] = c;
-            }
-        });
-        return max_planes;
-    }
-    // Per-variant inner loops: the enum dispatch happens once per row per
-    // block instead of once per (row, cycle), monomorphising six tight
-    // carry-save loops.
-    #[inline(always)]
-    fn accum<const W: usize, F: FnMut(usize) -> Stripe<W>>(
-        planes: &mut [Vec<Stripe<W>>],
-        t0: usize,
-        bw: usize,
-        used: &mut usize,
-        mut word: F,
-    ) {
-        // The first two carry levels run branchlessly on hoisted slices (a
-        // zero carry stores back unchanged planes) — most inserts die
-        // there, and the data-dependent branch only guards the rare deeper
-        // ripple through the remaining planes.
-        let (first, rest) = planes.split_first_mut().expect("kernels have >= 2 rows");
-        let (second, deep) = rest.split_first_mut().expect("kernels have >= 2 rows");
-        if *used < 2 {
-            *used = 2;
+    lane_counts_stream(rows, clen, |t, counts| {
+        for (plane, &c) in planes.iter_mut().zip(counts) {
+            plane[t] = c;
         }
-        let block0 = &mut first[t0..t0 + bw];
-        let block1 = &mut second[t0..t0 + bw];
-        for (i, (w0, w1)) in block0.iter_mut().zip(block1.iter_mut()).enumerate() {
-            let t = t0 + i;
-            let mut carry = word(t);
-            let s = *w0;
-            *w0 = s ^ carry;
-            carry &= s;
-            let s = *w1;
-            *w1 = s ^ carry;
-            carry &= s;
-            if !carry.is_zero() {
-                let mut p = 0usize;
-                while !carry.is_zero() {
-                    let s = deep[p][t];
-                    deep[p][t] = s ^ carry;
-                    carry &= s;
-                    p += 1;
-                }
-                if p + 2 > *used {
-                    *used = p + 2;
-                }
-            }
-        }
-    }
-    let mut used = 0usize;
-    let mut t0 = 0usize;
-    while t0 < clen {
-        let bw = (clen - t0).min(BLOCK_WORDS);
-        for row in rows {
-            match row {
-                LaneRow::Xnor(lanes, w) => accum(planes, t0, bw, &mut used, |t| {
-                    lanes[t] ^ Stripe::splat(scalar_bit(w, t).wrapping_sub(1))
-                }),
-                LaneRow::Lanes(lanes) | LaneRow::PackedLanes(lanes) => {
-                    accum(planes, t0, bw, &mut used, |t| lanes[t])
-                }
-                LaneRow::Broadcast(sw) => accum(planes, t0, bw, &mut used, |t| {
-                    Stripe::splat(0u64.wrapping_sub(scalar_bit(sw, t)))
-                }),
-                LaneRow::BroadcastXnor(a, b) => accum(planes, t0, bw, &mut used, |t| {
-                    Stripe::splat(0u64.wrapping_sub(1 ^ (scalar_bit(a, t) ^ scalar_bit(b, t))))
-                }),
-                LaneRow::XnorLanes(a, b) => {
-                    accum(planes, t0, bw, &mut used, |t| !(a[t] ^ b[t]))
-                }
-            }
-        }
-        t0 += bw;
-    }
+    });
     used
 }
 
 /// Streams per-cycle lane counts to `sink` without materialising plane
-/// arrays: for each cycle `t` in `0..clen`, `sink(t, counts)` receives the
-/// cycle's per-lane count bit-planes (LSB first, `bit_width(rows.len())`
-/// entries) while they are still in registers. This is the fusion point
-/// for lane FSM sweeps — the consumer folds the counts into its recurrence
-/// directly instead of round-tripping them through [`lane_column_planes`]
-/// plane arrays.
+/// arrays: for each cycle `t` in `0..clen`, in order, `sink(t, counts)`
+/// receives the cycle's per-lane count bit-planes (LSB first,
+/// `bit_width(rows.len())` entries). This is the fusion point for the lane
+/// FSM sweeps — the consumer folds the counts into its recurrence
+/// directly.
 ///
-/// Each cycle is gathered once and reduced weight-by-weight with a 3:2
-/// full-adder tree: every full adder retires two values at its weight and
-/// promotes one carry to the next weight's array (the two work arrays
-/// ping-pong, so nothing is copied between weights). Every work slot is
-/// written before it is read (the gather fills `v[..n]`, the reduction
-/// reads only `v[..cnt]` / `carries[..nc]`), so stale tails never leak and
-/// the arrays are zeroed once per call, not once per cycle.
+/// Kernels of at most [`TREE_ROWS`] rows are gathered one cycle at a
+/// time, zero-padded to a full slab and reduced by the 16-input
+/// carry-save network, so the counts never leave registers. Wider kernels
+/// run a two-level compressor in blocks of 64 cycles (one scalar word, so
+/// broadcast and weight rows slice on word boundaries): for every cycle of
+/// the block, the same network adds each [`TREE_ROWS`]-row slab into a
+/// running count of `bit_width(rows)` planes — the count's four low planes
+/// are the network's carry-save state, and its sixteens carry ripples
+/// through the planes above. This is Harley–Seal carry-save reduction
+/// (Muła, Kurz & Lemire, arXiv:1611.07612) applied to bit-sliced lanes.
+/// The block accumulator — at most 64 × 16 stripes — stays L1-resident,
+/// and the sink then consumes it cycle by cycle.
 ///
 /// # Panics
 ///
-/// Panics when `rows` exceeds [`TREE_ROWS`] or a row is shorter than
-/// `clen`.
+/// Panics when `rows` exceeds [`MAX_KERNEL_ROWS`] or a row is shorter
+/// than `clen`.
 #[inline]
 pub fn lane_counts_stream<const W: usize, F: FnMut(usize, &[Stripe<W>])>(
     rows: &[LaneRow<'_, W>],
     clen: usize,
     mut sink: F,
 ) {
-    assert!(rows.len() <= TREE_ROWS, "lane_counts_stream: too many rows");
+    assert!(rows.len() <= MAX_KERNEL_ROWS, "lane_counts_stream: too many rows");
     for r in rows {
         r.check(clen);
     }
     let n = rows.len();
-    let max_planes = usize::BITS as usize - n.leading_zeros() as usize;
-    let mut a = [Stripe::<W>::ZERO; TREE_ROWS];
-    let mut b = [Stripe::<W>::ZERO; TREE_ROWS];
-    let mut counts = [Stripe::<W>::ZERO; TREE_PLANES];
-    let (mut v, mut carries) = (&mut a[..], &mut b[..]);
-    for t in 0..clen {
-        for (slot, row) in v.iter_mut().zip(rows.iter()) {
-            *slot = row_word(row, t);
-        }
-        let mut cnt = n;
-        for c_out in counts.iter_mut().take(max_planes) {
-            let mut nc = 0usize;
-            while cnt >= 3 {
-                let (s, c) = csa(v[cnt - 1], v[cnt - 2], v[cnt - 3]);
-                cnt -= 2;
-                v[cnt - 1] = s;
-                carries[nc] = c;
-                nc += 1;
+    let max_planes = bit_width(n);
+    let zeros = [Stripe::<W>::ZERO; WORD_BITS];
+    let zero_row: Cut<'_, W> = (&zeros, &zeros, 0);
+    // A narrow kernel leaves the slots past its rows at zero: it counts as
+    // a full slab.
+    let mut x = [Stripe::<W>::ZERO; TREE_ROWS];
+    let mut cuts = [zero_row; TREE_ROWS];
+    if n <= TREE_ROWS {
+        let pairs = rows.iter().any(LaneRow::is_pair);
+        let mut t0 = 0usize;
+        while t0 < clen {
+            let bw = (clen - t0).min(WORD_BITS);
+            for (c, row) in cuts.iter_mut().zip(rows) {
+                *c = row.cut(t0, bw, &zeros);
             }
-            if cnt == 2 {
-                let (s, c) = (v[0] ^ v[1], v[0] & v[1]);
-                v[0] = s;
-                carries[nc] = c;
-                nc += 1;
-                cnt = 1;
+            let cuts = &cuts[..n];
+            let mut count = |i: usize, x: &[Stripe<W>; TREE_ROWS]| {
+                let mut counts = [Stripe::<W>::ZERO; TREE_PLANES];
+                fold_slab(x, &mut counts);
+                sink(t0 + i, &counts[..max_planes]);
+            };
+            if pairs {
+                for i in 0..bw {
+                    gather::<W, true>(cuts, i, &mut x);
+                    count(i, &x);
+                }
+            } else {
+                for i in 0..bw {
+                    gather::<W, false>(cuts, i, &mut x);
+                    count(i, &x);
+                }
             }
-            *c_out = if cnt == 1 { v[0] } else { Stripe::ZERO };
-            std::mem::swap(&mut v, &mut carries);
-            cnt = nc;
+            t0 += bw;
         }
-        sink(t, &counts[..max_planes]);
+        return;
+    }
+    let mut acc = [[Stripe::<W>::ZERO; MAX_PLANES]; WORD_BITS];
+    let mut t0 = 0usize;
+    while t0 < clen {
+        let block = &mut acc[..(clen - t0).min(WORD_BITS)];
+        for acc_t in block.iter_mut() {
+            acc_t[..max_planes].fill(Stripe::ZERO);
+        }
+        let mut folded = 0usize;
+        for slab in rows.chunks(TREE_ROWS) {
+            folded += slab.len();
+            let planes = bit_width(folded);
+            // A short last slab is a full one over zero rows, so the
+            // gather always walks all TREE_ROWS cuts and fully unrolls.
+            if slab.len() < TREE_ROWS {
+                cuts = [zero_row; TREE_ROWS];
+            }
+            for (c, row) in cuts.iter_mut().zip(slab) {
+                *c = row.cut(t0, block.len(), &zeros);
+            }
+            if slab.iter().any(LaneRow::is_pair) {
+                fold_block::<W, true>(block, planes, &cuts, &mut x);
+            } else {
+                fold_block::<W, false>(block, planes, &cuts, &mut x);
+            }
+        }
+        for (i, acc_t) in block.iter().enumerate() {
+            sink(t0 + i, &acc_t[..max_planes]);
+        }
+        t0 += block.len();
+    }
+}
+
+/// A row cut to one block of up to 64 cycles: block cycle `i` contributes
+/// `a[i] ^ b[i] ^ splat(bit i of s)`. Every [`LaneRow`] form is such a
+/// lane part (up to two lane operands) XORed with a broadcast scalar part,
+/// so one branch-free gather serves them all.
+type Cut<'a, const W: usize> = (&'a [Stripe<W>], &'a [Stripe<W>], u64);
+
+/// Block cycle `i` of every cut row into `x`. Without `PAIRS` every `b`
+/// is the zero block and is skipped: kernels at uniform offsets then load
+/// one stripe per row.
+#[inline(always)]
+fn gather<const W: usize, const PAIRS: bool>(
+    cuts: &[Cut<'_, W>],
+    i: usize,
+    x: &mut [Stripe<W>; TREE_ROWS],
+) {
+    for (slot, (a, b, s)) in x.iter_mut().zip(cuts) {
+        let lanes = if PAIRS { a[i] ^ b[i] } else { a[i] };
+        *slot = lanes ^ Stripe::splat(0u64.wrapping_sub((s >> i) & 1));
+    }
+}
+
+/// Folds one slab's cut rows into every cycle of a block.
+#[inline(always)]
+fn fold_block<const W: usize, const PAIRS: bool>(
+    block: &mut [[Stripe<W>; MAX_PLANES]],
+    planes: usize,
+    cuts: &[Cut<'_, W>],
+    x: &mut [Stripe<W>; TREE_ROWS],
+) {
+    for (i, acc_t) in block.iter_mut().enumerate() {
+        gather::<W, PAIRS>(cuts, i, x);
+        fold_slab(x, &mut acc_t[..planes]);
+    }
+}
+
+/// Adds the count of one [`TREE_ROWS`]-row slab `x` into the running
+/// binary count `acc` (LSB first, at least 5 planes, wide enough for the
+/// new total): the Harley–Seal 16-input carry-save network, 15 full
+/// adders with the low four planes as its ones/twos/fours/eights state,
+/// then a half-adder ripple of the sixteens carry through the planes
+/// above.
+#[inline(always)]
+fn fold_slab<const W: usize>(x: &[Stripe<W>; TREE_ROWS], acc: &mut [Stripe<W>]) {
+    let (ones, twos_a) = csa(acc[0], x[0], x[1]);
+    let (ones, twos_b) = csa(ones, x[2], x[3]);
+    let (twos, fours_a) = csa(acc[1], twos_a, twos_b);
+    let (ones, twos_a) = csa(ones, x[4], x[5]);
+    let (ones, twos_b) = csa(ones, x[6], x[7]);
+    let (twos, fours_b) = csa(twos, twos_a, twos_b);
+    let (fours, eights_a) = csa(acc[2], fours_a, fours_b);
+    let (ones, twos_a) = csa(ones, x[8], x[9]);
+    let (ones, twos_b) = csa(ones, x[10], x[11]);
+    let (twos, fours_a) = csa(twos, twos_a, twos_b);
+    let (ones, twos_a) = csa(ones, x[12], x[13]);
+    let (ones, twos_b) = csa(ones, x[14], x[15]);
+    let (twos, fours_b) = csa(twos, twos_a, twos_b);
+    let (fours, eights_b) = csa(fours, fours_a, fours_b);
+    let (eights, mut carry) = csa(acc[3], eights_a, eights_b);
+    acc[0] = ones;
+    acc[1] = twos;
+    acc[2] = fours;
+    acc[3] = eights;
+    for plane in acc[4..].iter_mut() {
+        let s = *plane;
+        *plane = s ^ carry;
+        carry &= s;
     }
 }
 

@@ -13,7 +13,7 @@
 
 use aqfp_sc_bitstream::{
     lane_counts_stream, mux_add, BitStream, BitstreamError, ColumnCounter, LaneRow, Stripe,
-    TREE_ROWS, WORD_BITS,
+    WORD_BITS,
 };
 use aqfp_sc_circuit::CmosGateCounts;
 
@@ -79,15 +79,15 @@ impl Btanh {
         self.state > self.max / 2
     }
 
-    /// Lane-parallel [`Btanh::step`] over a whole chunk: per-cycle APC
-    /// counts of up to `64·W` images arrive as bit planes (`planes[p][t]`
-    /// holds bit `p` of every lane's count at cycle `t`, lane `g` in bit
-    /// `g % 64` of stripe element `g / 64`), one FSM per lane in `fsms`
-    /// (all with identical `m` and state count), and the saturating-counter
-    /// recurrence runs for every lane at once in bit-sliced ripple-carry
-    /// arithmetic. Lane `g` of `out[t]` is lane `g`'s output bit; lanes at
-    /// or above `fsms.len()` compute garbage — callers must never read
-    /// them.
+    /// Lane-parallel [`Btanh::step`] over a whole chunk, fused with the
+    /// lane kernel: counts each cycle's kernel `rows` (the `M` product rows
+    /// of the APC neuron) for up to `64·W` images at once
+    /// ([`lane_counts_stream`]) and folds them straight into the
+    /// saturating-counter recurrence, one FSM per lane in `fsms` (all with
+    /// identical `m` and state count), run for every lane at once in
+    /// bit-sliced ripple-carry arithmetic. Lane `g` of `out[t]` is lane
+    /// `g`'s output bit; lanes at or above `fsms.len()` compute garbage —
+    /// callers must never read them.
     ///
     /// Per lane, this is bit-identical to calling [`Btanh::step`] on that
     /// lane's counts cycle by cycle (each FSM's counter state is updated
@@ -96,75 +96,13 @@ impl Btanh {
     /// # Panics
     ///
     /// Panics when `fsms` is empty or exceeds `64·W` lanes, when the FSMs
-    /// disagree on geometry, or when a plane is shorter than `clen`.
-    pub fn run_planes_resume_into<const W: usize>(
-        fsms: &mut [&mut Btanh],
-        planes: &[Vec<Stripe<W>>],
-        used: usize,
-        clen: usize,
-        out: &mut [Stripe<W>],
-    ) {
-        assert!(
-            !fsms.is_empty() && fsms.len() <= WORD_BITS * W,
-            "run_planes: too many lane FSMs for stripe"
-        );
-        assert!(out.len() >= clen, "run_planes: output buffer too short");
-        for p in planes.iter().take(used) {
-            assert!(p.len() >= clen, "run_planes: count plane shorter than chunk");
-        }
-        let (m, max) = (fsms[0].m, fsms[0].max);
-        assert!(
-            fsms.iter().all(|f| f.m == m && f.max == max),
-            "run_planes: mixed FSM geometries in one lane group"
-        );
-        let (m, max) = (m as u64, max as u64);
-        // state ≤ max and 2·count ≤ 2M, so `state + 2c` fits in
-        // bits(max + 2M).
-        let width = lanes::bit_width(max + 2 * m).min(lanes::PLANES);
-        let mut states: Vec<i64> = fsms.iter().map(|f| f.state).collect();
-        let mut sp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
-        lanes::pack_states(&states, &mut sp, width);
-        let c_planes = used.min(width - 1);
-        // Monomorphise the sweep on the plane width so the plane loops
-        // fully unroll and the counter planes stay in registers across the
-        // chunk (see `fe_sweep` in `feature.rs` for the reasoning).
-        match width {
-            1 => btanh_sweep::<W, 1>(planes, c_planes, clen, m, max, &mut sp, out),
-            2 => btanh_sweep::<W, 2>(planes, c_planes, clen, m, max, &mut sp, out),
-            3 => btanh_sweep::<W, 3>(planes, c_planes, clen, m, max, &mut sp, out),
-            4 => btanh_sweep::<W, 4>(planes, c_planes, clen, m, max, &mut sp, out),
-            5 => btanh_sweep::<W, 5>(planes, c_planes, clen, m, max, &mut sp, out),
-            6 => btanh_sweep::<W, 6>(planes, c_planes, clen, m, max, &mut sp, out),
-            7 => btanh_sweep::<W, 7>(planes, c_planes, clen, m, max, &mut sp, out),
-            8 => btanh_sweep::<W, 8>(planes, c_planes, clen, m, max, &mut sp, out),
-            _ => btanh_sweep::<W, { lanes::PLANES }>(planes, c_planes, clen, m, max, &mut sp, out),
-        }
-        lanes::unpack_states(&sp, &mut states, width);
-        for (f, s) in fsms.iter_mut().zip(states) {
-            f.state = s;
-        }
-    }
-
-    /// Fused lane kernel + FSM sweep: counts each cycle's kernel `rows`
-    /// with the register-resident compressor tree and folds them straight
-    /// into the saturating-counter recurrence, never materialising count
-    /// plane arrays ([`lane_counts_stream`] is the fusion point). Rows are
-    /// the `M` product rows of the APC neuron; the result is bit-identical
-    /// to [`Btanh::run_planes_resume_into`] on the materialised counts of
-    /// the same rows, for any stripe width `W`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows` exceeds [`TREE_ROWS`] (wide kernels must use the
-    /// plane-array path), plus the [`Btanh::run_planes_resume_into`]
-    /// geometry conditions.
+    /// disagree on geometry, or when a row is shorter than `clen`.
     pub fn run_rows_resume_into<const W: usize>(
         fsms: &mut [&mut Btanh],
         rows: &[LaneRow<'_, W>],
         clen: usize,
         out: &mut [Stripe<W>],
     ) {
-        assert!(rows.len() <= TREE_ROWS, "run_rows: too many rows for the fused tree");
         assert!(
             !fsms.is_empty() && fsms.len() <= WORD_BITS * W,
             "run_rows: too many lane FSMs for stripe"
@@ -176,20 +114,25 @@ impl Btanh {
             "run_rows: mixed FSM geometries in one lane group"
         );
         let (m, max) = (m as u64, max as u64);
+        // state ≤ max and 2·count ≤ 2M, so `state + 2c` fits in
+        // bits(max + 2M).
         let width = lanes::bit_width(max + 2 * m).min(lanes::PLANES);
         let mut states: Vec<i64> = fsms.iter().map(|f| f.state).collect();
         let mut sp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
         lanes::pack_states(&states, &mut sp, width);
+        // Monomorphise the sweep on the plane width so the plane loops
+        // fully unroll and the counter planes stay in registers across the
+        // chunk.
         match width {
-            1 => btanh_rows_sweep::<W, 1>(rows, clen, m, max, &mut sp, out),
-            2 => btanh_rows_sweep::<W, 2>(rows, clen, m, max, &mut sp, out),
-            3 => btanh_rows_sweep::<W, 3>(rows, clen, m, max, &mut sp, out),
-            4 => btanh_rows_sweep::<W, 4>(rows, clen, m, max, &mut sp, out),
-            5 => btanh_rows_sweep::<W, 5>(rows, clen, m, max, &mut sp, out),
-            6 => btanh_rows_sweep::<W, 6>(rows, clen, m, max, &mut sp, out),
-            7 => btanh_rows_sweep::<W, 7>(rows, clen, m, max, &mut sp, out),
-            8 => btanh_rows_sweep::<W, 8>(rows, clen, m, max, &mut sp, out),
-            _ => btanh_rows_sweep::<W, { lanes::PLANES }>(rows, clen, m, max, &mut sp, out),
+            1 => btanh_sweep::<W, 1>(rows, clen, m, max, &mut sp, out),
+            2 => btanh_sweep::<W, 2>(rows, clen, m, max, &mut sp, out),
+            3 => btanh_sweep::<W, 3>(rows, clen, m, max, &mut sp, out),
+            4 => btanh_sweep::<W, 4>(rows, clen, m, max, &mut sp, out),
+            5 => btanh_sweep::<W, 5>(rows, clen, m, max, &mut sp, out),
+            6 => btanh_sweep::<W, 6>(rows, clen, m, max, &mut sp, out),
+            7 => btanh_sweep::<W, 7>(rows, clen, m, max, &mut sp, out),
+            8 => btanh_sweep::<W, 8>(rows, clen, m, max, &mut sp, out),
+            _ => btanh_sweep::<W, { lanes::PLANES }>(rows, clen, m, max, &mut sp, out),
         }
         lanes::unpack_states(&sp, &mut states, width);
         for (f, s) in fsms.iter_mut().zip(states) {
@@ -201,25 +144,28 @@ impl Btanh {
 /// Register-resident Btanh sweep at a compile-time plane width `P ≥` the
 /// dynamic width (extra planes carry zeros through the chains — every
 /// value fits in the dynamic width, so sums, borrows, and the counter
-/// above it stay zero). The M / max+1 / max / mid constants specialise
-/// each plane's chains to their bit values, and the fully unrolled plane
-/// loops keep the counter and difference planes in registers.
+/// above it stay zero). The per-cycle counts arrive from
+/// [`lane_counts_stream`] and enter shifted up one position (the ×2 of the
+/// up/down step); the kernel's plane count is `bit_width(M) ≤ width − 1`,
+/// so the shifted index always fits in `P`. The M / max+1 / max / mid
+/// constants specialise each plane's chains to their bit values, and the
+/// fully unrolled plane loops keep the counter and difference planes in
+/// registers.
 #[inline(always)]
 fn btanh_sweep<const W: usize, const P: usize>(
-    planes: &[Vec<Stripe<W>>],
-    c_planes: usize,
+    rows: &[LaneRow<'_, W>],
     clen: usize,
     m: u64,
     max: u64,
     sp_io: &mut lanes::Planes<W>,
     out: &mut [Stripe<W>],
 ) {
-    let counts = &planes[..c_planes];
     let cap = max + 1;
     let mid = max / 2 + 1;
     let mut sp = [Stripe::<W>::ZERO; P];
     sp.copy_from_slice(&sp_io[..P]);
-    for (t, out_word) in out.iter_mut().enumerate().take(clen) {
+    let out = &mut out[..clen];
+    lane_counts_stream(rows, clen, |t, counts: &[Stripe<W>]| {
         // Pass 1, fused add + subtract: U = state + 2c (the count planes
         // enter shifted up one position) and D = U − M in one sweep.
         // pos = [U ≥ M] is the complemented final borrow;
@@ -229,8 +175,8 @@ fn btanh_sweep<const W: usize, const P: usize>(
         let mut borrow = Stripe::ZERO;
         for p in 0..P {
             let y = sp[p];
-            let sum = if p >= 1 && p - 1 < c_planes {
-                let x = counts[p - 1][t];
+            let sum = if p >= 1 && p - 1 < counts.len() {
+                let x = counts[p - 1];
                 let s = x ^ y ^ carry;
                 carry = (x & y) | (carry & (x ^ y));
                 s
@@ -272,79 +218,6 @@ fn btanh_sweep<const W: usize, const P: usize>(
             }
         }
         // Output bit: counter above mid-range (state' > max/2).
-        *out_word = !borrow;
-    }
-    sp_io[..P].copy_from_slice(&sp);
-}
-
-/// Fused twin of [`btanh_sweep`]: per-cycle counts arrive straight from
-/// the register-resident compressor tree of [`lane_counts_stream`] instead
-/// of from materialised plane arrays. The count planes still enter shifted
-/// up one position (the ×2 of the up/down step); the tree's plane count is
-/// `bit_width(M) ≤ width − 1`, so the shifted index always fits in `P`.
-#[inline(always)]
-fn btanh_rows_sweep<const W: usize, const P: usize>(
-    rows: &[LaneRow<'_, W>],
-    clen: usize,
-    m: u64,
-    max: u64,
-    sp_io: &mut lanes::Planes<W>,
-    out: &mut [Stripe<W>],
-) {
-    let cap = max + 1;
-    let mid = max / 2 + 1;
-    let mut sp = [Stripe::<W>::ZERO; P];
-    sp.copy_from_slice(&sp_io[..P]);
-    let out = &mut out[..clen];
-    lane_counts_stream(rows, clen, |t, counts: &[Stripe<W>]| {
-        // Pass 1, fused add + subtract (see `btanh_sweep` for the
-        // derivation).
-        let mut diff = [Stripe::<W>::ZERO; P];
-        let mut carry = Stripe::ZERO;
-        let mut borrow = Stripe::ZERO;
-        for p in 0..P {
-            let y = sp[p];
-            let sum = if p >= 1 && p - 1 < counts.len() {
-                let x = counts[p - 1];
-                let s = x ^ y ^ carry;
-                carry = (x & y) | (carry & (x ^ y));
-                s
-            } else {
-                let s = y ^ carry;
-                carry &= y;
-                s
-            };
-            if (m >> p) & 1 == 1 {
-                diff[p] = !(sum ^ borrow);
-                borrow |= !sum;
-            } else {
-                diff[p] = sum ^ borrow;
-                borrow &= !sum;
-            }
-        }
-        let pos = !borrow;
-        // Pass 2: floor-mask and the [D ≥ max+1] cap borrow chain.
-        let mut borrow = Stripe::ZERO;
-        for (p, d) in diff.iter_mut().enumerate() {
-            *d &= pos;
-            if (cap >> p) & 1 == 1 {
-                borrow |= !*d;
-            } else {
-                borrow &= !*d;
-            }
-        }
-        let over = !borrow;
-        // Pass 3: select state' and the [state' ≥ max/2 + 1] output chain.
-        let mut borrow = Stripe::ZERO;
-        for (p, spl) in sp.iter_mut().enumerate() {
-            let snew = if (max >> p) & 1 == 1 { diff[p] | over } else { diff[p] & !over };
-            *spl = snew;
-            if (mid >> p) & 1 == 1 {
-                borrow |= !snew;
-            } else {
-                borrow &= !snew;
-            }
-        }
         out[t] = !borrow;
     });
     sp_io[..P].copy_from_slice(&sp);
@@ -487,33 +360,24 @@ mod tests {
     }
 
     fn check_btanh_lane_planes_match_scalar<const W: usize>(lanes_n: usize) {
-        // Ragged lanes of distinct APC count sequences through the
-        // bit-sliced saturating-counter recurrence in uneven resumed
-        // chunks, vs Btanh::step per lane per cycle.
+        // Ragged lanes of distinct APC count sequences through the fused
+        // lane entry in uneven resumed chunks, vs Btanh::step per lane per
+        // cycle.
         let m = 9usize;
         let clen = 110usize;
         let counts: Vec<Vec<u32>> = (0..lanes_n)
             .map(|g| (0..clen).map(|t| ((t * 5 + g * 7) % 10) as u32).collect())
             .collect();
-        let used = 4usize; // counts ≤ 9 fit in 4 planes
-        let mut planes = vec![vec![Stripe::<W>::ZERO; clen]; used];
-        for (g, cs) in counts.iter().enumerate() {
-            for (t, &c) in cs.iter().enumerate() {
-                for (p, plane) in planes.iter_mut().enumerate() {
-                    plane[t].0[g / WORD_BITS] |=
-                        ((u64::from(c) >> p) & 1) << (g % WORD_BITS);
-                }
-            }
-        }
+        let rows = lanes::count_rows::<W>(&counts, m, clen);
         let mut fsms: Vec<Btanh> = (0..lanes_n).map(|_| Btanh::new(m)).collect();
         let mut out = vec![Stripe::<W>::ZERO; clen];
         let mut pos = 0usize;
         while pos < clen {
             let c = 37.min(clen - pos);
-            let sub: Vec<Vec<Stripe<W>>> =
-                planes.iter().map(|p| p[pos..pos + c].to_vec()).collect();
+            let chunk: Vec<LaneRow<'_, W>> =
+                rows.iter().map(|row| LaneRow::Lanes(&row[pos..pos + c])).collect();
             let mut refs: Vec<&mut Btanh> = fsms.iter_mut().collect();
-            Btanh::run_planes_resume_into(&mut refs, &sub, used, c, &mut out[pos..pos + c]);
+            Btanh::run_rows_resume_into(&mut refs, &chunk, c, &mut out[pos..pos + c]);
             pos += c;
         }
         for (g, cs) in counts.iter().enumerate() {

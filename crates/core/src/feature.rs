@@ -2,8 +2,7 @@
 //! layers (paper §4.2, Algorithm 1, Fig. 12).
 
 use aqfp_sc_bitstream::{
-    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, Stripe, TREE_ROWS,
-    WORD_BITS,
+    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, Stripe, WORD_BITS,
 };
 use aqfp_sc_circuit::Netlist;
 use aqfp_sc_sorting::{Direction, SortingNetwork};
@@ -138,84 +137,30 @@ impl FeatureExtraction {
         }));
     }
 
-    /// Lane-parallel [`FeatureExtraction::run_counts_resume_into`]: the
-    /// per-cycle column counts of up to `64·W` images arrive as bit planes
-    /// (`planes[p][t]` holds bit `p` of every lane's count at cycle `t`,
-    /// lane `g` in bit `g % 64` of stripe element `g / 64` — the layout
-    /// `lane_column_planes` produces), and the recurrence runs for every
-    /// lane at once in bit-sliced ripple-carry arithmetic instead of
-    /// `64·W` serial scalar FSM steps.
+    /// Lane-parallel [`FeatureExtraction::run_counts_resume_into`], fused
+    /// with the lane kernel: counts each cycle's kernel `rows` for up to
+    /// `64·W` images at once ([`lane_counts_stream`] — the register tree
+    /// for narrow kernels, the slab compressor for wide ones) and folds the
+    /// counts straight into the sorter-FE recurrence, run for every lane at
+    /// once in bit-sliced ripple-carry arithmetic instead of `64·W` serial
+    /// scalar FSM steps. Rows must cover the full sorter width — weights,
+    /// bias, and the `0101…` neutral pad at each lane's ABSOLUTE cycle
+    /// parity when [`width()`](FeatureExtraction::width) `!=`
+    /// [`inputs()`](FeatureExtraction::inputs).
     ///
     /// `r` holds the feedback occupancy of each active lane (lane `g` is
-    /// `r[g]`) and is updated in place; lane `g` of `out[t]` is lane `g`'s
-    /// output bit. Lanes at or above `r.len()` compute garbage from
-    /// whatever the unused count bits hold — callers must never read them.
-    ///
-    /// Counts must already include the neutral-padding stream when
-    /// [`width()`](FeatureExtraction::width) `!=`
-    /// [`inputs()`](FeatureExtraction::inputs) — append the `0101…` stream
-    /// as an extra kernel row at each lane's ABSOLUTE cycle parity.
-    /// Per lane, splitting into chunks and threading `r[g]` through is
-    /// bit-identical to [`FeatureExtraction::run_counts_resume_into`] on
-    /// that lane's counts, for any stripe width `W`.
+    /// `r[g]`, lane `g` in bit `g % 64` of stripe element `g / 64`) and is
+    /// updated in place; lane `g` of `out[t]` is lane `g`'s output bit.
+    /// Lanes at or above `r.len()` compute garbage from whatever the unused
+    /// row bits hold — callers must never read them. Per lane, splitting
+    /// into chunks and threading `r[g]` through is bit-identical to
+    /// [`FeatureExtraction::run_counts_resume_into`] on that lane's counts,
+    /// for any stripe width `W`.
     ///
     /// # Panics
     ///
-    /// Panics when more than `64·W` lanes are given or a plane is shorter
-    /// than `clen`.
-    pub fn run_planes_resume_into<const W: usize>(
-        &self,
-        planes: &[Vec<Stripe<W>>],
-        used: usize,
-        clen: usize,
-        r: &mut [i64],
-        out: &mut [Stripe<W>],
-    ) {
-        assert!(r.len() <= WORD_BITS * W, "run_planes: too many lanes for stripe");
-        assert!(out.len() >= clen, "run_planes: output buffer too short");
-        for p in planes.iter().take(used) {
-            assert!(p.len() >= clen, "run_planes: count plane shorter than chunk");
-        }
-        let m = self.m as u64;
-        let threshold = self.threshold() as u64;
-        // count ≤ M and r ≤ M, so every intermediate fits in bits(2M).
-        let width = lanes::bit_width(2 * m).min(lanes::PLANES);
-        let used = used.min(width);
-        let mut rp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
-        lanes::pack_states(r, &mut rp, width);
-        // Monomorphise the sweep on the plane width: with `P` a constant
-        // the plane loops fully unroll and the residual / difference planes
-        // live in registers across the whole chunk, so the only per-cycle
-        // memory traffic is the count-plane loads and the output store.
-        match width {
-            1 => fe_sweep::<W, 1>(planes, used, clen, threshold, m, &mut rp, out),
-            2 => fe_sweep::<W, 2>(planes, used, clen, threshold, m, &mut rp, out),
-            3 => fe_sweep::<W, 3>(planes, used, clen, threshold, m, &mut rp, out),
-            4 => fe_sweep::<W, 4>(planes, used, clen, threshold, m, &mut rp, out),
-            5 => fe_sweep::<W, 5>(planes, used, clen, threshold, m, &mut rp, out),
-            6 => fe_sweep::<W, 6>(planes, used, clen, threshold, m, &mut rp, out),
-            7 => fe_sweep::<W, 7>(planes, used, clen, threshold, m, &mut rp, out),
-            8 => fe_sweep::<W, 8>(planes, used, clen, threshold, m, &mut rp, out),
-            _ => fe_sweep::<W, { lanes::PLANES }>(planes, used, clen, threshold, m, &mut rp, out),
-        }
-        lanes::unpack_states(&rp, r, width);
-    }
-
-    /// Fused lane kernel + FSM sweep: counts each cycle's kernel `rows`
-    /// with the register-resident compressor tree and folds the counts
-    /// straight into the sorter-FE recurrence, never materialising count
-    /// plane arrays ([`lane_counts_stream`] is the fusion point). Rows must
-    /// cover the full sorter width — weights, bias, and any neutral pad —
-    /// exactly as for the
-    /// [`run_planes_resume_into`](FeatureExtraction::run_planes_resume_into)
-    /// contract, and the result is bit-identical to that path for any
-    /// stripe width `W`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows` exceeds [`TREE_ROWS`] (wide kernels must use the
-    /// plane-array path), more than `64·W` lanes are given, or a row is
-    /// shorter than `clen`.
+    /// Panics when `rows` does not cover the sorter width, more than
+    /// `64·W` lanes are given, or a row is shorter than `clen`.
     pub fn run_rows_resume_into<const W: usize>(
         &self,
         rows: &[LaneRow<'_, W>],
@@ -223,7 +168,6 @@ impl FeatureExtraction {
         r: &mut [i64],
         out: &mut [Stripe<W>],
     ) {
-        assert!(rows.len() <= TREE_ROWS, "run_rows: too many rows for the fused tree");
         assert_eq!(rows.len(), self.m, "run_rows: rows must cover the full sorter width");
         assert!(r.len() <= WORD_BITS * W, "run_rows: too many lanes for stripe");
         assert!(out.len() >= clen, "run_rows: output buffer too short");
@@ -233,16 +177,19 @@ impl FeatureExtraction {
         let width = lanes::bit_width(2 * m).min(lanes::PLANES);
         let mut rp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
         lanes::pack_states(r, &mut rp, width);
+        // Monomorphise the sweep on the plane width: with `P` a constant
+        // the plane loops fully unroll and the residual / difference planes
+        // live in registers across the whole chunk.
         match width {
-            1 => fe_rows_sweep::<W, 1>(rows, clen, threshold, m, &mut rp, out),
-            2 => fe_rows_sweep::<W, 2>(rows, clen, threshold, m, &mut rp, out),
-            3 => fe_rows_sweep::<W, 3>(rows, clen, threshold, m, &mut rp, out),
-            4 => fe_rows_sweep::<W, 4>(rows, clen, threshold, m, &mut rp, out),
-            5 => fe_rows_sweep::<W, 5>(rows, clen, threshold, m, &mut rp, out),
-            6 => fe_rows_sweep::<W, 6>(rows, clen, threshold, m, &mut rp, out),
-            7 => fe_rows_sweep::<W, 7>(rows, clen, threshold, m, &mut rp, out),
-            8 => fe_rows_sweep::<W, 8>(rows, clen, threshold, m, &mut rp, out),
-            _ => fe_rows_sweep::<W, { lanes::PLANES }>(rows, clen, threshold, m, &mut rp, out),
+            1 => fe_sweep::<W, 1>(rows, clen, threshold, m, &mut rp, out),
+            2 => fe_sweep::<W, 2>(rows, clen, threshold, m, &mut rp, out),
+            3 => fe_sweep::<W, 3>(rows, clen, threshold, m, &mut rp, out),
+            4 => fe_sweep::<W, 4>(rows, clen, threshold, m, &mut rp, out),
+            5 => fe_sweep::<W, 5>(rows, clen, threshold, m, &mut rp, out),
+            6 => fe_sweep::<W, 6>(rows, clen, threshold, m, &mut rp, out),
+            7 => fe_sweep::<W, 7>(rows, clen, threshold, m, &mut rp, out),
+            8 => fe_sweep::<W, 8>(rows, clen, threshold, m, &mut rp, out),
+            _ => fe_sweep::<W, { lanes::PLANES }>(rows, clen, threshold, m, &mut rp, out),
         }
         lanes::unpack_states(&rp, r, width);
     }
@@ -360,86 +307,15 @@ impl FeatureExtraction {
 /// Register-resident sorter-FE sweep at a compile-time plane width `P ≥`
 /// the dynamic width (extra planes carry zeros through the chains, which
 /// cannot disturb the result: every value fits in the dynamic width, so
-/// carries and masked differences above it stay zero). The θ / M+1 / M
-/// constants specialise each plane's subtract to its bit value (θ bit 1:
-/// `D = ¬(sum ⊕ b)`, `b' = ¬sum ∨ b`; bit 0: `D = sum ⊕ b`,
-/// `b' = ¬sum ∧ b`), and the fully unrolled plane loops keep the residual
-/// and difference planes in registers across the whole chunk.
+/// carries and masked differences above it stay zero). The per-cycle
+/// column counts arrive from [`lane_counts_stream`] (`counts[p]` for
+/// `p < counts.len()`, zero above). The θ / M+1 / M constants specialise
+/// each plane's subtract to its bit value (θ bit 1: `D = ¬(sum ⊕ b)`,
+/// `b' = ¬sum ∨ b`; bit 0: `D = sum ⊕ b`, `b' = ¬sum ∧ b`), and the fully
+/// unrolled plane loops keep the residual and difference planes in
+/// registers across the whole chunk.
 #[inline(always)]
 fn fe_sweep<const W: usize, const P: usize>(
-    planes: &[Vec<Stripe<W>>],
-    used: usize,
-    clen: usize,
-    threshold: u64,
-    m: u64,
-    rp_io: &mut lanes::Planes<W>,
-    out: &mut [Stripe<W>],
-) {
-    let counts = &planes[..used];
-    let mut rp = [Stripe::<W>::ZERO; P];
-    rp.copy_from_slice(&rp_io[..P]);
-    for (t, out_word) in out.iter_mut().enumerate().take(clen) {
-        // Pass 1, fused add + subtract: T = count + r and D = T − θ in one
-        // sweep (the ripple carry and the borrow advance in lockstep).
-        // fire = [T ≥ θ] is the complemented final borrow; lanes that
-        // underflow are the non-firing ones, and their feedback
-        // floor-clips to 0. Count planes at or above `used` are all-zero,
-        // which drops the x terms.
-        let mut diff = [Stripe::<W>::ZERO; P];
-        let mut carry = Stripe::ZERO;
-        let mut borrow = Stripe::ZERO;
-        for p in 0..P {
-            let y = rp[p];
-            let sum = if p < used {
-                let x = counts[p][t];
-                let s = x ^ y ^ carry;
-                carry = (x & y) | (carry & (x ^ y));
-                s
-            } else {
-                let s = y ^ carry;
-                carry &= y;
-                s
-            };
-            if (threshold >> p) & 1 == 1 {
-                diff[p] = !(sum ^ borrow);
-                borrow |= !sum;
-            } else {
-                diff[p] = sum ^ borrow;
-                borrow &= !sum;
-            }
-        }
-        let fire = !borrow;
-        *out_word = fire;
-        // Pass 2: mask non-firing lanes to 0 and run the [D ≥ M+1] borrow
-        // chain on the masked value (a 0 never overflows, so the cap
-        // cannot be spuriously selected on non-firing lanes).
-        let mut borrow = Stripe::ZERO;
-        for (p, d) in diff.iter_mut().enumerate() {
-            *d &= fire;
-            if ((m + 1) >> p) & 1 == 1 {
-                borrow |= !*d;
-            } else {
-                borrow &= !*d;
-            }
-        }
-        let over = !borrow;
-        // Pass 3: r' = over ? M : D — the upper clamp at the physical
-        // feedback capacity of M wires.
-        for (p, rpl) in rp.iter_mut().enumerate() {
-            *rpl = if (m >> p) & 1 == 1 { diff[p] | over } else { diff[p] & !over };
-        }
-    }
-    rp_io[..P].copy_from_slice(&rp);
-}
-
-/// Fused twin of [`fe_sweep`]: the per-cycle column counts arrive straight
-/// from the register-resident compressor tree of [`lane_counts_stream`]
-/// instead of from materialised plane arrays, so the count bits flow from
-/// the kernel rows into the recurrence without ever touching memory. The
-/// FSM passes are identical to [`fe_sweep`] — only the count source
-/// differs (`counts[p]` for `p < counts.len()`, zero above).
-#[inline(always)]
-fn fe_rows_sweep<const W: usize, const P: usize>(
     rows: &[LaneRow<'_, W>],
     clen: usize,
     threshold: u64,
@@ -451,7 +327,11 @@ fn fe_rows_sweep<const W: usize, const P: usize>(
     rp.copy_from_slice(&rp_io[..P]);
     let out = &mut out[..clen];
     lane_counts_stream(rows, clen, |t, counts: &[Stripe<W>]| {
-        // Pass 1, fused add + subtract (see `fe_sweep` for the derivation).
+        // Pass 1, fused add + subtract: T = count + r and D = T − θ in one
+        // sweep (the ripple carry and the borrow advance in lockstep).
+        // fire = [T ≥ θ] is the complemented final borrow; lanes that
+        // underflow are the non-firing ones, and their feedback
+        // floor-clips to 0.
         let mut diff = [Stripe::<W>::ZERO; P];
         let mut carry = Stripe::ZERO;
         let mut borrow = Stripe::ZERO;
@@ -477,7 +357,9 @@ fn fe_rows_sweep<const W: usize, const P: usize>(
         }
         let fire = !borrow;
         out[t] = fire;
-        // Pass 2: the [D ≥ M+1] overflow chain on the fire-masked value.
+        // Pass 2: mask non-firing lanes to 0 and run the [D ≥ M+1] borrow
+        // chain on the masked value (a 0 never overflows, so the cap
+        // cannot be spuriously selected on non-firing lanes).
         let mut borrow = Stripe::ZERO;
         for (p, d) in diff.iter_mut().enumerate() {
             *d &= fire;
@@ -488,7 +370,8 @@ fn fe_rows_sweep<const W: usize, const P: usize>(
             }
         }
         let over = !borrow;
-        // Pass 3: r' = over ? M : D.
+        // Pass 3: r' = over ? M : D — the upper clamp at the physical
+        // feedback capacity of M wires.
         for (p, rpl) in rp.iter_mut().enumerate() {
             *rpl = if (m >> p) & 1 == 1 { diff[p] | over } else { diff[p] & !over };
         }
@@ -668,31 +551,22 @@ mod tests {
 
     fn check_lane_planes_match_scalar<const W: usize>(lanes_n: usize) {
         // Ragged lanes with distinct count sequences, run through the
-        // bit-sliced lane recurrence in uneven resumed chunks, must match
-        // the scalar per-lane recurrence bit for bit (output and final r).
+        // fused lane entry in uneven resumed chunks, must match the scalar
+        // per-lane recurrence bit for bit (output and final r).
         let fe = FeatureExtraction::new(9);
         let clen = 100usize;
         let counts: Vec<Vec<u32>> = (0..lanes_n)
             .map(|g| (0..clen).map(|t| ((t * 7 + g * 13) % 10) as u32).collect())
             .collect();
-        let used = 4usize; // counts ≤ 9 fit in 4 planes
-        let mut planes = vec![vec![Stripe::<W>::ZERO; clen]; used];
-        for (g, cs) in counts.iter().enumerate() {
-            for (t, &c) in cs.iter().enumerate() {
-                for (p, plane) in planes.iter_mut().enumerate() {
-                    plane[t].0[g / WORD_BITS] |=
-                        ((u64::from(c) >> p) & 1) << (g % WORD_BITS);
-                }
-            }
-        }
+        let rows = lanes::count_rows::<W>(&counts, fe.width(), clen);
         let mut r = vec![0i64; lanes_n];
         let mut out = vec![Stripe::<W>::ZERO; clen];
         let mut pos = 0usize;
         while pos < clen {
             let c = 33.min(clen - pos);
-            let sub: Vec<Vec<Stripe<W>>> =
-                planes.iter().map(|p| p[pos..pos + c].to_vec()).collect();
-            fe.run_planes_resume_into(&sub, used, c, &mut r, &mut out[pos..pos + c]);
+            let chunk: Vec<LaneRow<'_, W>> =
+                rows.iter().map(|row| LaneRow::Lanes(&row[pos..pos + c])).collect();
+            fe.run_rows_resume_into(&chunk, c, &mut r, &mut out[pos..pos + c]);
             pos += c;
         }
         for (g, cs) in counts.iter().enumerate() {

@@ -1,8 +1,8 @@
 //! Bit-sliced lane arithmetic for the lane-parallel FSM runners.
 //!
 //! The batch-transposed execution path counts XNOR columns for up to
-//! `64·W` images at once (`lane_column_planes`: plane `p`, cycle `t` holds
-//! bit `p` of every lane's count, lane `g` in bit `g % 64` of stripe
+//! `64·W` images at once (`lane_counts_stream`: plane `p` of cycle `t`
+//! holds bit `p` of every lane's count, lane `g` in bit `g % 64` of stripe
 //! element `g / 64`). Running each lane's activation FSM serially on
 //! extracted `u32` counts would throw that parallelism away — the
 //! per-cycle recurrences of [`FeatureExtraction`](crate::FeatureExtraction),
@@ -132,6 +132,28 @@ pub(crate) fn unpack_states<const W: usize>(
 #[inline]
 pub(crate) fn bit_width(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
+}
+
+/// Lane-packed kernel rows whose per-cycle column counts are `counts`:
+/// row `j` holds lane `g`'s bit at cycle `t` iff `j < counts[g][t]`, so
+/// the fused lane entries see exactly the given count sequences. Every
+/// count must be at most `rows`.
+#[cfg(test)]
+pub(crate) fn count_rows<const W: usize>(
+    counts: &[Vec<u32>],
+    rows: usize,
+    clen: usize,
+) -> Vec<Vec<Stripe<W>>> {
+    let mut out = vec![vec![Stripe::<W>::ZERO; clen]; rows];
+    for (g, cs) in counts.iter().enumerate() {
+        for (t, &c) in cs.iter().enumerate() {
+            assert!(c as usize <= rows, "count exceeds the row count");
+            for row in out.iter_mut().take(c as usize) {
+                row[t].0[g / WORD_BITS] |= 1u64 << (g % WORD_BITS);
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! Sorter-based average pooling (paper §4.3, Algorithm 2, Fig. 14).
 
 use aqfp_sc_bitstream::{
-    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, Stripe, TREE_ROWS,
-    WORD_BITS,
+    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, Stripe, WORD_BITS,
 };
 use aqfp_sc_circuit::Netlist;
 use aqfp_sc_sorting::{Direction, SortingNetwork};
@@ -93,12 +92,12 @@ impl AveragePooling {
         }));
     }
 
-    /// Lane-parallel [`AveragePooling::run_counts_resume_into`]: per-cycle
-    /// column counts of up to `64·W` images arrive as bit planes
-    /// (`planes[p][t]` holds bit `p` of every lane's count at cycle `t`,
-    /// lane `g` in bit `g % 64` of stripe element `g / 64`), and the
-    /// conserving recurrence runs for every lane at once in bit-sliced
-    /// ripple-carry arithmetic.
+    /// Lane-parallel [`AveragePooling::run_counts_resume_into`], fused
+    /// with the lane kernel: counts each cycle's window `rows` for up to
+    /// `64·W` images at once ([`lane_counts_stream`]) and folds the counts
+    /// straight into the conserving recurrence, run for every lane at once
+    /// in bit-sliced ripple-carry arithmetic. Rows are the `M` window
+    /// streams.
     ///
     /// `r` holds each active lane's feedback occupancy (updated in place);
     /// lane `g` of `out[t]` is lane `g`'s output bit. Lanes at or above
@@ -109,58 +108,8 @@ impl AveragePooling {
     ///
     /// # Panics
     ///
-    /// Panics when more than `64·W` lanes are given or a plane is shorter
-    /// than `clen`.
-    pub fn run_planes_resume_into<const W: usize>(
-        &self,
-        planes: &[Vec<Stripe<W>>],
-        used: usize,
-        clen: usize,
-        r: &mut [i64],
-        out: &mut [Stripe<W>],
-    ) {
-        assert!(r.len() <= WORD_BITS * W, "run_planes: too many lanes for stripe");
-        assert!(out.len() >= clen, "run_planes: output buffer too short");
-        for p in planes.iter().take(used) {
-            assert!(p.len() >= clen, "run_planes: count plane shorter than chunk");
-        }
-        let m = self.m as u64;
-        // count ≤ M and r < M, so every intermediate fits in bits(2M).
-        let width = lanes::bit_width(2 * m).min(lanes::PLANES);
-        let used = used.min(width);
-        let mut rp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
-        lanes::pack_states(r, &mut rp, width);
-        // Monomorphise the sweep on the plane width so the plane loops
-        // fully unroll and the residual planes stay in registers across
-        // the chunk (see `fe_sweep` in `feature.rs` for the reasoning; a
-        // pool window is k·k wide, so small widths dominate).
-        match width {
-            1 => pool_sweep::<W, 1>(planes, used, clen, m, &mut rp, out),
-            2 => pool_sweep::<W, 2>(planes, used, clen, m, &mut rp, out),
-            3 => pool_sweep::<W, 3>(planes, used, clen, m, &mut rp, out),
-            4 => pool_sweep::<W, 4>(planes, used, clen, m, &mut rp, out),
-            5 => pool_sweep::<W, 5>(planes, used, clen, m, &mut rp, out),
-            6 => pool_sweep::<W, 6>(planes, used, clen, m, &mut rp, out),
-            7 => pool_sweep::<W, 7>(planes, used, clen, m, &mut rp, out),
-            8 => pool_sweep::<W, 8>(planes, used, clen, m, &mut rp, out),
-            _ => pool_sweep::<W, { lanes::PLANES }>(planes, used, clen, m, &mut rp, out),
-        }
-        lanes::unpack_states(&rp, r, width);
-    }
-
-    /// Fused lane kernel + FSM sweep: counts each cycle's window `rows`
-    /// with the register-resident compressor tree and folds the counts
-    /// straight into the conserving recurrence, never materialising count
-    /// plane arrays ([`lane_counts_stream`] is the fusion point). Rows are
-    /// the `M` window streams; the result is bit-identical to
-    /// [`AveragePooling::run_planes_resume_into`] on the materialised
-    /// counts of the same rows, for any stripe width `W`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows` is not exactly the window size or exceeds
-    /// [`TREE_ROWS`], more than `64·W` lanes are given, or a row is
-    /// shorter than `clen`.
+    /// Panics when `rows` is not exactly the window size, more than `64·W`
+    /// lanes are given, or a row is shorter than `clen`.
     pub fn run_rows_resume_into<const W: usize>(
         &self,
         rows: &[LaneRow<'_, W>],
@@ -168,24 +117,27 @@ impl AveragePooling {
         r: &mut [i64],
         out: &mut [Stripe<W>],
     ) {
-        assert!(rows.len() <= TREE_ROWS, "run_rows: too many rows for the fused tree");
         assert_eq!(rows.len(), self.m, "run_rows: rows must cover the full window");
         assert!(r.len() <= WORD_BITS * W, "run_rows: too many lanes for stripe");
         assert!(out.len() >= clen, "run_rows: output buffer too short");
         let m = self.m as u64;
+        // count ≤ M and r < M, so every intermediate fits in bits(2M).
         let width = lanes::bit_width(2 * m).min(lanes::PLANES);
         let mut rp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
         lanes::pack_states(r, &mut rp, width);
+        // Monomorphise the sweep on the plane width so the plane loops
+        // fully unroll and the residual planes stay in registers across
+        // the chunk (a pool window is k·k wide, so small widths dominate).
         match width {
-            1 => pool_rows_sweep::<W, 1>(rows, clen, m, &mut rp, out),
-            2 => pool_rows_sweep::<W, 2>(rows, clen, m, &mut rp, out),
-            3 => pool_rows_sweep::<W, 3>(rows, clen, m, &mut rp, out),
-            4 => pool_rows_sweep::<W, 4>(rows, clen, m, &mut rp, out),
-            5 => pool_rows_sweep::<W, 5>(rows, clen, m, &mut rp, out),
-            6 => pool_rows_sweep::<W, 6>(rows, clen, m, &mut rp, out),
-            7 => pool_rows_sweep::<W, 7>(rows, clen, m, &mut rp, out),
-            8 => pool_rows_sweep::<W, 8>(rows, clen, m, &mut rp, out),
-            _ => pool_rows_sweep::<W, { lanes::PLANES }>(rows, clen, m, &mut rp, out),
+            1 => pool_sweep::<W, 1>(rows, clen, m, &mut rp, out),
+            2 => pool_sweep::<W, 2>(rows, clen, m, &mut rp, out),
+            3 => pool_sweep::<W, 3>(rows, clen, m, &mut rp, out),
+            4 => pool_sweep::<W, 4>(rows, clen, m, &mut rp, out),
+            5 => pool_sweep::<W, 5>(rows, clen, m, &mut rp, out),
+            6 => pool_sweep::<W, 6>(rows, clen, m, &mut rp, out),
+            7 => pool_sweep::<W, 7>(rows, clen, m, &mut rp, out),
+            8 => pool_sweep::<W, 8>(rows, clen, m, &mut rp, out),
+            _ => pool_sweep::<W, { lanes::PLANES }>(rows, clen, m, &mut rp, out),
         }
         lanes::unpack_states(&rp, r, width);
     }
@@ -270,69 +222,13 @@ impl AveragePooling {
 /// Register-resident conserving-pool sweep at a compile-time plane width
 /// `P ≥` the dynamic width (extra planes carry zeros through the chains —
 /// every value fits in the dynamic width, so sums, borrows, and the
-/// residual above it stay zero). The M constant specialises each plane's
-/// subtract to its bit value, and the fully unrolled plane loops keep the
-/// residual, sum, and difference planes in registers across the chunk.
+/// residual above it stay zero). The per-cycle window counts arrive from
+/// [`lane_counts_stream`] (`counts[p]` for `p < counts.len()`, zero
+/// above). The M constant specialises each plane's subtract to its bit
+/// value, and the fully unrolled plane loops keep the residual, sum, and
+/// difference planes in registers across the chunk.
 #[inline(always)]
 fn pool_sweep<const W: usize, const P: usize>(
-    planes: &[Vec<Stripe<W>>],
-    used: usize,
-    clen: usize,
-    m: u64,
-    rp_io: &mut lanes::Planes<W>,
-    out: &mut [Stripe<W>],
-) {
-    let counts = &planes[..used];
-    let mut rp = [Stripe::<W>::ZERO; P];
-    rp.copy_from_slice(&rp_io[..P]);
-    for (t, out_word) in out.iter_mut().enumerate().take(clen) {
-        // Fused add + subtract: T = count + r and D = T − M in one sweep
-        // (ripple carry and borrow advance in lockstep). fire = [T ≥ M] is
-        // the complemented final borrow. Count planes at or above `used`
-        // are all-zero, which drops the x terms.
-        let mut t_sum = [Stripe::<W>::ZERO; P];
-        let mut diff = [Stripe::<W>::ZERO; P];
-        let mut carry = Stripe::ZERO;
-        let mut borrow = Stripe::ZERO;
-        for p in 0..P {
-            let y = rp[p];
-            let sum = if p < used {
-                let x = counts[p][t];
-                let s = x ^ y ^ carry;
-                carry = (x & y) | (carry & (x ^ y));
-                s
-            } else {
-                let s = y ^ carry;
-                carry &= y;
-                s
-            };
-            t_sum[p] = sum;
-            if (m >> p) & 1 == 1 {
-                diff[p] = !(sum ^ borrow);
-                borrow |= !sum;
-            } else {
-                diff[p] = sum ^ borrow;
-                borrow &= !sum;
-            }
-        }
-        let fire = !borrow;
-        *out_word = fire;
-        // Firing lanes keep T − M, the rest keep T — ones are conserved
-        // (one output 1 per M input 1s).
-        for (p, rpl) in rp.iter_mut().enumerate() {
-            *rpl = (diff[p] & fire) | (t_sum[p] & !fire);
-        }
-    }
-    rp_io[..P].copy_from_slice(&rp);
-}
-
-/// Fused twin of [`pool_sweep`]: per-cycle window counts arrive straight
-/// from the register-resident compressor tree of [`lane_counts_stream`]
-/// instead of from materialised plane arrays. The recurrence passes are
-/// identical — only the count source differs (`counts[p]` for
-/// `p < counts.len()`, zero above).
-#[inline(always)]
-fn pool_rows_sweep<const W: usize, const P: usize>(
     rows: &[LaneRow<'_, W>],
     clen: usize,
     m: u64,
@@ -343,7 +239,9 @@ fn pool_rows_sweep<const W: usize, const P: usize>(
     rp.copy_from_slice(&rp_io[..P]);
     let out = &mut out[..clen];
     lane_counts_stream(rows, clen, |t, counts: &[Stripe<W>]| {
-        // Fused add + subtract (see `pool_sweep` for the derivation).
+        // Fused add + subtract: T = count + r and D = T − M in one sweep
+        // (ripple carry and borrow advance in lockstep). fire = [T ≥ M] is
+        // the complemented final borrow.
         let mut t_sum = [Stripe::<W>::ZERO; P];
         let mut diff = [Stripe::<W>::ZERO; P];
         let mut carry = Stripe::ZERO;
@@ -371,7 +269,8 @@ fn pool_rows_sweep<const W: usize, const P: usize>(
         }
         let fire = !borrow;
         out[t] = fire;
-        // Firing lanes keep T − M, the rest keep T — ones are conserved.
+        // Firing lanes keep T − M, the rest keep T — ones are conserved
+        // (one output 1 per M input 1s).
         for (p, rpl) in rp.iter_mut().enumerate() {
             *rpl = (diff[p] & fire) | (t_sum[p] & !fire);
         }
@@ -406,32 +305,23 @@ mod tests {
     }
 
     fn check_lane_planes_match_scalar<const W: usize>(lanes_n: usize) {
-        // Ragged lanes of distinct count sequences through the bit-sliced
-        // recurrence in uneven resumed chunks, vs the scalar per-lane
+        // Ragged lanes of distinct count sequences through the fused lane
+        // entry in uneven resumed chunks, vs the scalar per-lane
         // recurrence.
         let pool = AveragePooling::new(4);
         let clen = 90usize;
         let counts: Vec<Vec<u32>> = (0..lanes_n)
             .map(|g| (0..clen).map(|t| ((t * 3 + g * 11) % 5) as u32).collect())
             .collect();
-        let used = 3usize; // counts ≤ 4 fit in 3 planes
-        let mut planes = vec![vec![Stripe::<W>::ZERO; clen]; used];
-        for (g, cs) in counts.iter().enumerate() {
-            for (t, &c) in cs.iter().enumerate() {
-                for (p, plane) in planes.iter_mut().enumerate() {
-                    plane[t].0[g / WORD_BITS] |=
-                        ((u64::from(c) >> p) & 1) << (g % WORD_BITS);
-                }
-            }
-        }
+        let rows = lanes::count_rows::<W>(&counts, pool.inputs(), clen);
         let mut r = vec![0i64; lanes_n];
         let mut out = vec![Stripe::<W>::ZERO; clen];
         let mut pos = 0usize;
         while pos < clen {
             let c = 41.min(clen - pos);
-            let sub: Vec<Vec<Stripe<W>>> =
-                planes.iter().map(|p| p[pos..pos + c].to_vec()).collect();
-            pool.run_planes_resume_into(&sub, used, c, &mut r, &mut out[pos..pos + c]);
+            let chunk: Vec<LaneRow<'_, W>> =
+                rows.iter().map(|row| LaneRow::Lanes(&row[pos..pos + c])).collect();
+            pool.run_rows_resume_into(&chunk, c, &mut r, &mut out[pos..pos + c]);
             pos += c;
         }
         for (g, cs) in counts.iter().enumerate() {

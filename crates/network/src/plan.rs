@@ -55,10 +55,9 @@
 use std::sync::Arc;
 
 use aqfp_sc_bitstream::{
-    column_counts_into, lane_column_planes, mux_add, pack_lanes_into,
-    pack_offset_windows_into, xnor_popcount, Bipolar, BitStream,
-    BitsAsWords, KernelRow, LanePopcount, LaneRow, SplitMix64, Sng, Stripe, ThermalRng,
-    MAX_KERNEL_ROWS, MAX_LANES, TREE_ROWS, WORD_BITS,
+    column_counts_into, mux_add, pack_lanes_into, pack_offset_windows_into, xnor_popcount,
+    Bipolar, BitStream, BitsAsWords, KernelRow, LanePopcount, LaneRow, SplitMix64, Sng, Stripe,
+    ThermalRng, MAX_KERNEL_ROWS, MAX_LANES, WORD_BITS,
 };
 use aqfp_sc_core::baseline::Btanh;
 use aqfp_sc_core::{AveragePooling, FeatureExtraction};
@@ -797,7 +796,7 @@ impl ExecPlan {
         let BatchArena {
             cur,
             next,
-            planes,
+            masks,
             r_scratch,
             w_chunks,
             b_chunks,
@@ -944,7 +943,6 @@ impl ExecPlan {
                                     idx,
                                     m + 1,
                                     &rows,
-                                    planes,
                                     clen,
                                     r_scratch,
                                     &mut next[idx],
@@ -980,7 +978,6 @@ impl ExecPlan {
                                             idx,
                                             k * k,
                                             &rows,
-                                            planes,
                                             clen,
                                             r_scratch,
                                             &mut next[idx],
@@ -1001,12 +998,12 @@ impl ExecPlan {
                             // lanes becomes k·k masked ORs over the packed
                             // element streams, with no per-image unpacking.
                             let kk = k * k;
-                            if planes.len() < kk {
-                                planes.resize_with(kk, Vec::new);
+                            if masks.len() < kk {
+                                masks.resize_with(kk, Vec::new);
                             }
                             let mut idx = 0usize;
                             for c in 0..layer_in_c {
-                                for mask in planes.iter_mut().take(kk) {
+                                for mask in masks.iter_mut().take(kk) {
                                     mask.clear();
                                     mask.resize(clen, Stripe::ZERO);
                                 }
@@ -1019,7 +1016,7 @@ impl ExecPlan {
                                     #[allow(clippy::needless_range_loop)] // which mask t lands in is drawn per cycle
                                     for t in 0..clen {
                                         let pick = rng.gen_range(0..kk);
-                                        planes[pick][t].0[e] |= 1u64 << bit;
+                                        masks[pick][t].0[e] |= 1u64 << bit;
                                     }
                                 }
                                 for oy in 0..oh {
@@ -1027,9 +1024,7 @@ impl ExecPlan {
                                         let out = &mut next[idx];
                                         out.clear();
                                         out.resize(clen, Stripe::ZERO);
-                                        for (i, mask) in
-                                            planes.iter().enumerate().take(kk)
-                                        {
+                                        for (i, mask) in masks.iter().enumerate().take(kk) {
                                             let elem = &cur[(c * h + oy * k + i / k)
                                                 * w_dim
                                                 + ox * k
@@ -1089,7 +1084,6 @@ impl ExecPlan {
                             o,
                             in_f + 1,
                             &rows,
-                            planes,
                             clen,
                             r_scratch,
                             &mut next[o],
@@ -1150,19 +1144,15 @@ impl ExecPlan {
                                 let mut lp = LanePopcount::<W>::new();
                                 for t in 0..clen {
                                     let y = if width == 1 {
-                                        lane_row_word(&rows[0], t)
+                                        rows[0].word(t)
                                     } else {
                                         let mut y = maj_stripe(
-                                            lane_row_word(&rows[0], t),
-                                            lane_row_word(&rows[1], t),
-                                            lane_row_word(&rows[2], t),
+                                            rows[0].word(t),
+                                            rows[1].word(t),
+                                            rows[2].word(t),
                                         );
                                         for pair in rows[3..].chunks_exact(2) {
-                                            y = maj_stripe(
-                                                lane_row_word(&pair[0], t),
-                                                lane_row_word(&pair[1], t),
-                                                y,
-                                            );
+                                            y = maj_stripe(pair[0].word(t), pair[1].word(t), y);
                                         }
                                         y
                                     };
@@ -1197,21 +1187,14 @@ impl ExecPlan {
                                 }
                                 let mut totals = [0u64; MAX_LANES];
                                 for (j, x) in cur.iter().enumerate().take(*in_f) {
-                                    let mut lp = LanePopcount::<W>::new();
-                                    if mixed {
-                                        let wl = &w_lanes[cl * in_f + j];
-                                        for (t, &xw) in x.iter().enumerate().take(clen) {
-                                            lp.add(!(xw ^ wl[t]));
-                                        }
+                                    let row = if mixed {
+                                        LaneRow::XnorLanes(x, &w_lanes[cl * in_f + j])
                                     } else {
-                                        let wsw = w_run[cl * in_f + j].words();
-                                        for (t, &xw) in x.iter().enumerate().take(clen) {
-                                            lp.add(
-                                                xw ^ Stripe::splat(
-                                                    sbit(wsw, t).wrapping_sub(1),
-                                                ),
-                                            );
-                                        }
+                                        LaneRow::Xnor(x, w_run[cl * in_f + j].words())
+                                    };
+                                    let mut lp = LanePopcount::<W>::new();
+                                    for t in 0..clen {
+                                        lp.add(row.word(t));
                                     }
                                     for (g, tot) in totals.iter_mut().enumerate().take(n) {
                                         *tot += u64::from(lp.total(g));
@@ -1238,8 +1221,8 @@ impl ExecPlan {
 
 /// Reusable scratch for the batch-transposed path
 /// ([`ExecPlan::advance_batch_in`]) at stripe width `W`: the lane-packed
-/// activation ping-pong arenas, the carry-save planes, gathered per-lane
-/// FSM residuals, per-image output chunk streams, and the uniform-offset
+/// activation ping-pong arenas, the CMOS mux-pool selector masks, gathered
+/// per-lane FSM residuals, and the uniform-offset
 /// (chunk slice) and mixed-offset (per-lane gathered window) forms of the
 /// weight / bias / neutral streams. Every buffer grows to its high-water
 /// mark and is then reused, so a steady-state chunk driver allocates
@@ -1249,9 +1232,9 @@ pub struct BatchArena<const W: usize = 1> {
     cur: Vec<Vec<Stripe<W>>>,
     /// Lane-packed activations the layer under evaluation writes.
     next: Vec<Vec<Stripe<W>>>,
-    /// Carry-save column planes.
-    planes: Vec<Vec<Stripe<W>>>,
-    /// Per-image neuron output chunk streams (CMOS mux pooling only).
+    /// Per-cycle lane masks of the CMOS mux pool: `masks[j][t]` has lane
+    /// `g` set when image `g`'s selector picks window element `j`.
+    masks: Vec<Vec<Stripe<W>>>,
     /// Gathered per-lane FSM residuals for the lane-parallel runners.
     r_scratch: Vec<i64>,
     /// Uniform-offset weight chunk slices of the layer under evaluation.
@@ -1275,7 +1258,7 @@ impl<const W: usize> Default for BatchArena<W> {
         Self {
             cur: Vec::new(),
             next: Vec::new(),
-            planes: Vec::new(),
+            masks: Vec::new(),
             r_scratch: Vec::new(),
             w_chunks: Vec::new(),
             b_chunks: Vec::new(),
@@ -1462,12 +1445,6 @@ fn neuron_chunk_into(
     }
 }
 
-/// Bit `t` (0 or 1) of a packed scalar stream.
-#[inline]
-fn sbit(words: &[u64], t: usize) -> u64 {
-    (words[t / WORD_BITS] >> (t % WORD_BITS)) & 1
-}
-
 /// Bitwise 3-input majority — one majority gate per bit position.
 #[inline]
 fn maj_word(a: u64, b: u64, c: u64) -> u64 {
@@ -1480,34 +1457,20 @@ fn maj_stripe<const W: usize>(a: Stripe<W>, b: Stripe<W>, c: Stripe<W>) -> Strip
     (a & b) | (a & c) | (b & c)
 }
 
-/// The stripe a [`LaneRow`] contributes at cycle `t` — the output head's
-/// majority chain consumes the same row forms the lane kernel counts.
-#[inline(always)]
-fn lane_row_word<const W: usize>(row: &LaneRow<'_, W>, t: usize) -> Stripe<W> {
-    match row {
-        LaneRow::Xnor(lanes, w) => lanes[t] ^ Stripe::splat(sbit(w, t).wrapping_sub(1)),
-        LaneRow::Lanes(lanes) | LaneRow::PackedLanes(lanes) => lanes[t],
-        LaneRow::Broadcast(sw) => Stripe::splat(0u64.wrapping_sub(sbit(sw, t))),
-        LaneRow::BroadcastXnor(a, b) => {
-            Stripe::splat(0u64.wrapping_sub(1 ^ (sbit(a, t) ^ sbit(b, t))))
-        }
-        LaneRow::XnorLanes(a, b) => !(a[t] ^ b[t]),
-    }
-}
-
 /// One neuron slot's chunk output for a whole lane group, straight from
-/// the kernel row descriptors: when the kernel fits the compressor tree
-/// (`≤ TREE_ROWS` rows) the per-cycle column counts are folded directly
-/// into the activation recurrence in registers (the fused
-/// `run_rows_resume_into` paths — count planes never touch memory); wider
-/// kernels materialise carry-save column planes first
-/// ([`lane_column_planes`] layout) and run the plane-array recurrence. In
-/// both cases the per-cycle fire-mask words written to `out` ARE the next
-/// layer's lane-packed activation — no per-image transpose, count
+/// the kernel row descriptors: the FSM's one lane entry
+/// (`run_rows_resume_into`) counts the rows with [`lane_counts_stream`] —
+/// per cycle in registers for kernels of at most `TREE_ROWS` rows, through
+/// the 64-cycle slab compressor for wider ones — and folds the counts
+/// straight into the activation recurrence, so no count plane array is
+/// ever materialised. The per-cycle fire-mask words written to `out` ARE
+/// the next layer's lane-packed activation — no per-image transpose, count
 /// extraction or repacking. Bits of `out` above the lane count are
 /// unspecified; nothing downstream reads them. Cross-chunk state lives in
 /// each lane's `ExecState` slot `idx` and is gathered/scattered around the
 /// run.
+///
+/// [`lane_counts_stream`]: aqfp_sc_bitstream::lane_counts_stream
 #[allow(clippy::too_many_arguments)]
 fn lane_neuron_chunk<const W: usize>(
     platform: Platform,
@@ -1516,15 +1479,12 @@ fn lane_neuron_chunk<const W: usize>(
     idx: usize,
     rows: usize,
     row_descs: &[LaneRow<'_, W>],
-    planes: &mut Vec<Vec<Stripe<W>>>,
     clen: usize,
     r_scratch: &mut Vec<i64>,
     out: &mut Vec<Stripe<W>>,
 ) {
     out.clear();
     out.resize(clen, Stripe::ZERO);
-    let fused = row_descs.len() <= TREE_ROWS;
-    let used = if fused { 0 } else { lane_column_planes(row_descs, clen, planes) };
     match platform {
         Platform::Aqfp => {
             // Any even-width sorter pad was already folded in as an extra
@@ -1535,11 +1495,7 @@ fn lane_neuron_chunk<const W: usize>(
                 LayerState::Feature { r } => r[idx],
                 _ => unreachable!("neuron state matches platform"),
             }));
-            if fused {
-                fe.run_rows_resume_into(row_descs, clen, r_scratch, out);
-            } else {
-                fe.run_planes_resume_into(planes, used, clen, r_scratch, out);
-            }
+            fe.run_rows_resume_into(row_descs, clen, r_scratch, out);
             for (st, &r) in states.iter_mut().zip(r_scratch.iter()) {
                 match &mut st.layers[li] {
                     LayerState::Feature { r: rs } => rs[idx] = r,
@@ -1555,20 +1511,16 @@ fn lane_neuron_chunk<const W: usize>(
                     _ => unreachable!("neuron state matches platform"),
                 })
                 .collect();
-            if fused {
-                Btanh::run_rows_resume_into(&mut fsms, row_descs, clen, out);
-            } else {
-                Btanh::run_planes_resume_into(&mut fsms, planes, used, clen, out);
-            }
+            Btanh::run_rows_resume_into(&mut fsms, row_descs, clen, out);
         }
     }
 }
 
 /// AQFP pooling counterpart of [`lane_neuron_chunk`]: one pool window's
-/// chunk output for a whole lane group, bit-sliced across lanes, with the
-/// sorter-feedback residual resumed from each lane's `PoolSorter` slot.
-/// Windows that fit the compressor tree take the fused rows path; wider
-/// windows materialise count planes first.
+/// chunk output for a whole lane group through
+/// `AveragePooling::run_rows_resume_into` (the same fused count → FSM
+/// sweep, any window size), with the sorter-feedback residual resumed
+/// from each lane's `PoolSorter` slot.
 #[allow(clippy::too_many_arguments)]
 fn lane_pool_chunk<const W: usize>(
     states: &mut [&mut ExecState],
@@ -1576,7 +1528,6 @@ fn lane_pool_chunk<const W: usize>(
     idx: usize,
     window: usize,
     row_descs: &[LaneRow<'_, W>],
-    planes: &mut Vec<Vec<Stripe<W>>>,
     clen: usize,
     r_scratch: &mut Vec<i64>,
     out: &mut Vec<Stripe<W>>,
@@ -1589,12 +1540,7 @@ fn lane_pool_chunk<const W: usize>(
         LayerState::PoolSorter { r } => r[idx],
         _ => unreachable!("pool state matches platform"),
     }));
-    if row_descs.len() <= TREE_ROWS {
-        ap.run_rows_resume_into(row_descs, clen, r_scratch, out);
-    } else {
-        let used = lane_column_planes(row_descs, clen, planes);
-        ap.run_planes_resume_into(planes, used, clen, r_scratch, out);
-    }
+    ap.run_rows_resume_into(row_descs, clen, r_scratch, out);
     for (st, &r) in states.iter_mut().zip(r_scratch.iter()) {
         match &mut st.layers[li] {
             LayerState::PoolSorter { r: rs } => rs[idx] = r,

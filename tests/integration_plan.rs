@@ -8,8 +8,8 @@
 use std::sync::OnceLock;
 
 use aqfp_sc_dnn::network::{
-    build_model, ActivationStyle, ChunkSchedule, CompiledNetwork, ExecPlan, InferenceEngine,
-    LayerSpec, NetworkSpec, Platform, StreamingEngine,
+    build_model, ActivationStyle, ChunkSchedule, CompiledNetwork, ExecPlan, ExecState,
+    InferenceEngine, LayerSpec, NetworkSpec, Platform, StreamingEngine, StripeArenas,
 };
 use aqfp_sc_dnn::nn::{Padding, Tensor};
 use proptest::prelude::*;
@@ -211,6 +211,74 @@ fn full_64_lane_group_matches_scalar_on_both_platforms() {
             let mut scalar = plan.new_state();
             let want = plan.run_one_shot(&mut scalar, img, 900 + g as u64);
             assert_eq!(plan.scores(st), want, "{platform:?} lane {g} diverged");
+        }
+    }
+}
+
+/// The paper's SNN (conv2 at 289 rows, dense at 801 and 501), untrained:
+/// the only network here whose kernels take the wide slab-compressor
+/// path at paper scale.
+fn compiled_snn() -> &'static CompiledNetwork {
+    static COMPILED: OnceLock<CompiledNetwork> = OnceLock::new();
+    COMPILED.get_or_init(|| {
+        let spec = NetworkSpec::snn();
+        let mut model = build_model(&spec, ActivationStyle::AqfpFeature, 2019);
+        CompiledNetwork::from_model(&spec, &mut model, 8)
+    })
+}
+
+fn snn_image(variant: usize) -> Tensor {
+    Tensor::from_vec(
+        vec![1, 28, 28],
+        (0..784).map(|p| ((p * 7 + 3 * variant) % 17) as f32 / 17.0).collect(),
+    )
+}
+
+#[test]
+fn paper_snn_lane_groups_match_scalar_on_both_platforms() {
+    // 65 images make one W = 2 group with a ragged stripe (65 of 128
+    // lanes). Each group runs in 16-cycle chunks, first at uniform
+    // offsets, then with every other lane one chunk ahead (the
+    // mixed-offset gathers); either way each lane must match its scalar
+    // one-shot scores bit for bit. Only the reference runs scalar.
+    let compiled = compiled_snn();
+    let n = 32;
+    let images: Vec<Tensor> = (0..65).map(snn_image).collect();
+    for platform in [Platform::Aqfp, Platform::Cmos] {
+        let plan = ExecPlan::new(compiled, n, platform);
+        let want: Vec<Vec<f64>> = images
+            .iter()
+            .enumerate()
+            .map(|(g, img)| plan.run_one_shot(&mut plan.new_state(), img, 500 + g as u64))
+            .collect();
+        for staggered in [false, true] {
+            let mut arenas = StripeArenas::default();
+            let mut states: Vec<ExecState> = images.iter().map(|_| plan.new_state()).collect();
+            for (g, (st, img)) in states.iter_mut().zip(&images).enumerate() {
+                plan.begin(st, img, 500 + g as u64);
+            }
+            if staggered {
+                // The odd lanes run one chunk ahead as their own group.
+                let mut ahead: Vec<&mut ExecState> =
+                    states.iter_mut().skip(1).step_by(2).collect();
+                plan.advance_batch_striped(&mut ahead, 16, &mut arenas);
+            }
+            let mut group: Vec<&mut ExecState> = states.iter_mut().collect();
+            while plan.advance_batch_striped(&mut group, 16, &mut arenas) > 0 {}
+            // Lanes left behind by the mixed group finish as one group.
+            let mut behind: Vec<&mut ExecState> =
+                states.iter_mut().filter(|st| st.cycles() < n).collect();
+            if !behind.is_empty() {
+                while plan.advance_batch_striped(&mut behind, 16, &mut arenas) > 0 {}
+            }
+            for (g, st) in states.iter().enumerate() {
+                assert_eq!(st.cycles(), n, "{platform:?} lane {g} stopped early");
+                assert_eq!(
+                    plan.scores(st),
+                    want[g],
+                    "{platform:?} lane {g} diverged (staggered: {staggered})"
+                );
+            }
         }
     }
 }
