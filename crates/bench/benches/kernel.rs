@@ -30,7 +30,7 @@
 
 use aqfp_sc_bitstream::{
     column_counts_into, extract_plane_counts, lane_column_planes, pack_lanes_into, transpose64,
-    BitStream, KernelRow, LaneRow, SplitMix64, Stripe, MAX_PLANES,
+    BitStream, KernelRow, LaneRow, OffsetClasses, SplitMix64, Stripe, MAX_PLANES,
 };
 use aqfp_sc_core::FeatureExtraction;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -72,7 +72,7 @@ fn lane_round_trip<const W: usize>(
         .map(|(lane, w)| LaneRow::Xnor(lane, w.words()))
         .collect();
     rows.push(LaneRow::Broadcast(bias.words()));
-    let used = lane_column_planes(&rows, LEN, planes);
+    let used = lane_column_planes(&rows, &OffsetClasses::from_offsets([0]), LEN, planes);
     // Cycle-major stripes → lane-major 64-cycle blocks per stripe element,
     // then per image per block.
     let mut planes_t: Vec<Vec<u64>> = vec![vec![0u64; LEN * W]; used];
@@ -230,11 +230,12 @@ fn bench_kernel_column_counts(c: &mut Criterion) {
             .map(|(lane, w)| LaneRow::Xnor(lane, w.words()))
             .collect();
         rows.push(LaneRow::Broadcast(wide_bias.words()));
+        let classes = OffsetClasses::from_offsets([0]);
         let mut r = vec![0i64; IMAGES * STRIPE_W];
         let mut out = vec![Stripe::<STRIPE_W>::ZERO; WIDE_LEN];
         b.iter(|| {
             r.fill(0);
-            fe.run_rows_resume_into(&rows, WIDE_LEN, &mut r, &mut out);
+            fe.run_rows_resume_into(&rows, &classes, WIDE_LEN, &mut r, &mut out);
             black_box(out.iter().map(|s| u64::from(s.0[0].count_ones())).sum::<u64>())
         })
     });

@@ -5,21 +5,29 @@
 //! Three rungs per batch: the one-shot engine (baseline), streaming driven
 //! to full N with the exit policy disabled (pure chunking overhead — also
 //! the bit-identity configuration), and streaming with the margin policy
-//! (the early-exit payoff). `BENCH_JSON=BENCH_streaming.json cargo bench
-//! --bench streaming` refreshes the committed baseline.
+//! (the early-exit payoff). Two more rungs time one lane-group step of
+//! the paper's SNN, at one offset class and at two.
+//! `BENCH_JSON=BENCH_streaming.json cargo bench --bench streaming`
+//! refreshes the committed baseline.
 
 use aqfp_sc_data::synthetic_digits;
 use aqfp_sc_network::{
-    build_model, ActivationStyle, BatchMode, CompiledNetwork, ExitPolicy, InferenceEngine,
-    NetworkSpec, Platform, StreamingEngine,
+    build_model, ActivationStyle, BatchMode, CompiledNetwork, ExecPlan, ExecState, ExitPolicy,
+    InferenceEngine, NetworkSpec, Platform, StreamingEngine, StripeArenas,
 };
 use aqfp_sc_nn::Tensor;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 const STREAM_LEN: usize = 512;
 const CHUNK: usize = 64;
 const SEED: u64 = 0x15CA_2019;
+/// The SNN step rungs: stream length, chunk and lane-group size of the
+/// streaming workload on the paper's network.
+const SNN_LEN: usize = 256;
+const SNN_CHUNK: usize = 32;
+const SNN_LANES: usize = 64;
 
 fn trained_tiny() -> CompiledNetwork {
     let spec = NetworkSpec::tiny(8);
@@ -118,6 +126,43 @@ fn bench_streaming_inference(c: &mut Criterion) {
                 .with_min_cycles(CHUNK)
                 .with_batch_mode(mode);
             b.iter(|| black_box(streaming.classify_batch(imgs, SEED)))
+        });
+    }
+    // One 32-cycle step of a 64-lane CMOS group of the paper's SNN
+    // (untrained: timing does not depend on weight values), at uniform
+    // offsets and with the first half of the lanes one chunk ahead — the
+    // two offset classes a retire-and-refill group holds. The states are
+    // re-bound, and the mixed half pre-advanced, outside the timed region.
+    // CI gates snn_cmos_mixed_step/64 normalised by
+    // snn_cmos_uniform_step/64.
+    let spec = NetworkSpec::snn();
+    let mut model = build_model(&spec, ActivationStyle::AqfpFeature, 2019);
+    let snn = CompiledNetwork::from_model(&spec, &mut model, 8);
+    let plan = ExecPlan::new(&snn, SNN_LEN, Platform::Cmos);
+    let digits = synthetic_digits(SNN_LANES, 78);
+    for (name, ahead) in [("snn_cmos_uniform_step", 0), ("snn_cmos_mixed_step", SNN_LANES / 2)] {
+        let states: RefCell<Vec<ExecState>> =
+            RefCell::new((0..SNN_LANES).map(|_| plan.new_state()).collect());
+        let arenas = RefCell::new(StripeArenas::default());
+        group.bench_function(BenchmarkId::new(name, SNN_LANES), |b| {
+            b.iter_batched(
+                || {
+                    let (mut states, mut arenas) = (states.borrow_mut(), arenas.borrow_mut());
+                    for (g, (st, (img, _))) in states.iter_mut().zip(&digits).enumerate() {
+                        plan.begin(st, img, SEED ^ g as u64);
+                    }
+                    let mut first: Vec<&mut ExecState> = states.iter_mut().take(ahead).collect();
+                    if !first.is_empty() {
+                        plan.advance_batch_striped(&mut first, SNN_CHUNK, &mut arenas);
+                    }
+                },
+                |()| {
+                    let mut states = states.borrow_mut();
+                    let mut refs: Vec<&mut ExecState> = states.iter_mut().collect();
+                    plan.advance_batch_striped(&mut refs, SNN_CHUNK, &mut arenas.borrow_mut())
+                },
+                BatchSize::PerIteration,
+            )
         });
     }
     group.finish();

@@ -312,14 +312,85 @@ pub fn column_counts_into(rows: &[KernelRow<'_>], len: usize, counts: &mut Vec<u
     }
 }
 
+/// The lanes of one group split by absolute cycle offset: a table of
+/// `(offset, lane mask)` classes whose masks partition all `64·W` lanes.
+/// Image-independent streams (weights, biases, the `0101…` neutral pad)
+/// are read at each class's offset and broadcast to that class's lanes
+/// only, so a group whose lanes sit at different absolute cycles — a
+/// retire-and-refill group — still reads every such stream in place, with
+/// no per-lane copy.
+///
+/// The first class also holds the lanes past the group, so a group whose
+/// lanes all share one offset is a single class whose mask covers every
+/// lane; the lane kernels take a one-class fast path for it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct OffsetClasses<const W: usize> {
+    classes: Vec<(usize, Stripe<W>)>,
+}
+
+impl<const W: usize> OffsetClasses<W> {
+    /// Lane `g` at absolute cycle `offsets[g]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than `64·W` offsets.
+    pub fn from_offsets(offsets: impl IntoIterator<Item = usize>) -> Self {
+        let mut classes = Self::default();
+        classes.regroup(offsets);
+        classes
+    }
+
+    /// [`OffsetClasses::from_offsets`] in place, reusing the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than `64·W` offsets.
+    pub fn regroup(&mut self, offsets: impl IntoIterator<Item = usize>) {
+        self.classes.clear();
+        for (g, off) in offsets.into_iter().enumerate() {
+            assert!(g < WORD_BITS * W, "offset classes: more lanes than the stripe holds");
+            let class = match self.classes.iter().position(|&(o, _)| o == off) {
+                Some(c) => c,
+                None => {
+                    self.classes.push((off, Stripe::ZERO));
+                    self.classes.len() - 1
+                }
+            };
+            self.classes[class].1 .0[g / WORD_BITS] |= 1u64 << (g % WORD_BITS);
+        }
+        if let Some(((_, first), rest)) = self.classes.split_first_mut() {
+            *first = !rest.iter().fold(Stripe::ZERO, |acc, &(_, m)| acc | m);
+        }
+    }
+
+    /// Number of classes (distinct offsets).
+    pub fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// True when no lane has an offset.
+    pub fn is_empty(&self) -> bool {
+        self.classes.is_empty()
+    }
+
+    /// The `(offset, lane mask)` classes, in order of each offset's first
+    /// lane.
+    pub fn as_slice(&self) -> &[(usize, Stripe<W>)] {
+        &self.classes
+    }
+}
+
 /// One input row for the batch-transposed (lane) kernel. Lane stripes hold
-/// the same cycle of up to `64·W` images; weight streams are per-cycle
-/// scalars broadcast across lanes.
+/// the same cycle of up to `64·W` images; scalar operands are
+/// image-independent full-length streams (weights, biases, the neutral
+/// pad), which lane `g` reads at its own class offset from the
+/// [`OffsetClasses`] table passed alongside the rows: at chunk cycle `t`,
+/// bit `off + t` of the stream.
 #[derive(Clone, Copy)]
 pub enum LaneRow<'a, const W: usize> {
-    /// Lane-packed activations XNORed with a scalar weight stream: for
-    /// cycle `t`, the lane stripe is `lanes[t] ^ splat(wbit - 1)` (XNOR
-    /// with a broadcast bit: weight bit 1 keeps the lanes, 0 inverts them).
+    /// Lane-packed activations XNORed with a scalar weight stream: lane
+    /// `g`'s bit at cycle `t` is `!(lanes[t] ^ w[off_g + t])` (weight bit
+    /// 1 keeps the lane, 0 inverts it).
     Xnor(&'a [Stripe<W>], &'a [u64]),
     /// Lane-packed bits contributing themselves.
     Lanes(&'a [Stripe<W>]),
@@ -328,15 +399,6 @@ pub enum LaneRow<'a, const W: usize> {
     /// XNOR of two scalar streams broadcast to every lane (e.g. a padding
     /// neutral stream times a weight stream).
     BroadcastXnor(&'a [u64], &'a [u64]),
-    /// XNOR of two lane-packed operands: `!(a[t] ^ b[t])` per cycle. This
-    /// is the mixed-offset form of [`LaneRow::Xnor`] — when the lanes of a
-    /// group sit at *different* absolute cycles, the weight stream is no
-    /// longer a per-cycle scalar and must itself be lane-packed (see
-    /// [`pack_offset_windows_into`]).
-    XnorLanes(&'a [Stripe<W>], &'a [Stripe<W>]),
-    /// Lane-packed bits contributing themselves, already aligned per lane
-    /// (e.g. a bias or neutral stream packed at per-lane offsets).
-    PackedLanes(&'a [Stripe<W>]),
 }
 
 #[inline]
@@ -345,74 +407,55 @@ fn scalar_bit(words: &[u64], t: usize) -> u64 {
 }
 
 impl<'r, const W: usize> LaneRow<'r, W> {
-    /// The lane stripe this row contributes at cycle `t`: lane `g` holds
-    /// the row's bit for lane `g` (a broadcast scalar bit fills every
-    /// lane). The kernels count these words; the AQFP output head feeds
-    /// the same words to its majority chain.
+    /// The lane stripe this row contributes at chunk cycle `t`: lane `g`
+    /// holds the row's bit for lane `g`, its scalar operands read at the
+    /// offset of `g`'s class. The kernels count these words; the output
+    /// heads feed the same words to the majority chain or the APC.
     #[inline(always)]
-    pub fn word(&self, t: usize) -> Stripe<W> {
-        match self {
-            LaneRow::Xnor(lanes, w) => lanes[t] ^ Stripe::splat(scalar_bit(w, t).wrapping_sub(1)),
-            LaneRow::Lanes(lanes) | LaneRow::PackedLanes(lanes) => lanes[t],
-            LaneRow::Broadcast(sw) => Stripe::splat(0u64.wrapping_sub(scalar_bit(sw, t))),
-            LaneRow::BroadcastXnor(a, b) => {
-                Stripe::splat(0u64.wrapping_sub(1 ^ (scalar_bit(a, t) ^ scalar_bit(b, t))))
-            }
-            LaneRow::XnorLanes(a, b) => !(a[t] ^ b[t]),
+    pub fn word(&self, t: usize, classes: &OffsetClasses<W>) -> Stripe<W> {
+        let mut x = self.lanes().map_or(Stripe::ZERO, |lanes| lanes[t]);
+        for &(off, mask) in classes.as_slice() {
+            let bit = self.scalar(|s| scalar_bit(s, off + t)) & 1;
+            x ^= mask & Stripe::splat(0u64.wrapping_sub(bit));
         }
+        x
     }
 
-    /// This row over cycles `t0 .. t0 + bw` (`t0` a multiple of 64,
-    /// `bw ≤ 64`), with missing lane operands read from `zeros`.
+    /// The row's lane operand, if it has one.
     #[inline(always)]
-    fn cut<'a>(&self, t0: usize, bw: usize, zeros: &'a [Stripe<W>]) -> Cut<'a, W>
-    where
-        'r: 'a,
-    {
-        let (t1, word) = (t0 + bw, t0 / WORD_BITS);
+    fn lanes(&self) -> Option<&'r [Stripe<W>]> {
         match *self {
-            LaneRow::Xnor(lanes, w) => (&lanes[t0..t1], zeros, !w[word]),
-            LaneRow::Lanes(lanes) | LaneRow::PackedLanes(lanes) => (&lanes[t0..t1], zeros, 0),
-            LaneRow::Broadcast(s) => (zeros, zeros, s[word]),
-            LaneRow::BroadcastXnor(a, b) => (zeros, zeros, !(a[word] ^ b[word])),
-            LaneRow::XnorLanes(a, b) => (&a[t0..t1], &b[t0..t1], !0),
+            LaneRow::Xnor(lanes, _) | LaneRow::Lanes(lanes) => Some(lanes),
+            LaneRow::Broadcast(_) | LaneRow::BroadcastXnor(..) => None,
         }
     }
 
-    /// Whether the row has a second lane operand (the `b` of its cut).
-    fn is_pair(&self) -> bool {
-        matches!(self, LaneRow::XnorLanes(..))
+    /// The row's image-independent part over the window `read` takes from
+    /// each scalar operand: bit `i` of the result XORs into the lane
+    /// operand at the window's cycle `i` (0 for a lane-only row).
+    #[inline(always)]
+    fn scalar(&self, read: impl Fn(&[u64]) -> u64) -> u64 {
+        match *self {
+            LaneRow::Xnor(_, w) => !read(w),
+            LaneRow::Lanes(_) => 0,
+            LaneRow::Broadcast(s) => read(s),
+            LaneRow::BroadcastXnor(a, b) => !(read(a) ^ read(b)),
+        }
     }
 
-    fn check(&self, clen: usize) {
-        let scalar_need = words_for(clen);
-        match self {
-            LaneRow::Xnor(lanes, w) => {
-                assert!(lanes.len() >= clen, "lane row: too few lane words");
-                assert!(w.len() >= scalar_need, "lane row: too few scalar words");
-            }
-            LaneRow::Lanes(lanes) => {
-                assert!(lanes.len() >= clen, "lane row: too few lane words");
-            }
-            LaneRow::Broadcast(s) => {
-                assert!(s.len() >= scalar_need, "lane row: too few scalar words");
-            }
-            LaneRow::BroadcastXnor(a, b) => {
-                assert!(
-                    a.len() >= scalar_need && b.len() >= scalar_need,
-                    "lane row: too few scalar words"
-                );
-            }
-            LaneRow::XnorLanes(a, b) => {
-                assert!(
-                    a.len() >= clen && b.len() >= clen,
-                    "lane row: too few lane words"
-                );
-            }
-            LaneRow::PackedLanes(lanes) => {
-                assert!(lanes.len() >= clen, "lane row: too few lane words");
-            }
+    /// Panics unless the lane operand covers `clen` cycles and every
+    /// scalar operand holds `scalar_words` words.
+    fn check(&self, clen: usize, scalar_words: usize) {
+        if let Some(lanes) = self.lanes() {
+            assert!(lanes.len() >= clen, "lane row: too few lane words");
         }
+        let covers = |s: &[u64]| s.len() >= scalar_words;
+        let ok = match *self {
+            LaneRow::Xnor(_, s) | LaneRow::Broadcast(s) => covers(s),
+            LaneRow::Lanes(_) => true,
+            LaneRow::BroadcastXnor(a, b) => covers(a) && covers(b),
+        };
+        assert!(ok, "lane row: too few scalar words");
     }
 }
 
@@ -448,6 +491,7 @@ fn csa<const W: usize>(a: Stripe<W>, b: Stripe<W>, c: Stripe<W>) -> (Stripe<W>, 
 /// ignored.
 pub fn lane_column_planes<const W: usize>(
     rows: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
     clen: usize,
     planes: &mut Vec<Vec<Stripe<W>>>,
 ) -> usize {
@@ -459,7 +503,7 @@ pub fn lane_column_planes<const W: usize>(
         p.clear();
         p.resize(clen, Stripe::ZERO);
     }
-    lane_counts_stream(rows, clen, |t, counts| {
+    lane_counts_stream(rows, classes, clen, |t, counts| {
         for (plane, &c) in planes.iter_mut().zip(counts) {
             plane[t] = c;
         }
@@ -472,65 +516,81 @@ pub fn lane_column_planes<const W: usize>(
 /// receives the cycle's per-lane count bit-planes (LSB first,
 /// `bit_width(rows.len())` entries). This is the fusion point for the lane
 /// FSM sweeps — the consumer folds the counts into its recurrence
-/// directly.
+/// directly. Scalar operands are read at each lane's class offset in
+/// `classes` (see [`LaneRow`]).
 ///
 /// Kernels of at most [`TREE_ROWS`] rows are gathered one cycle at a
 /// time, zero-padded to a full slab and reduced by the 16-input
 /// carry-save network, so the counts never leave registers. Wider kernels
-/// run a two-level compressor in blocks of 64 cycles (one scalar word, so
-/// broadcast and weight rows slice on word boundaries): for every cycle of
-/// the block, the same network adds each [`TREE_ROWS`]-row slab into a
-/// running count of `bit_width(rows)` planes — the count's four low planes
-/// are the network's carry-save state, and its sixteens carry ripples
-/// through the planes above. This is Harley–Seal carry-save reduction
-/// (Muła, Kurz & Lemire, arXiv:1611.07612) applied to bit-sliced lanes.
-/// The block accumulator — at most 64 × 16 stripes — stays L1-resident,
-/// and the sink then consumes it cycle by cycle.
+/// run a two-level compressor in blocks of 64 cycles (one 64-bit window of
+/// every scalar operand per class): for every cycle of the block, the
+/// same network adds each [`TREE_ROWS`]-row slab into a running count of
+/// `bit_width(rows)` planes — the count's four low planes are the
+/// network's carry-save state, and its sixteens carry ripples through the
+/// planes above. This is Harley–Seal carry-save reduction (Muła, Kurz &
+/// Lemire, arXiv:1611.07612) applied to bit-sliced lanes. The block
+/// accumulator — at most 64 × 16 stripes — stays L1-resident, and the sink
+/// then consumes it cycle by cycle.
 ///
 /// # Panics
 ///
-/// Panics when `rows` exceeds [`MAX_KERNEL_ROWS`] or a row is shorter
-/// than `clen`.
+/// Panics when `rows` exceeds [`MAX_KERNEL_ROWS`], `classes` is empty, a
+/// lane operand is shorter than `clen`, or a scalar operand ends before
+/// the latest class offset plus `clen`.
 #[inline]
 pub fn lane_counts_stream<const W: usize, F: FnMut(usize, &[Stripe<W>])>(
     rows: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
     clen: usize,
     mut sink: F,
 ) {
     assert!(rows.len() <= MAX_KERNEL_ROWS, "lane_counts_stream: too many rows");
+    assert!(!classes.is_empty(), "lane_counts_stream: no offset classes");
+    let classes = classes.as_slice();
+    // Scalar operands must cover `clen` bits past the latest class offset.
+    let scalar_words = words_for(classes.iter().map(|&(o, _)| o).max().unwrap_or(0) + clen);
     for r in rows {
-        r.check(clen);
+        r.check(clen, scalar_words);
     }
     let n = rows.len();
     let max_planes = bit_width(n);
     let zeros = [Stripe::<W>::ZERO; WORD_BITS];
-    let zero_row: Cut<'_, W> = (&zeros, &zeros, 0);
+    // One class covers every lane, so its scalar bits splat unmasked: the
+    // uniform-offset fast gather.
+    let one = classes.len() == 1;
+    // The cut slab: each row's lane operand, and its scalar words at every
+    // class offset (`words[c·TREE_ROWS + r]`, inline for one class).
+    let mut lanes: [&[Stripe<W>]; TREE_ROWS] = [&zeros[..]; TREE_ROWS];
+    let mut inline = [0u64; TREE_ROWS];
+    let mut spill = Vec::new();
+    let words: &mut [u64] = if one {
+        &mut inline
+    } else {
+        spill.resize(TREE_ROWS * classes.len(), 0);
+        &mut spill
+    };
     // A narrow kernel leaves the slots past its rows at zero: it counts as
     // a full slab.
     let mut x = [Stripe::<W>::ZERO; TREE_ROWS];
-    let mut cuts = [zero_row; TREE_ROWS];
     if n <= TREE_ROWS {
-        let pairs = rows.iter().any(LaneRow::is_pair);
         let mut t0 = 0usize;
         while t0 < clen {
             let bw = (clen - t0).min(WORD_BITS);
-            for (c, row) in cuts.iter_mut().zip(rows) {
-                *c = row.cut(t0, bw, &zeros);
-            }
-            let cuts = &cuts[..n];
+            cut(rows, classes, t0, bw, &zeros, &mut lanes, words);
+            let lanes = &lanes[..n];
             let mut count = |i: usize, x: &[Stripe<W>; TREE_ROWS]| {
                 let mut counts = [Stripe::<W>::ZERO; TREE_PLANES];
                 fold_slab(x, &mut counts);
                 sink(t0 + i, &counts[..max_planes]);
             };
-            if pairs {
+            if one {
                 for i in 0..bw {
-                    gather::<W, true>(cuts, i, &mut x);
+                    gather::<W, true>(lanes, words, classes, i, &mut x);
                     count(i, &x);
                 }
             } else {
                 for i in 0..bw {
-                    gather::<W, false>(cuts, i, &mut x);
+                    gather::<W, false>(lanes, words, classes, i, &mut x);
                     count(i, &x);
                 }
             }
@@ -550,17 +610,12 @@ pub fn lane_counts_stream<const W: usize, F: FnMut(usize, &[Stripe<W>])>(
             folded += slab.len();
             let planes = bit_width(folded);
             // A short last slab is a full one over zero rows, so the
-            // gather always walks all TREE_ROWS cuts and fully unrolls.
-            if slab.len() < TREE_ROWS {
-                cuts = [zero_row; TREE_ROWS];
-            }
-            for (c, row) in cuts.iter_mut().zip(slab) {
-                *c = row.cut(t0, block.len(), &zeros);
-            }
-            if slab.iter().any(LaneRow::is_pair) {
-                fold_block::<W, true>(block, planes, &cuts, &mut x);
+            // gather always walks all TREE_ROWS slots and fully unrolls.
+            cut(slab, classes, t0, block.len(), &zeros, &mut lanes, words);
+            if one {
+                fold_block::<W, true>(block, planes, &lanes, words, classes, &mut x);
             } else {
-                fold_block::<W, false>(block, planes, &cuts, &mut x);
+                fold_block::<W, false>(block, planes, &lanes, words, classes, &mut x);
             }
         }
         for (i, acc_t) in block.iter().enumerate() {
@@ -570,37 +625,78 @@ pub fn lane_counts_stream<const W: usize, F: FnMut(usize, &[Stripe<W>])>(
     }
 }
 
-/// A row cut to one block of up to 64 cycles: block cycle `i` contributes
-/// `a[i] ^ b[i] ^ splat(bit i of s)`. Every [`LaneRow`] form is such a
-/// lane part (up to two lane operands) XORed with a broadcast scalar part,
-/// so one branch-free gather serves them all.
-type Cut<'a, const W: usize> = (&'a [Stripe<W>], &'a [Stripe<W>], u64);
-
-/// Block cycle `i` of every cut row into `x`. Without `PAIRS` every `b`
-/// is the zero block and is skipped: kernels at uniform offsets then load
-/// one stripe per row.
+/// Cuts up to [`TREE_ROWS`] rows to the block `t0 .. t0 + bw`: each row's
+/// lane operand into `lanes` (the zero block for broadcast rows), and its
+/// scalar part `s_c` over the block at class `c`'s offset into
+/// `words[c·TREE_ROWS + r]` — `s_0` for the first class, `s_c ^ s_0` for
+/// the others. Slots past the slab get a zero row. Since the class masks
+/// partition the lanes, block cycle `i` of row `r` is then
+/// `lanes[r][i] ^ splat(bit i of s_0) ^ XOR_{c≥1}(mask_c & splat(bit i of
+/// s_c ^ s_0))` — every [`LaneRow`] form is such a pair, so one
+/// branch-free gather serves them all, and a uniform group (one class)
+/// pays one splat per row and cycle.
 #[inline(always)]
-fn gather<const W: usize, const PAIRS: bool>(
-    cuts: &[Cut<'_, W>],
-    i: usize,
-    x: &mut [Stripe<W>; TREE_ROWS],
+fn cut<'a, const W: usize>(
+    slab: &[LaneRow<'a, W>],
+    classes: &[(usize, Stripe<W>)],
+    t0: usize,
+    bw: usize,
+    zeros: &'a [Stripe<W>],
+    lanes: &mut [&'a [Stripe<W>]; TREE_ROWS],
+    words: &mut [u64],
 ) {
-    for (slot, (a, b, s)) in x.iter_mut().zip(cuts) {
-        let lanes = if PAIRS { a[i] ^ b[i] } else { a[i] };
-        *slot = lanes ^ Stripe::splat(0u64.wrapping_sub((s >> i) & 1));
+    for (r, slot) in lanes.iter_mut().enumerate() {
+        let row = slab.get(r);
+        *slot = row.and_then(LaneRow::lanes).map_or(zeros, |l| &l[t0..t0 + bw]);
+        let part = |off: usize| row.map_or(0, |row| row.scalar(|s| window64(s, off + t0)));
+        let first = part(classes[0].0);
+        words[r] = first;
+        for (c, &(off, _)) in classes.iter().enumerate().skip(1) {
+            words[c * TREE_ROWS + r] = part(off) ^ first;
+        }
     }
 }
 
-/// Folds one slab's cut rows into every cycle of a block.
+/// Block cycle `i` of every cut row into `x` (see [`cut`]). With `ONE`
+/// the single class covers every lane: one stripe load and one splat per
+/// row, the uniform-offset path; otherwise each later class adds its
+/// masked difference to every row, one class at a time so the mask stays
+/// in a register.
 #[inline(always)]
-fn fold_block<const W: usize, const PAIRS: bool>(
+fn gather<const W: usize, const ONE: bool>(
+    lanes: &[&[Stripe<W>]],
+    words: &[u64],
+    classes: &[(usize, Stripe<W>)],
+    i: usize,
+    x: &mut [Stripe<W>; TREE_ROWS],
+) {
+    let splat_bit = |w: u64| Stripe::splat(0u64.wrapping_sub((w >> i) & 1));
+    let (first, rest) = words.split_at(TREE_ROWS);
+    for ((slot, a), &w) in x.iter_mut().zip(lanes).zip(first) {
+        *slot = a[i] ^ splat_bit(w);
+    }
+    if ONE {
+        return;
+    }
+    for (class, &(_, mask)) in rest.chunks_exact(TREE_ROWS).zip(&classes[1..]) {
+        for ((slot, _), &w) in x.iter_mut().zip(lanes).zip(class) {
+            *slot ^= mask & splat_bit(w);
+        }
+    }
+}
+
+/// Folds one cut slab into every cycle of a block.
+#[inline(always)]
+fn fold_block<const W: usize, const ONE: bool>(
     block: &mut [[Stripe<W>; MAX_PLANES]],
     planes: usize,
-    cuts: &[Cut<'_, W>],
+    lanes: &[&[Stripe<W>]; TREE_ROWS],
+    words: &[u64],
+    classes: &[(usize, Stripe<W>)],
     x: &mut [Stripe<W>; TREE_ROWS],
 ) {
     for (i, acc_t) in block.iter_mut().enumerate() {
-        gather::<W, PAIRS>(cuts, i, x);
+        gather::<W, ONE>(lanes, words, classes, i, x);
         fold_slab(x, &mut acc_t[..planes]);
     }
 }
@@ -748,63 +844,6 @@ fn window64(words: &[u64], pos: usize) -> u64 {
     } else {
         lo | (words[i + 1] << (WORD_BITS - s))
     }
-}
-
-/// Pack per-lane *windows* of one scalar stream into lane layout: lane `g`
-/// (for `g < offsets.len()`) receives bits
-/// `offsets[g] .. offsets[g] + clen` of `words`, so `out[t]` holds bit
-/// `offsets[g] + t` of the stream in lane `g`. Unused lanes read as 0.
-///
-/// This is what lets a retire-and-refill lane group keep *mixed* absolute
-/// cycle offsets inside one stripe: an image-independent stream (weights,
-/// bias, the 0101… neutral pad) stops being a per-cycle broadcast the
-/// moment two lanes disagree on their absolute cycle, and must instead be
-/// gathered per lane at each lane's own offset. `bit_len` is the scalar
-/// stream's length in bits; every window must fit
-/// (`offsets[g] + clen <= bit_len`). `out` is resized to `clen` stripes.
-///
-/// # Errors
-///
-/// [`BitstreamError::Empty`] with no offsets;
-/// [`BitstreamError::LaneCapacity`] with more lanes than the stripe holds.
-///
-/// # Panics
-///
-/// Panics when any window runs past `bit_len`.
-pub fn pack_offset_windows_into<const W: usize>(
-    words: &[u64],
-    bit_len: usize,
-    offsets: &[usize],
-    clen: usize,
-    out: &mut Vec<Stripe<W>>,
-) -> Result<(), BitstreamError> {
-    check_lane_capacity::<W>(offsets.len())?;
-    assert!(words.len() * WORD_BITS >= bit_len, "pack_offset_windows_into: too few words");
-    for &o in offsets {
-        assert!(
-            o.checked_add(clen).is_some_and(|end| end <= bit_len),
-            "pack_offset_windows_into: window runs past the stream"
-        );
-    }
-    out.clear();
-    out.resize(clen, Stripe::ZERO);
-    let mut mat = [0u64; 64];
-    for (e, sub) in offsets.chunks(WORD_BITS).enumerate() {
-        let mut t0 = 0usize;
-        while t0 < clen {
-            mat.fill(0);
-            for (g, &o) in sub.iter().enumerate() {
-                mat[g] = window64(words, o + t0);
-            }
-            transpose64(&mut mat);
-            let valid = (clen - t0).min(WORD_BITS);
-            for (r, &row) in mat[..valid].iter().enumerate() {
-                out[t0 + r].0[e] = row;
-            }
-            t0 += WORD_BITS;
-        }
-    }
-    Ok(())
 }
 
 /// Unpack lane layout back into per-image [`BitStream`]s: stream `g`
@@ -1024,11 +1063,6 @@ mod tests {
             unpack_lanes_into(&packed, 32, &mut outs),
             Err(BitstreamError::LaneCapacity { lanes: 65, capacity: 64 })
         );
-        let mut out = Vec::new();
-        assert_eq!(
-            pack_offset_windows_into::<2>(&[0u64; 8], 512, &[0; 129], 4, &mut out),
-            Err(BitstreamError::LaneCapacity { lanes: 129, capacity: 128 })
-        );
     }
 
     #[test]
@@ -1058,7 +1092,8 @@ mod tests {
             LaneRow::BroadcastXnor(neutral.words(), w[0].words()),
         ];
         let mut planes = Vec::new();
-        let used = lane_column_planes(&rows, clen, &mut planes);
+        let classes = OffsetClasses::from_offsets([0]);
+        let used = lane_column_planes(&rows, &classes, clen, &mut planes);
         assert!(used <= 3);
 
         for g in 0..n_lanes {
@@ -1095,14 +1130,16 @@ mod tests {
         pack_lanes_into(&acts, clen, &mut wide).unwrap();
         let rows4 = [LaneRow::Xnor(&wide, w.words()), LaneRow::Broadcast(bias.words())];
         let mut planes4 = Vec::new();
-        let used4 = lane_column_planes(&rows4, clen, &mut planes4);
+        let at0 = OffsetClasses::from_offsets([0]);
+        let used4 = lane_column_planes(&rows4, &at0, clen, &mut planes4);
 
         for (e, sub) in acts.chunks(WORD_BITS).enumerate() {
             let mut narrow: Vec<Stripe<1>> = Vec::new();
             pack_lanes_into(sub, clen, &mut narrow).unwrap();
             let rows1 = [LaneRow::Xnor(&narrow, w.words()), LaneRow::Broadcast(bias.words())];
             let mut planes1 = Vec::new();
-            let used1 = lane_column_planes(&rows1, clen, &mut planes1);
+            let at0 = OffsetClasses::from_offsets([0]);
+            let used1 = lane_column_planes(&rows1, &at0, clen, &mut planes1);
             assert_eq!(used4, used1);
             for p in 0..used4 {
                 for t in 0..clen {
@@ -1116,88 +1153,95 @@ mod tests {
     }
 
     #[test]
-    fn offset_windows_pack_matches_per_bit_gather() {
-        let stream = rand_stream(31, 700);
-        for &(n, clen) in &[(1usize, 64usize), (3, 100), (64, 65), (17, 130), (40, 1)] {
-            let offsets: Vec<usize> = (0..n).map(|g| (g * 37 + 5) % (700 - clen + 1)).collect();
-            let mut out: Vec<Stripe<1>> = Vec::new();
-            pack_offset_windows_into(stream.words(), 700, &offsets, clen, &mut out).unwrap();
-            assert_eq!(out.len(), clen);
-            for (g, &o) in offsets.iter().enumerate() {
-                for (t, &w) in out.iter().enumerate().take(clen) {
-                    assert_eq!(
-                        w.get(g) == 1,
-                        stream.get(o + t).unwrap(),
-                        "lane {g} offset {o} cycle {t}"
-                    );
-                }
-            }
-            // Unused lanes read as zero.
-            if n < 64 {
-                for (t, &w) in out.iter().enumerate().take(clen) {
-                    assert_eq!(w.0[0] >> n, 0, "unused lanes must be zero at cycle {t}");
-                }
-            }
+    fn offset_classes_group_lanes_by_offset() {
+        // One shared offset is a single class over every lane, padding
+        // lanes included.
+        let uniform = OffsetClasses::<2>::from_offsets([7; 70]);
+        assert_eq!(uniform.as_slice(), &[(7, !Stripe::ZERO)]);
+        assert_eq!(uniform, OffsetClasses::from_offsets([7]));
+        // Mixed offsets: classes in first-lane order whose masks partition
+        // the stripe, lanes past the group in the first class.
+        let offsets: Vec<usize> = (0..100).map(|g| [3, 0, 64, 3][g % 4]).collect();
+        let classes = OffsetClasses::<2>::from_offsets(offsets.iter().copied());
+        let got: Vec<usize> = classes.as_slice().iter().map(|&(o, _)| o).collect();
+        assert_eq!(got, [3, 0, 64]);
+        for g in 0..128 {
+            let owners: Vec<usize> = classes
+                .as_slice()
+                .iter()
+                .filter(|(_, m)| m.get(g) == 1)
+                .map(|&(o, _)| o)
+                .collect();
+            assert_eq!(owners, [offsets.get(g).copied().unwrap_or(3)], "lane {g}");
         }
+        let mut reused = classes;
+        reused.regroup([5]);
+        assert_eq!(reused, OffsetClasses::from_offsets([5]));
+        reused.regroup(std::iter::empty());
+        assert!(reused.is_empty());
     }
 
-    #[test]
-    fn offset_windows_wide_stripe_matches_per_bit_gather() {
-        let stream = rand_stream(77, 900);
-        for &(n, clen) in &[(65usize, 64usize), (128, 100), (200, 65), (256, 33)] {
-            let offsets: Vec<usize> = (0..n).map(|g| (g * 29 + 3) % (900 - clen + 1)).collect();
-            let mut out: Vec<Stripe<4>> = Vec::new();
-            pack_offset_windows_into(stream.words(), 900, &offsets, clen, &mut out).unwrap();
-            for (g, &o) in offsets.iter().enumerate() {
-                for (t, &w) in out.iter().enumerate().take(clen) {
-                    assert_eq!(
-                        w.get(g) == 1,
-                        stream.get(o + t).unwrap(),
-                        "lane {g} offset {o} cycle {t}"
-                    );
-                }
-            }
-            for g in n..MAX_LANES {
-                for (t, &w) in out.iter().enumerate().take(clen) {
-                    assert_eq!(w.get(g), 0, "unused lane {g} cycle {t}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "window runs past the stream")]
-    fn offset_windows_reject_out_of_range_windows() {
-        let stream = rand_stream(3, 100);
-        let mut out: Vec<Stripe<1>> = Vec::new();
-        let _ = pack_offset_windows_into(stream.words(), 100, &[50], 51, &mut out);
-    }
-
-    #[test]
-    fn xnor_lanes_and_packed_lanes_rows_match_per_bit() {
-        let clen = 130usize;
-        let a = rand_stream(1, clen);
-        let b = rand_stream(2, clen);
-        let mut a_lanes: Vec<Stripe<1>> = Vec::new();
-        let mut b_lanes: Vec<Stripe<1>> = Vec::new();
-        // Same stream in every lane keeps the reference simple; per-lane
-        // independence is pinned by the ragged proptests in tests/.
-        pack_lanes_into(std::iter::repeat_n(&a, 5), clen, &mut a_lanes).unwrap();
-        pack_lanes_into(std::iter::repeat_n(&b, 5), clen, &mut b_lanes).unwrap();
-        let rows = [LaneRow::XnorLanes(&a_lanes, &b_lanes), LaneRow::PackedLanes(&b_lanes)];
+    /// Every row form under a class table against a per-bit reference,
+    /// both as counted planes and as `LaneRow::word`: lane `g` reads its
+    /// scalar operands at `offsets[g] + t`.
+    fn check_class_rows<const W: usize>(offsets: &[usize], clen: usize, seed: u64) {
+        let bit_len = offsets.iter().max().unwrap() + clen;
+        let (w, u) = (rand_stream(seed, bit_len), rand_stream(seed + 1, bit_len));
+        let acts: Vec<BitStream> =
+            (0..offsets.len() as u64).map(|g| rand_stream(seed * 7 + g, clen)).collect();
+        let mut lanes: Vec<Stripe<W>> = Vec::new();
+        pack_lanes_into(&acts, clen, &mut lanes).unwrap();
+        let classes = OffsetClasses::from_offsets(offsets.iter().copied());
+        let rows = [
+            LaneRow::Xnor(&lanes, w.words()),
+            LaneRow::Lanes(&lanes),
+            LaneRow::Broadcast(w.words()),
+            LaneRow::BroadcastXnor(w.words(), u.words()),
+        ];
         let mut planes = Vec::new();
-        let used = lane_column_planes(&rows, clen, &mut planes);
-        for g in 0..5 {
+        let used = lane_column_planes(&rows, &classes, clen, &mut planes);
+        for (g, (act, &o)) in acts.iter().zip(offsets).enumerate() {
+            #[allow(clippy::needless_range_loop)] // t indexes streams, rows and planes alike
             for t in 0..clen {
-                let expect = u32::from(!(a.get(t).unwrap() ^ b.get(t).unwrap()))
-                    + u32::from(b.get(t).unwrap());
-                let mut got = 0u32;
-                for (p, plane) in planes.iter().take(used).enumerate() {
-                    got += (plane[t].get(g) as u32) << p;
+                let x = act.get(t).unwrap();
+                let (wb, ub) = (w.get(o + t).unwrap(), u.get(o + t).unwrap());
+                let bits = [x == wb, x, wb, wb == ub];
+                for (row, &bit) in rows.iter().zip(&bits) {
+                    let got = row.word(t, &classes).get(g) == 1;
+                    assert_eq!(got, bit, "lane {g} offset {o} cycle {t}");
                 }
-                assert_eq!(got, expect, "lane {g} cycle {t}");
+                let got: u32 = (0..used).map(|p| (planes[p][t].get(g) as u32) << p).sum();
+                let want = bits.iter().map(|&b| u32::from(b)).sum::<u32>();
+                assert_eq!(got, want, "count, lane {g} offset {o} cycle {t}");
             }
         }
+    }
+
+    #[test]
+    fn class_rows_match_per_bit_gather() {
+        for &(n, clen) in &[(1usize, 64usize), (3, 100), (64, 65), (17, 130), (40, 1)] {
+            let offsets: Vec<usize> = (0..n).map(|g| (g * 37 + 5) % 23).collect();
+            check_class_rows::<1>(&offsets, clen, n as u64);
+        }
+    }
+
+    #[test]
+    fn class_rows_wide_stripe_match_per_bit_gather() {
+        for &(n, clen) in &[(65usize, 64usize), (128, 100), (200, 65), (256, 33)] {
+            let offsets: Vec<usize> = (0..n).map(|g| (g * 29 + 3) % 11 * 32).collect();
+            check_class_rows::<4>(&offsets, clen, n as u64);
+        }
+        // One shared unaligned offset takes the one-class path.
+        check_class_rows::<4>(&[45; 150], 130, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "too few scalar words")]
+    fn class_rows_reject_windows_past_the_stream() {
+        let stream = rand_stream(3, 100);
+        let classes = OffsetClasses::<1>::from_offsets([0, 100]);
+        let mut planes = Vec::new();
+        lane_column_planes(&[LaneRow::Broadcast(stream.words())], &classes, 51, &mut planes);
     }
 
     #[test]

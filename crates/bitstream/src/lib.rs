@@ -53,8 +53,8 @@ pub use counter::{column_counts, ColumnCounter};
 pub use corr::{pearson_correlation, scc, uniformity_chi_square};
 pub use kernel::{
     column_counts_into, extract_plane_counts, lane_column_planes, lane_counts_stream,
-    pack_lanes_into, pack_offset_windows_into, transpose64, transpose8, unpack_lanes_into,
-    xnor_popcount, KernelRow, LanePopcount, LaneRow, Stripe, BLOCK_WORDS, MAX_KERNEL_ROWS,
+    pack_lanes_into, transpose64, transpose8, unpack_lanes_into, xnor_popcount, KernelRow,
+    LanePopcount, LaneRow, OffsetClasses, Stripe, BLOCK_WORDS, MAX_KERNEL_ROWS,
     MAX_LANES, MAX_PLANES, MAX_STRIPE_WORDS, TREE_ROWS,
 };
 pub use error::BitstreamError;

@@ -1,9 +1,9 @@
 //! Property-based tests of the stochastic-computing substrate.
 
 use aqfp_sc_bitstream::{
-    column_counts, column_counts_into, lane_column_planes, maj3_streams, pack_lanes_into,
-    pack_offset_windows_into, scc, unpack_lanes_into, Bipolar, BitStream, ColumnCounter,
-    KernelRow, LaneRow, Lfsr, Sng, SplitMix64, Stripe, ThermalRng,
+    column_counts, column_counts_into, lane_column_planes, maj3_streams, pack_lanes_into, scc,
+    unpack_lanes_into, Bipolar, BitStream, ColumnCounter, KernelRow, LaneRow, Lfsr, OffsetClasses,
+    Sng, SplitMix64, Stripe, ThermalRng,
 };
 use proptest::prelude::*;
 
@@ -263,9 +263,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Lane-packed column counting over an arbitrary (odd-offset) chunk
-        // slice of each member stream must agree with the scalar counter on
-        // the same slice, for every occupied lane — including ragged last
-        // stripes (member counts crossing 64-lane subgroup boundaries).
+        // slice of each member stream, with the weight read in place at the
+        // chunk offset, must agree with the scalar counter on the same
+        // slice, for every occupied lane — including ragged last stripes
+        // (member counts crossing 64-lane subgroup boundaries).
         let mut rng = SplitMix64::new(seed);
         let full = 256usize;
         let offset = (start_frac * (full - len)) / 100;
@@ -277,9 +278,10 @@ proptest! {
         let wchunk = weight.slice(offset, len);
         let mut lanes: Vec<Stripe<4>> = Vec::new();
         pack_lanes_into(chunks.iter(), len, &mut lanes).unwrap();
-        let rows = [LaneRow::Xnor(&lanes, wchunk.words()), LaneRow::Broadcast(wchunk.words())];
+        let rows = [LaneRow::Xnor(&lanes, weight.words()), LaneRow::Broadcast(weight.words())];
         let mut planes = Vec::new();
-        let used = lane_column_planes(&rows, len, &mut planes);
+        let classes = OffsetClasses::from_offsets([offset]);
+        let used = lane_column_planes(&rows, &classes, len, &mut planes);
         for (g, chunk) in chunks.iter().enumerate() {
             let want =
                 column_counts(&[chunk.xnor(&wchunk).unwrap(), wchunk.clone()]).unwrap();
@@ -309,81 +311,105 @@ proptest! {
     }
 
     #[test]
-    fn offset_window_pack_matches_per_bit_gather_for_ragged_lane_sets(
-        bit_len in 65usize..600,
-        raw_offsets in prop::collection::vec(0usize..600, 1..=128),
-        clen_frac in 1usize..=100,
-        seed in any::<u64>(),
-    ) {
-        // Ragged retire-and-refill groups: 1..=64 lanes, each at its own
-        // absolute offset (word-aligned and not), windows crossing word
-        // boundaries and ending anywhere up to the stream end. The packed
-        // window must equal a per-bit gather for every occupied lane, and
-        // unused lanes must stay zero.
-        let mut rng = SplitMix64::new(seed);
-        let stream = random_stream(&mut rng, bit_len);
-        let max_off = raw_offsets.iter().copied().max().unwrap().min(bit_len - 1);
-        let clen = 1 + (clen_frac * (bit_len - max_off - 1)) / 100;
-        let offsets: Vec<usize> =
-            raw_offsets.iter().map(|&o| o.min(bit_len - clen)).collect();
-        let mut packed: Vec<Stripe<2>> = Vec::new();
-        pack_offset_windows_into(stream.words(), bit_len, &offsets, clen, &mut packed)
-            .unwrap();
-        prop_assert_eq!(packed.len(), clen);
-        for (t, &word) in packed.iter().enumerate() {
-            for (g, &off) in offsets.iter().enumerate() {
-                let want = u64::from(stream.get(off + t).unwrap());
-                prop_assert_eq!(
-                    word.get(g), want,
-                    "lane {} offset {} cycle {}", g, off, t
-                );
-            }
-            // Lanes beyond the ragged set carry no garbage.
-            for g in offsets.len()..128 {
-                prop_assert_eq!(word.get(g), 0, "unused lane {} at cycle {}", g, t);
-            }
-        }
-    }
-
-    #[test]
     fn mixed_offset_lane_rows_match_per_bit_reference_on_ragged_sets(
-        bit_len in 80usize..400,
+        classes in 1usize..=9,
         lane_count in 1usize..=256,
-        clen in 1usize..=64,
+        width_sel in 0usize..3,
+        rows in 1usize..=24,
+        clen in 1usize..=200,
+        aligned in 0usize..2,
         seed in any::<u64>(),
     ) {
-        // XnorLanes/PackedLanes rows (the mixed-offset forms) through the
-        // carry-save plane kernel vs a per-bit recount: each lane reads
-        // its own window of the shared weight stream, so the planes must
-        // reproduce, per lane and per cycle, XNOR(act, w[off..]) + w[off..].
-        let mut rng = SplitMix64::new(seed);
-        let clen = clen.min(bit_len / 2);
-        let weight = random_stream(&mut rng, bit_len);
-        let offsets: Vec<usize> = (0..lane_count)
-            .map(|_| (rng.next_u64() as usize) % (bit_len - clen + 1))
-            .collect();
-        let acts: Vec<BitStream> =
-            (0..lane_count).map(|_| random_stream(&mut rng, clen)).collect();
-        let mut act_lanes: Vec<Stripe<4>> = Vec::new();
-        pack_lanes_into(acts.iter(), clen, &mut act_lanes).unwrap();
-        let mut w_lanes: Vec<Stripe<4>> = Vec::new();
-        pack_offset_windows_into(weight.words(), bit_len, &offsets, clen, &mut w_lanes)
-            .unwrap();
-        let rows =
-            [LaneRow::XnorLanes(&act_lanes, &w_lanes), LaneRow::PackedLanes(&w_lanes)];
-        let mut planes = Vec::new();
-        let used = lane_column_planes(&rows, clen, &mut planes);
-        for (g, (act, &off)) in acts.iter().zip(&offsets).enumerate() {
-            #[allow(clippy::needless_range_loop)] // t indexes streams, lanes, and planes alike
-            for t in 0..clen {
-                let wbit = weight.get(off + t).unwrap();
-                let xnor = u32::from(act.get(t).unwrap() == wbit);
-                let want = xnor + u32::from(wbit);
-                let got: u32 = (0..used)
-                    .map(|p| (planes[p][t].get(g) as u32) << p)
-                    .sum();
-                prop_assert_eq!(got, want, "lane {} offset {} cycle {}", g, off, t);
-            }
+        // Retire-and-refill groups at every stripe width: lanes split at
+        // random into 1..=9 offset classes (word-aligned or not), rows of
+        // every form — narrow and slab-compressed kernels — reading their
+        // scalar operands in place at each lane's class offset, chunks
+        // ending mid-word. The counted planes must reproduce a per-bit
+        // recount for every occupied lane.
+        let aligned = aligned == 1;
+        match width_sel {
+            0 => check_class_rows::<1>(
+                classes, 1 + (lane_count - 1) % 64, rows, clen, aligned, seed,
+            )?,
+            1 => check_class_rows::<2>(
+                classes, 1 + (lane_count - 1) % 128, rows, clen, aligned, seed,
+            )?,
+            _ => check_class_rows::<4>(classes, lane_count, rows, clen, aligned, seed)?,
         }
     }
+}
+
+/// Lane-kernel counts of `rows_n` random rows of every `LaneRow` form over
+/// `lanes` lanes split at random into up to `classes` offset classes,
+/// against a per-bit recount in which lane `g` reads each scalar operand
+/// at its own offset.
+fn check_class_rows<const W: usize>(
+    classes: usize,
+    lanes: usize,
+    rows_n: usize,
+    clen: usize,
+    aligned: bool,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = SplitMix64::new(seed);
+    let class_offsets: Vec<usize> = (0..classes)
+        .map(|_| {
+            let o = (rng.next_u64() % 400) as usize;
+            if aligned { o / 64 * 64 } else { o }
+        })
+        .collect();
+    let offsets: Vec<usize> = (0..lanes)
+        .map(|_| class_offsets[(rng.next_u64() % classes as u64) as usize])
+        .collect();
+    let bit_len = offsets.iter().max().unwrap() + clen;
+    let forms: Vec<u64> = (0..rows_n).map(|_| rng.next_u64() % 4).collect();
+    let scalars: Vec<(BitStream, BitStream)> = (0..rows_n)
+        .map(|_| (random_stream(&mut rng, bit_len), random_stream(&mut rng, bit_len)))
+        .collect();
+    let acts: Vec<Vec<BitStream>> = (0..rows_n)
+        .map(|_| (0..lanes).map(|_| random_stream(&mut rng, clen)).collect())
+        .collect();
+    let packed: Vec<Vec<Stripe<W>>> = acts
+        .iter()
+        .map(|a| {
+            let mut p = Vec::new();
+            pack_lanes_into(a.iter(), clen, &mut p).unwrap();
+            p
+        })
+        .collect();
+    let rows: Vec<LaneRow<'_, W>> = forms
+        .iter()
+        .zip(packed.iter().zip(&scalars))
+        .map(|(&form, (lane, (s, u)))| match form {
+            0 => LaneRow::Xnor(lane, s.words()),
+            1 => LaneRow::Lanes(lane),
+            2 => LaneRow::Broadcast(s.words()),
+            _ => LaneRow::BroadcastXnor(s.words(), u.words()),
+        })
+        .collect();
+    let table = OffsetClasses::from_offsets(offsets.iter().copied());
+    let mut planes = Vec::new();
+    let used = lane_column_planes(&rows, &table, clen, &mut planes);
+    for (g, &off) in offsets.iter().enumerate() {
+        #[allow(clippy::needless_range_loop)] // t indexes streams and planes alike
+        for t in 0..clen {
+            let want: u32 = forms
+                .iter()
+                .zip(acts.iter().zip(&scalars))
+                .map(|(&form, (act, (s, u)))| {
+                    let x = act[g].get(t).unwrap();
+                    let (sb, ub) = (s.get(off + t).unwrap(), u.get(off + t).unwrap());
+                    u32::from(match form {
+                        0 => x == sb,
+                        1 => x,
+                        2 => sb,
+                        _ => sb == ub,
+                    })
+                })
+                .sum();
+            let got: u32 = (0..used).map(|p| (planes[p][t].get(g) as u32) << p).sum();
+            prop_assert_eq!(got, want, "lane {} offset {} cycle {}", g, off, t);
+        }
+    }
+    Ok(())
 }

@@ -12,8 +12,8 @@
 //! models plus CMOS gate inventories.
 
 use aqfp_sc_bitstream::{
-    lane_counts_stream, mux_add, BitStream, BitstreamError, ColumnCounter, LaneRow, Stripe,
-    WORD_BITS,
+    lane_counts_stream, mux_add, BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses,
+    Stripe, WORD_BITS,
 };
 use aqfp_sc_circuit::CmosGateCounts;
 
@@ -82,7 +82,8 @@ impl Btanh {
     /// Lane-parallel [`Btanh::step`] over a whole chunk, fused with the
     /// lane kernel: counts each cycle's kernel `rows` (the `M` product rows
     /// of the APC neuron) for up to `64·W` images at once
-    /// ([`lane_counts_stream`]) and folds them straight into the
+    /// ([`lane_counts_stream`], scalar operands read at each lane's class
+    /// offset in `classes`) and folds them straight into the
     /// saturating-counter recurrence, one FSM per lane in `fsms` (all with
     /// identical `m` and state count), run for every lane at once in
     /// bit-sliced ripple-carry arithmetic. Lane `g` of `out[t]` is lane
@@ -100,6 +101,7 @@ impl Btanh {
     pub fn run_rows_resume_into<const W: usize>(
         fsms: &mut [&mut Btanh],
         rows: &[LaneRow<'_, W>],
+        classes: &OffsetClasses<W>,
         clen: usize,
         out: &mut [Stripe<W>],
     ) {
@@ -124,15 +126,17 @@ impl Btanh {
         // fully unroll and the counter planes stay in registers across the
         // chunk.
         match width {
-            1 => btanh_sweep::<W, 1>(rows, clen, m, max, &mut sp, out),
-            2 => btanh_sweep::<W, 2>(rows, clen, m, max, &mut sp, out),
-            3 => btanh_sweep::<W, 3>(rows, clen, m, max, &mut sp, out),
-            4 => btanh_sweep::<W, 4>(rows, clen, m, max, &mut sp, out),
-            5 => btanh_sweep::<W, 5>(rows, clen, m, max, &mut sp, out),
-            6 => btanh_sweep::<W, 6>(rows, clen, m, max, &mut sp, out),
-            7 => btanh_sweep::<W, 7>(rows, clen, m, max, &mut sp, out),
-            8 => btanh_sweep::<W, 8>(rows, clen, m, max, &mut sp, out),
-            _ => btanh_sweep::<W, { lanes::PLANES }>(rows, clen, m, max, &mut sp, out),
+            1 => btanh_sweep::<W, 1>(rows, classes, clen, m, max, &mut sp, out),
+            2 => btanh_sweep::<W, 2>(rows, classes, clen, m, max, &mut sp, out),
+            3 => btanh_sweep::<W, 3>(rows, classes, clen, m, max, &mut sp, out),
+            4 => btanh_sweep::<W, 4>(rows, classes, clen, m, max, &mut sp, out),
+            5 => btanh_sweep::<W, 5>(rows, classes, clen, m, max, &mut sp, out),
+            6 => btanh_sweep::<W, 6>(rows, classes, clen, m, max, &mut sp, out),
+            7 => btanh_sweep::<W, 7>(rows, classes, clen, m, max, &mut sp, out),
+            8 => btanh_sweep::<W, 8>(rows, classes, clen, m, max, &mut sp, out),
+            _ => {
+                btanh_sweep::<W, { lanes::PLANES }>(rows, classes, clen, m, max, &mut sp, out)
+            }
         }
         lanes::unpack_states(&sp, &mut states, width);
         for (f, s) in fsms.iter_mut().zip(states) {
@@ -154,6 +158,7 @@ impl Btanh {
 #[inline(always)]
 fn btanh_sweep<const W: usize, const P: usize>(
     rows: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
     clen: usize,
     m: u64,
     max: u64,
@@ -165,7 +170,7 @@ fn btanh_sweep<const W: usize, const P: usize>(
     let mut sp = [Stripe::<W>::ZERO; P];
     sp.copy_from_slice(&sp_io[..P]);
     let out = &mut out[..clen];
-    lane_counts_stream(rows, clen, |t, counts: &[Stripe<W>]| {
+    lane_counts_stream(rows, classes, clen, |t, counts: &[Stripe<W>]| {
         // Pass 1, fused add + subtract: U = state + 2c (the count planes
         // enter shifted up one position) and D = U − M in one sweep.
         // pos = [U ≥ M] is the complemented final borrow;
@@ -377,7 +382,8 @@ mod tests {
             let chunk: Vec<LaneRow<'_, W>> =
                 rows.iter().map(|row| LaneRow::Lanes(&row[pos..pos + c])).collect();
             let mut refs: Vec<&mut Btanh> = fsms.iter_mut().collect();
-            Btanh::run_rows_resume_into(&mut refs, &chunk, c, &mut out[pos..pos + c]);
+            let classes = OffsetClasses::from_offsets([0]);
+            Btanh::run_rows_resume_into(&mut refs, &chunk, &classes, c, &mut out[pos..pos + c]);
             pos += c;
         }
         for (g, cs) in counts.iter().enumerate() {

@@ -2,7 +2,8 @@
 //! layers (paper §4.2, Algorithm 1, Fig. 12).
 
 use aqfp_sc_bitstream::{
-    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, Stripe, WORD_BITS,
+    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses, Stripe,
+    WORD_BITS,
 };
 use aqfp_sc_circuit::Netlist;
 use aqfp_sc_sorting::{Direction, SortingNetwork};
@@ -143,9 +144,11 @@ impl FeatureExtraction {
     /// for narrow kernels, the slab compressor for wide ones) and folds the
     /// counts straight into the sorter-FE recurrence, run for every lane at
     /// once in bit-sliced ripple-carry arithmetic instead of `64·W` serial
-    /// scalar FSM steps. Rows must cover the full sorter width — weights,
-    /// bias, and the `0101…` neutral pad at each lane's ABSOLUTE cycle
-    /// parity when [`width()`](FeatureExtraction::width) `!=`
+    /// scalar FSM steps. Scalar row operands are read at each lane's class
+    /// offset in `classes`. Rows must cover the full sorter width —
+    /// weights, bias, and the `0101…` neutral pad (at each lane's ABSOLUTE
+    /// cycle parity, which the class offsets give) when
+    /// [`width()`](FeatureExtraction::width) `!=`
     /// [`inputs()`](FeatureExtraction::inputs).
     ///
     /// `r` holds the feedback occupancy of each active lane (lane `g` is
@@ -164,6 +167,7 @@ impl FeatureExtraction {
     pub fn run_rows_resume_into<const W: usize>(
         &self,
         rows: &[LaneRow<'_, W>],
+        classes: &OffsetClasses<W>,
         clen: usize,
         r: &mut [i64],
         out: &mut [Stripe<W>],
@@ -181,15 +185,17 @@ impl FeatureExtraction {
         // the plane loops fully unroll and the residual / difference planes
         // live in registers across the whole chunk.
         match width {
-            1 => fe_sweep::<W, 1>(rows, clen, threshold, m, &mut rp, out),
-            2 => fe_sweep::<W, 2>(rows, clen, threshold, m, &mut rp, out),
-            3 => fe_sweep::<W, 3>(rows, clen, threshold, m, &mut rp, out),
-            4 => fe_sweep::<W, 4>(rows, clen, threshold, m, &mut rp, out),
-            5 => fe_sweep::<W, 5>(rows, clen, threshold, m, &mut rp, out),
-            6 => fe_sweep::<W, 6>(rows, clen, threshold, m, &mut rp, out),
-            7 => fe_sweep::<W, 7>(rows, clen, threshold, m, &mut rp, out),
-            8 => fe_sweep::<W, 8>(rows, clen, threshold, m, &mut rp, out),
-            _ => fe_sweep::<W, { lanes::PLANES }>(rows, clen, threshold, m, &mut rp, out),
+            1 => fe_sweep::<W, 1>(rows, classes, clen, threshold, m, &mut rp, out),
+            2 => fe_sweep::<W, 2>(rows, classes, clen, threshold, m, &mut rp, out),
+            3 => fe_sweep::<W, 3>(rows, classes, clen, threshold, m, &mut rp, out),
+            4 => fe_sweep::<W, 4>(rows, classes, clen, threshold, m, &mut rp, out),
+            5 => fe_sweep::<W, 5>(rows, classes, clen, threshold, m, &mut rp, out),
+            6 => fe_sweep::<W, 6>(rows, classes, clen, threshold, m, &mut rp, out),
+            7 => fe_sweep::<W, 7>(rows, classes, clen, threshold, m, &mut rp, out),
+            8 => fe_sweep::<W, 8>(rows, classes, clen, threshold, m, &mut rp, out),
+            _ => {
+                fe_sweep::<W, { lanes::PLANES }>(rows, classes, clen, threshold, m, &mut rp, out)
+            }
         }
         lanes::unpack_states(&rp, r, width);
     }
@@ -317,6 +323,7 @@ impl FeatureExtraction {
 #[inline(always)]
 fn fe_sweep<const W: usize, const P: usize>(
     rows: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
     clen: usize,
     threshold: u64,
     m: u64,
@@ -326,7 +333,7 @@ fn fe_sweep<const W: usize, const P: usize>(
     let mut rp = [Stripe::<W>::ZERO; P];
     rp.copy_from_slice(&rp_io[..P]);
     let out = &mut out[..clen];
-    lane_counts_stream(rows, clen, |t, counts: &[Stripe<W>]| {
+    lane_counts_stream(rows, classes, clen, |t, counts: &[Stripe<W>]| {
         // Pass 1, fused add + subtract: T = count + r and D = T − θ in one
         // sweep (the ripple carry and the borrow advance in lockstep).
         // fire = [T ≥ θ] is the complemented final borrow; lanes that
@@ -566,7 +573,8 @@ mod tests {
             let c = 33.min(clen - pos);
             let chunk: Vec<LaneRow<'_, W>> =
                 rows.iter().map(|row| LaneRow::Lanes(&row[pos..pos + c])).collect();
-            fe.run_rows_resume_into(&chunk, c, &mut r, &mut out[pos..pos + c]);
+            let classes = OffsetClasses::from_offsets([0]);
+            fe.run_rows_resume_into(&chunk, &classes, c, &mut r, &mut out[pos..pos + c]);
             pos += c;
         }
         for (g, cs) in counts.iter().enumerate() {

@@ -1,7 +1,8 @@
 //! Sorter-based average pooling (paper §4.3, Algorithm 2, Fig. 14).
 
 use aqfp_sc_bitstream::{
-    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, Stripe, WORD_BITS,
+    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses, Stripe,
+    WORD_BITS,
 };
 use aqfp_sc_circuit::Netlist;
 use aqfp_sc_sorting::{Direction, SortingNetwork};
@@ -97,7 +98,8 @@ impl AveragePooling {
     /// `64·W` images at once ([`lane_counts_stream`]) and folds the counts
     /// straight into the conserving recurrence, run for every lane at once
     /// in bit-sliced ripple-carry arithmetic. Rows are the `M` window
-    /// streams.
+    /// streams; scalar operands, if any, are read at each lane's class
+    /// offset in `classes`.
     ///
     /// `r` holds each active lane's feedback occupancy (updated in place);
     /// lane `g` of `out[t]` is lane `g`'s output bit. Lanes at or above
@@ -113,6 +115,7 @@ impl AveragePooling {
     pub fn run_rows_resume_into<const W: usize>(
         &self,
         rows: &[LaneRow<'_, W>],
+        classes: &OffsetClasses<W>,
         clen: usize,
         r: &mut [i64],
         out: &mut [Stripe<W>],
@@ -129,15 +132,15 @@ impl AveragePooling {
         // fully unroll and the residual planes stay in registers across
         // the chunk (a pool window is k·k wide, so small widths dominate).
         match width {
-            1 => pool_sweep::<W, 1>(rows, clen, m, &mut rp, out),
-            2 => pool_sweep::<W, 2>(rows, clen, m, &mut rp, out),
-            3 => pool_sweep::<W, 3>(rows, clen, m, &mut rp, out),
-            4 => pool_sweep::<W, 4>(rows, clen, m, &mut rp, out),
-            5 => pool_sweep::<W, 5>(rows, clen, m, &mut rp, out),
-            6 => pool_sweep::<W, 6>(rows, clen, m, &mut rp, out),
-            7 => pool_sweep::<W, 7>(rows, clen, m, &mut rp, out),
-            8 => pool_sweep::<W, 8>(rows, clen, m, &mut rp, out),
-            _ => pool_sweep::<W, { lanes::PLANES }>(rows, clen, m, &mut rp, out),
+            1 => pool_sweep::<W, 1>(rows, classes, clen, m, &mut rp, out),
+            2 => pool_sweep::<W, 2>(rows, classes, clen, m, &mut rp, out),
+            3 => pool_sweep::<W, 3>(rows, classes, clen, m, &mut rp, out),
+            4 => pool_sweep::<W, 4>(rows, classes, clen, m, &mut rp, out),
+            5 => pool_sweep::<W, 5>(rows, classes, clen, m, &mut rp, out),
+            6 => pool_sweep::<W, 6>(rows, classes, clen, m, &mut rp, out),
+            7 => pool_sweep::<W, 7>(rows, classes, clen, m, &mut rp, out),
+            8 => pool_sweep::<W, 8>(rows, classes, clen, m, &mut rp, out),
+            _ => pool_sweep::<W, { lanes::PLANES }>(rows, classes, clen, m, &mut rp, out),
         }
         lanes::unpack_states(&rp, r, width);
     }
@@ -230,6 +233,7 @@ impl AveragePooling {
 #[inline(always)]
 fn pool_sweep<const W: usize, const P: usize>(
     rows: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
     clen: usize,
     m: u64,
     rp_io: &mut lanes::Planes<W>,
@@ -238,7 +242,7 @@ fn pool_sweep<const W: usize, const P: usize>(
     let mut rp = [Stripe::<W>::ZERO; P];
     rp.copy_from_slice(&rp_io[..P]);
     let out = &mut out[..clen];
-    lane_counts_stream(rows, clen, |t, counts: &[Stripe<W>]| {
+    lane_counts_stream(rows, classes, clen, |t, counts: &[Stripe<W>]| {
         // Fused add + subtract: T = count + r and D = T − M in one sweep
         // (ripple carry and borrow advance in lockstep). fire = [T ≥ M] is
         // the complemented final borrow.
@@ -321,7 +325,8 @@ mod tests {
             let c = 41.min(clen - pos);
             let chunk: Vec<LaneRow<'_, W>> =
                 rows.iter().map(|row| LaneRow::Lanes(&row[pos..pos + c])).collect();
-            pool.run_rows_resume_into(&chunk, c, &mut r, &mut out[pos..pos + c]);
+            let classes = OffsetClasses::from_offsets([0]);
+            pool.run_rows_resume_into(&chunk, &classes, c, &mut r, &mut out[pos..pos + c]);
             pos += c;
         }
         for (g, cs) in counts.iter().enumerate() {

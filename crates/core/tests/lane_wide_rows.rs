@@ -1,15 +1,18 @@
 //! Wide-kernel lane counting against the scalar reference: kernels of
 //! 17..=1024 rows (the slab-compressor path of `lane_counts_stream`) mixed
-//! from all six `LaneRow` forms, over ragged lane groups at every stripe
-//! width, with chunk lengths that end mid-word and after several 64-cycle
-//! blocks. The lane counts must equal `column_counts_into` per lane, and
-//! every FSM's one lane entry (`run_rows_resume_into`), driven through
-//! random chunk splits that thread the resumed state, must reproduce the
-//! scalar `run_counts_resume_into` / `Btanh::step` bit for bit.
+//! from all four `LaneRow` forms, over ragged lane groups at every stripe
+//! width whose lanes sit at random absolute offsets (1..=9 offset
+//! classes, so both the one-class and the multi-class gathers run), with
+//! chunk lengths that end mid-word and after several 64-cycle blocks. The
+//! lane counts must equal `column_counts_into` per lane on the scalar
+//! operands sliced at that lane's offset, and every FSM's one lane entry
+//! (`run_rows_resume_into`), driven through random chunk splits that
+//! thread the resumed state, must reproduce the scalar
+//! `run_counts_resume_into` / `Btanh::step` bit for bit.
 
 use aqfp_sc_bitstream::{
     column_counts_into, lane_counts_stream, pack_lanes_into, BitStream, KernelRow, LaneRow,
-    SplitMix64, Stripe,
+    OffsetClasses, SplitMix64, Stripe,
 };
 use aqfp_sc_core::baseline::Btanh;
 use aqfp_sc_core::{AveragePooling, FeatureExtraction};
@@ -18,32 +21,40 @@ use proptest::prelude::*;
 /// One kernel row: its `LaneRow` form plus the operands behind it, kept
 /// both per lane (for the scalar reference) and lane-packed.
 struct Row<const W: usize> {
-    /// Which of the six `LaneRow` forms this row takes (0..6).
+    /// Which of the four `LaneRow` forms this row takes (0..4).
     form: usize,
-    /// First lane operand, one stream per lane, and its packed stripes.
+    /// Lane operand, one stream per lane, and its packed stripes.
     a: Vec<BitStream>,
     a_lanes: Vec<Stripe<W>>,
-    /// Second lane operand (`XnorLanes` only).
-    b: Vec<BitStream>,
-    b_lanes: Vec<Stripe<W>>,
-    /// Scalar operands (weight / bias / neutral forms).
+    /// Full-length scalar operands (weight / bias / neutral forms), read
+    /// at each lane's offset.
     s: BitStream,
     u: BitStream,
+}
+
+/// A ragged lane group split into offset classes: lane `g` sits at
+/// absolute cycle `offsets[g]`, one of `distinct`.
+struct Group {
+    offsets: Vec<usize>,
+    distinct: Vec<usize>,
 }
 
 fn random_stream(rng: &mut SplitMix64, len: usize) -> BitStream {
     BitStream::from_words((0..len.div_ceil(64)).map(|_| rng.next_u64()).collect(), len)
 }
 
-fn lane_operand<const W: usize>(
-    rng: &mut SplitMix64,
-    lanes: usize,
-    clen: usize,
-) -> (Vec<BitStream>, Vec<Stripe<W>>) {
-    let per_lane: Vec<BitStream> = (0..lanes).map(|_| random_stream(rng, clen)).collect();
-    let mut packed = Vec::new();
-    pack_lanes_into(per_lane.iter(), clen, &mut packed).unwrap();
-    (per_lane, packed)
+fn random_group(rng: &mut SplitMix64, lanes: usize, classes: usize) -> Group {
+    // Half the tables put every class on a word boundary.
+    let aligned = rng.next_u64().is_multiple_of(2);
+    let distinct: Vec<usize> = (0..classes)
+        .map(|_| {
+            let o = (rng.next_u64() % 300) as usize;
+            if aligned { o / 64 * 64 } else { o }
+        })
+        .collect();
+    let offsets =
+        (0..lanes).map(|_| distinct[(rng.next_u64() % classes as u64) as usize]).collect();
+    Group { offsets, distinct }
 }
 
 fn random_rows<const W: usize>(
@@ -51,58 +62,72 @@ fn random_rows<const W: usize>(
     n: usize,
     lanes: usize,
     clen: usize,
+    bit_len: usize,
 ) -> Vec<Row<W>> {
     (0..n)
         .map(|_| {
-            let form = (rng.next_u64() % 6) as usize;
-            let (a, a_lanes) = if matches!(form, 0 | 1 | 4 | 5) {
-                lane_operand(rng, lanes, clen)
+            let form = (rng.next_u64() % 4) as usize;
+            let (a, a_lanes) = if form < 2 {
+                let a: Vec<BitStream> = (0..lanes).map(|_| random_stream(rng, clen)).collect();
+                let mut packed = Vec::new();
+                pack_lanes_into(a.iter(), clen, &mut packed).unwrap();
+                (a, packed)
             } else {
                 (Vec::new(), Vec::new())
             };
-            let (b, b_lanes) =
-                if form == 4 { lane_operand(rng, lanes, clen) } else { (Vec::new(), Vec::new()) };
-            let s = random_stream(rng, clen);
-            let u = random_stream(rng, clen);
-            Row { form, a, a_lanes, b, b_lanes, s, u }
+            let s = random_stream(rng, bit_len);
+            let u = random_stream(rng, bit_len);
+            Row { form, a, a_lanes, s, u }
         })
         .collect()
 }
 
-/// The chunk `pos..pos + c` of every row as lane-kernel descriptors.
-/// Scalar operands are re-sliced so their words start at the chunk.
-fn chunk_rows<'r, const W: usize>(
-    rows: &'r [Row<W>],
-    sliced: &'r [(BitStream, BitStream)],
-    pos: usize,
-    c: usize,
-) -> Vec<LaneRow<'r, W>> {
+/// The chunk `pos..pos + c` of every row as lane-kernel descriptors:
+/// lane operands are re-sliced to the chunk, scalar operands stay whole
+/// (the class table moves their read offset).
+fn chunk_rows<const W: usize>(rows: &[Row<W>], pos: usize, c: usize) -> Vec<LaneRow<'_, W>> {
     rows.iter()
-        .zip(sliced)
-        .map(|(row, (s, u))| match row.form {
-            0 => LaneRow::Xnor(&row.a_lanes[pos..pos + c], s.words()),
+        .map(|row| match row.form {
+            0 => LaneRow::Xnor(&row.a_lanes[pos..pos + c], row.s.words()),
             1 => LaneRow::Lanes(&row.a_lanes[pos..pos + c]),
-            2 => LaneRow::Broadcast(s.words()),
-            3 => LaneRow::BroadcastXnor(s.words(), u.words()),
-            4 => LaneRow::XnorLanes(&row.a_lanes[pos..pos + c], &row.b_lanes[pos..pos + c]),
-            _ => LaneRow::PackedLanes(&row.a_lanes[pos..pos + c]),
+            2 => LaneRow::Broadcast(row.s.words()),
+            _ => LaneRow::BroadcastXnor(row.s.words(), row.u.words()),
         })
         .collect()
 }
 
-/// Per-lane reference counts over the whole stream via the word-parallel
-/// single-image kernel, with each row in its scalar form.
-fn reference_counts<const W: usize>(rows: &[Row<W>], lanes: usize, clen: usize) -> Vec<Vec<u32>> {
-    (0..lanes)
-        .map(|g| {
+/// The group's class table with every offset moved `pos` cycles on.
+fn classes_at<const W: usize>(group: &Group, pos: usize) -> OffsetClasses<W> {
+    OffsetClasses::from_offsets(group.offsets.iter().map(|&o| o + pos))
+}
+
+/// Per-lane reference counts over the whole chunk via the word-parallel
+/// single-image kernel, with each row in its scalar form and the scalar
+/// operands sliced at the lane's offset.
+fn reference_counts<const W: usize>(
+    rows: &[Row<W>],
+    group: &Group,
+    clen: usize,
+) -> Vec<Vec<u32>> {
+    let sliced: Vec<Vec<(BitStream, BitStream)>> = group
+        .distinct
+        .iter()
+        .map(|&o| rows.iter().map(|r| (r.s.slice(o, clen), r.u.slice(o, clen))).collect())
+        .collect();
+    group
+        .offsets
+        .iter()
+        .enumerate()
+        .map(|(g, &off)| {
+            let class = group.distinct.iter().position(|&o| o == off).unwrap();
             let krows: Vec<KernelRow<'_>> = rows
                 .iter()
-                .map(|row| match row.form {
-                    0 => KernelRow::Xnor(row.a[g].words(), row.s.words()),
-                    1 | 5 => KernelRow::Plain(row.a[g].words()),
-                    2 => KernelRow::Plain(row.s.words()),
-                    3 => KernelRow::Xnor(row.s.words(), row.u.words()),
-                    _ => KernelRow::Xnor(row.a[g].words(), row.b[g].words()),
+                .zip(&sliced[class])
+                .map(|(row, (s, u))| match row.form {
+                    0 => KernelRow::Xnor(row.a[g].words(), s.words()),
+                    1 => KernelRow::Plain(row.a[g].words()),
+                    2 => KernelRow::Plain(s.words()),
+                    _ => KernelRow::Xnor(s.words(), u.words()),
                 })
                 .collect();
             let mut counts = Vec::new();
@@ -130,21 +155,22 @@ fn split(clen: usize, cuts: &[usize]) -> Vec<(usize, usize)> {
 fn check<const W: usize>(
     n: usize,
     lanes: usize,
+    classes: usize,
     clen: usize,
     cuts: &[usize],
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut rng = SplitMix64::new(seed);
-    let rows: Vec<Row<W>> = random_rows(&mut rng, n, lanes, clen);
-    let want = reference_counts(&rows, lanes, clen);
+    let group = random_group(&mut rng, lanes, classes);
+    let bit_len = group.distinct.iter().max().unwrap() + clen;
+    let rows: Vec<Row<W>> = random_rows(&mut rng, n, lanes, clen, bit_len);
+    let want = reference_counts(&rows, &group, clen);
 
-    // Whole-stream counts, cycle by cycle and in order.
-    let whole: Vec<(BitStream, BitStream)> =
-        rows.iter().map(|r| (r.s.clone(), r.u.clone())).collect();
-    let descs = chunk_rows(&rows, &whole, 0, clen);
+    // Whole-chunk counts, cycle by cycle and in order.
+    let descs = chunk_rows(&rows, 0, clen);
     let mut next = 0usize;
     let mut result = Ok(());
-    lane_counts_stream(&descs, clen, |t, planes: &[Stripe<W>]| {
+    lane_counts_stream(&descs, &classes_at(&group, 0), clen, |t, planes: &[Stripe<W>]| {
         if result.is_err() {
             return;
         }
@@ -167,7 +193,7 @@ fn check<const W: usize>(
     let chunks = split(clen, cuts);
     let fe_n = if n % 2 == 1 { n } else { n - 1 };
     let fe = FeatureExtraction::new(fe_n);
-    let fe_want = reference_counts(&rows[..fe_n], lanes, clen);
+    let fe_want = reference_counts(&rows[..fe_n], &group, clen);
     let pool = AveragePooling::new(n);
     let mut fe_r = vec![0i64; lanes];
     let mut pool_r = vec![0i64; lanes];
@@ -176,13 +202,12 @@ fn check<const W: usize>(
     let mut pool_out = vec![Stripe::<W>::ZERO; clen];
     let mut btanh_out = vec![Stripe::<W>::ZERO; clen];
     for &(pos, c) in &chunks {
-        let sliced: Vec<(BitStream, BitStream)> =
-            rows.iter().map(|r| (r.s.slice(pos, c), r.u.slice(pos, c))).collect();
-        let descs = chunk_rows(&rows, &sliced, pos, c);
-        fe.run_rows_resume_into(&descs[..fe_n], c, &mut fe_r, &mut fe_out[pos..pos + c]);
-        pool.run_rows_resume_into(&descs, c, &mut pool_r, &mut pool_out[pos..pos + c]);
+        let descs = chunk_rows(&rows, pos, c);
+        let at = classes_at(&group, pos);
+        fe.run_rows_resume_into(&descs[..fe_n], &at, c, &mut fe_r, &mut fe_out[pos..pos + c]);
+        pool.run_rows_resume_into(&descs, &at, c, &mut pool_r, &mut pool_out[pos..pos + c]);
         let mut refs: Vec<&mut Btanh> = fsms.iter_mut().collect();
-        Btanh::run_rows_resume_into(&mut refs, &descs, c, &mut btanh_out[pos..pos + c]);
+        Btanh::run_rows_resume_into(&mut refs, &descs, &at, c, &mut btanh_out[pos..pos + c]);
     }
     for g in 0..lanes {
         let mut r = 0i64;
@@ -230,14 +255,15 @@ proptest! {
         n in 17usize..=1024,
         width_sel in 0usize..3,
         lanes_raw in 1usize..=256,
+        classes in 1usize..=9,
         clen in 1usize..=300,
         cuts in prop::collection::vec(1usize..=300, 1..5),
         seed in any::<u64>(),
     ) {
         match width_sel {
-            0 => check::<1>(n, 1 + (lanes_raw - 1) % 64, clen, &cuts, seed)?,
-            1 => check::<2>(n, 1 + (lanes_raw - 1) % 128, clen, &cuts, seed)?,
-            _ => check::<4>(n, lanes_raw, clen, &cuts, seed)?,
+            0 => check::<1>(n, 1 + (lanes_raw - 1) % 64, classes, clen, &cuts, seed)?,
+            1 => check::<2>(n, 1 + (lanes_raw - 1) % 128, classes, clen, &cuts, seed)?,
+            _ => check::<4>(n, lanes_raw, classes, clen, &cuts, seed)?,
         }
     }
 }

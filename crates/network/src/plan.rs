@@ -16,8 +16,8 @@
 //!   state, the running class accumulators, and a reusable scratch arena
 //!   (column counter, counts buffer, chunk-slice buffers) so the chunk
 //!   bookkeeping that used to allocate per chunk reuses persistent
-//!   buffers. (Per-layer activation streams are still allocated inside
-//!   [`ExecPlan::advance`]; they are the remaining per-chunk churn.)
+//!   buffers, including the ping-pong activation arenas every layer of
+//!   [`ExecPlan::advance`] writes into in place.
 //!
 //! The single entry point is [`ExecPlan::advance`]: evaluate the next
 //! `max_cycles` cycles of the whole pipeline and fold them into the state.
@@ -55,9 +55,9 @@
 use std::sync::Arc;
 
 use aqfp_sc_bitstream::{
-    column_counts_into, mux_add, pack_lanes_into, pack_offset_windows_into, xnor_popcount,
-    Bipolar, BitStream, BitsAsWords, KernelRow, LanePopcount, LaneRow, SplitMix64, Sng, Stripe,
-    ThermalRng, MAX_KERNEL_ROWS, MAX_LANES, WORD_BITS,
+    column_counts_into, mux_add, pack_lanes_into, xnor_popcount, Bipolar, BitStream, BitsAsWords,
+    KernelRow, LanePopcount, LaneRow, OffsetClasses, SplitMix64, Sng, Stripe, ThermalRng,
+    MAX_KERNEL_ROWS, MAX_LANES, WORD_BITS,
 };
 use aqfp_sc_core::baseline::Btanh;
 use aqfp_sc_core::{AveragePooling, FeatureExtraction};
@@ -730,12 +730,14 @@ impl ExecPlan {
     ///
     /// The states may sit at **different** absolute cycle offsets (a
     /// retire-and-refill streaming group mixes half-done survivors with
-    /// freshly begun images): when offsets agree, image-independent
-    /// streams (weights, biases, the 0101… neutral pad) are broadcast per
-    /// cycle; when they disagree, each such stream is gathered per lane at
-    /// that lane's own offset, so every image still sees exactly the bits
-    /// a scalar run at its offset would. Every state advances by the same
-    /// returned cycle count.
+    /// freshly begun images). The lanes are grouped into offset classes
+    /// ([`OffsetClasses`]), and every image-independent stream (weights,
+    /// biases, the 0101… neutral pad) is read in place from the plan's
+    /// cache at each class's offset and broadcast to that class's lanes —
+    /// one class, one splat per row and cycle, when the offsets agree. No
+    /// weight stream is copied either way, and every image sees exactly
+    /// the bits a scalar run at its offset would. Every state advances by
+    /// the same returned cycle count.
     ///
     /// Chunks are clamped to the *smallest* remaining budget across the
     /// states and to [`MAX_KERNEL_ROWS`] cycles (the lane popcount
@@ -793,52 +795,20 @@ impl ExecPlan {
         for st in states.iter() {
             assert_eq!(st.bound.as_ref(), Some(&fp), "state is not bound to this plan");
         }
-        let BatchArena {
-            cur,
-            next,
-            masks,
-            r_scratch,
-            w_chunks,
-            b_chunks,
-            w_lanes,
-            b_lanes,
-            neutral_buf,
-            neutral_lanes,
-            offsets,
-        } = arena;
-        offsets.clear();
-        offsets.extend(states.iter().map(|s| s.cycles));
-        let remaining = offsets.iter().map(|&o| self.stream_len - o).min().unwrap();
+        let BatchArena { cur, next, masks, r_scratch, classes } = arena;
+        let remaining = states.iter().map(|s| self.stream_len - s.cycles).min().unwrap();
         let clen = max_cycles.min(remaining).min(MAX_KERNEL_ROWS);
         if clen == 0 {
             return 0;
         }
-        // Lanes at one common offset share broadcast weight/bias/neutral
-        // bits; mixed offsets force the per-lane gathered form.
-        let mixed = offsets.iter().any(|&o| o != offsets[0]);
-        let offset = offsets[0];
-        let full = !mixed && offset == 0 && clen == self.stream_len;
+        // Every image-independent row (weight, bias, the absolute-parity
+        // 0101… neutral pad) reads its cached full-length stream at the
+        // offset of each lane's class — one class when the offsets agree.
+        classes.regroup(states.iter().map(|s| s.cycles));
+        let classes = &*classes;
         let n = states.len();
         let platform = self.platform;
-        // Absolute-parity neutral pad: a shared slice when the offsets
-        // agree, a per-lane gathered window when they differ (lane g's
-        // 0101… phase follows lane g's own absolute cycle).
-        let neutral: &BitStream = if full {
-            &self.neutral
-        } else {
-            self.neutral.slice_into(offset, clen, neutral_buf);
-            neutral_buf
-        };
-        if mixed {
-            pack_offset_windows_into(
-                self.neutral.words(),
-                self.stream_len,
-                offsets,
-                clen,
-                neutral_lanes,
-            )
-            .expect("lane group within stripe capacity");
-        }
+        let neutral = self.neutral.words();
         // Generate this chunk of every image's pixel streams, then pack
         // them into lane layout: cur[p][t] holds packed cycle slot t of
         // pixel stream p across all images (image g in bit g).
@@ -868,20 +838,13 @@ impl ExecPlan {
                     let m = in_c * k * k;
                     // The sorter pads even fan-ins with the 0101… neutral
                     // stream; fold it in as one more kernel row so the lane
-                    // FSM sees finished counts (parity follows each lane's
-                    // absolute cycle through the windowed neutral).
+                    // FSM sees finished counts.
                     let pad_row = platform == Platform::Aqfp
                         && FeatureExtraction::new(m + 1).width() != m + 1;
-                    let (w_run, b_run) = if mixed {
-                        pack_windows_all(w, b, offsets, clen, w_lanes, b_lanes);
-                        (&[][..], &[][..])
-                    } else {
-                        chunk_streams(full, w, b, offset, clen, w_chunks, b_chunks)
-                    };
                     if next.len() < out_c * oh * ow {
                         next.resize_with(out_c * oh * ow, Vec::new);
                     }
-                    let mut rows: Vec<LaneRow<'_, W>> = Vec::with_capacity(m + 1);
+                    let mut rows: Vec<LaneRow<'_, W>> = Vec::with_capacity(m + 2);
                     let mut idx = 0usize;
                     for oc in 0..*out_c {
                         for oy in 0..oh {
@@ -897,44 +860,22 @@ impl ExecPlan {
                                                 || ix < 0
                                                 || iy >= h as isize
                                                 || ix >= w_dim as isize;
-                                            let wj = oc * m + j;
-                                            rows.push(match (oob, mixed) {
-                                                // Zero-valued padding row ×
-                                                // weight, per-lane parity.
-                                                (true, true) => LaneRow::XnorLanes(
-                                                    neutral_lanes,
-                                                    &w_lanes[wj],
-                                                ),
-                                                (true, false) => LaneRow::BroadcastXnor(
-                                                    neutral.words(),
-                                                    w_run[wj].words(),
-                                                ),
-                                                (false, mx) => {
-                                                    let x = &cur[(ic * h + iy as usize)
-                                                        * w_dim
-                                                        + ix as usize];
-                                                    if mx {
-                                                        LaneRow::XnorLanes(x, &w_lanes[wj])
-                                                    } else {
-                                                        LaneRow::Xnor(x, w_run[wj].words())
-                                                    }
-                                                }
+                                            let wj = w[oc * m + j].words();
+                                            rows.push(if oob {
+                                                // Zero-valued padding row × weight.
+                                                LaneRow::BroadcastXnor(neutral, wj)
+                                            } else {
+                                                let x = &cur
+                                                    [(ic * h + iy as usize) * w_dim + ix as usize];
+                                                LaneRow::Xnor(x, wj)
                                             });
                                             j += 1;
                                         }
                                     }
                                 }
-                                rows.push(if mixed {
-                                    LaneRow::PackedLanes(&b_lanes[oc])
-                                } else {
-                                    LaneRow::Broadcast(b_run[oc].words())
-                                });
+                                rows.push(LaneRow::Broadcast(b[oc].words()));
                                 if pad_row {
-                                    rows.push(if mixed {
-                                        LaneRow::PackedLanes(neutral_lanes)
-                                    } else {
-                                        LaneRow::Broadcast(neutral.words())
-                                    });
+                                    rows.push(LaneRow::Broadcast(neutral));
                                 }
                                 lane_neuron_chunk(
                                     platform,
@@ -943,6 +884,7 @@ impl ExecPlan {
                                     idx,
                                     m + 1,
                                     &rows,
+                                    classes,
                                     clen,
                                     r_scratch,
                                     &mut next[idx],
@@ -978,6 +920,7 @@ impl ExecPlan {
                                             idx,
                                             k * k,
                                             &rows,
+                                            classes,
                                             clen,
                                             r_scratch,
                                             &mut next[idx],
@@ -1046,36 +989,18 @@ impl ExecPlan {
                 CachedLayer::Dense { in_f, out_f, w, b } => {
                     let pad_row = platform == Platform::Aqfp
                         && FeatureExtraction::new(in_f + 1).width() != in_f + 1;
-                    let (w_run, b_run) = if mixed {
-                        pack_windows_all(w, b, offsets, clen, w_lanes, b_lanes);
-                        (&[][..], &[][..])
-                    } else {
-                        chunk_streams(full, w, b, offset, clen, w_chunks, b_chunks)
-                    };
                     if next.len() < *out_f {
                         next.resize_with(*out_f, Vec::new);
                     }
-                    let mut rows: Vec<LaneRow<'_, W>> = Vec::with_capacity(in_f + 1);
+                    let mut rows: Vec<LaneRow<'_, W>> = Vec::with_capacity(in_f + 2);
                     for o in 0..*out_f {
                         rows.clear();
-                        for (j, x) in cur.iter().enumerate().take(*in_f) {
-                            rows.push(if mixed {
-                                LaneRow::XnorLanes(x, &w_lanes[o * in_f + j])
-                            } else {
-                                LaneRow::Xnor(x, w_run[o * in_f + j].words())
-                            });
+                        for (x, ws) in cur.iter().zip(&w[o * in_f..(o + 1) * in_f]) {
+                            rows.push(LaneRow::Xnor(x, ws.words()));
                         }
-                        rows.push(if mixed {
-                            LaneRow::PackedLanes(&b_lanes[o])
-                        } else {
-                            LaneRow::Broadcast(b_run[o].words())
-                        });
+                        rows.push(LaneRow::Broadcast(b[o].words()));
                         if pad_row {
-                            rows.push(if mixed {
-                                LaneRow::PackedLanes(neutral_lanes)
-                            } else {
-                                LaneRow::Broadcast(neutral.words())
-                            });
+                            rows.push(LaneRow::Broadcast(neutral));
                         }
                         lane_neuron_chunk(
                             platform,
@@ -1084,35 +1009,28 @@ impl ExecPlan {
                             o,
                             in_f + 1,
                             &rows,
+                            classes,
                             clen,
                             r_scratch,
                             &mut next[o],
                         );
                     }
                 }
-                CachedLayer::Output { in_f, classes, order, w, b } => {
+                CachedLayer::Output { in_f, classes: n_classes, order, w, b } => {
                     produced = false;
-                    let (w_run, b_run) = if mixed {
-                        pack_windows_all(w, b, offsets, clen, w_lanes, b_lanes);
-                        (&[][..], &[][..])
-                    } else {
-                        chunk_streams(full, w, b, offset, clen, w_chunks, b_chunks)
-                    };
-                    for (cl, class_order) in order.iter().enumerate().take(*classes) {
+                    for (cl, class_order) in order.iter().enumerate().take(*n_classes) {
+                        let wrow = &w[cl * in_f..(cl + 1) * in_f];
                         match platform {
                             Platform::Aqfp => {
                                 // Per-cycle lane-parallel majority chain
                                 // over the XNOR products (wiring order), the
                                 // bias, and — for even fan-in+1 — the
-                                // absolute-parity neutral pad. Uniform
-                                // groups broadcast the scalar bit to every
-                                // lane; mixed groups read the per-lane
-                                // gathered windows. The chain inputs are
-                                // prebuilt row descriptors (the same forms
-                                // the lane kernel consumes), so the cycle
-                                // loop dispatches on a fixed short pattern
-                                // instead of re-deriving each operand. One
-                                // popcount lane per image either way.
+                                // absolute-parity neutral pad. The chain
+                                // inputs are prebuilt row descriptors (the
+                                // same forms the lane kernel consumes), so
+                                // the cycle loop dispatches on a fixed short
+                                // pattern instead of re-deriving each
+                                // operand. One popcount lane per image.
                                 let width = if (in_f + 1).is_multiple_of(2) {
                                     in_f + 2
                                 } else {
@@ -1121,38 +1039,22 @@ impl ExecPlan {
                                 let mut rows: Vec<LaneRow<'_, W>> =
                                     Vec::with_capacity(width);
                                 for &j in class_order.iter().take(*in_f) {
-                                    rows.push(if mixed {
-                                        LaneRow::XnorLanes(&cur[j], &w_lanes[cl * in_f + j])
-                                    } else {
-                                        LaneRow::Xnor(&cur[j], w_run[cl * in_f + j].words())
-                                    });
+                                    rows.push(LaneRow::Xnor(&cur[j], wrow[j].words()));
                                 }
-                                if width > *in_f {
-                                    rows.push(if mixed {
-                                        LaneRow::PackedLanes(b_lanes[cl].as_slice())
-                                    } else {
-                                        LaneRow::Broadcast(b_run[cl].words())
-                                    });
-                                }
+                                rows.push(LaneRow::Broadcast(b[cl].words()));
                                 if width > in_f + 1 {
-                                    rows.push(if mixed {
-                                        LaneRow::PackedLanes(neutral_lanes.as_slice())
-                                    } else {
-                                        LaneRow::Broadcast(neutral.words())
-                                    });
+                                    rows.push(LaneRow::Broadcast(neutral));
                                 }
                                 let mut lp = LanePopcount::<W>::new();
                                 for t in 0..clen {
+                                    let word = |row: &LaneRow<'_, W>| row.word(t, classes);
                                     let y = if width == 1 {
-                                        rows[0].word(t)
+                                        word(&rows[0])
                                     } else {
-                                        let mut y = maj_stripe(
-                                            rows[0].word(t),
-                                            rows[1].word(t),
-                                            rows[2].word(t),
-                                        );
+                                        let (a, b, c) = (&rows[0], &rows[1], &rows[2]);
+                                        let mut y = maj_stripe(word(a), word(b), word(c));
                                         for pair in rows[3..].chunks_exact(2) {
-                                            y = maj_stripe(pair[0].word(t), pair[1].word(t), y);
+                                            y = maj_stripe(word(&pair[0]), word(&pair[1]), y);
                                         }
                                         y
                                     };
@@ -1164,44 +1066,24 @@ impl ExecPlan {
                             }
                             Platform::Cmos => {
                                 // APC total per image: Σ per-lane popcounts
-                                // of every XNOR product row, plus the bias
-                                // ones — image-independent when the offsets
-                                // agree, counted per lane when they differ
-                                // (each lane reads its own bias window).
-                                let mut bias_ones = [0u64; MAX_LANES];
-                                if mixed {
-                                    let mut lp = LanePopcount::<W>::new();
-                                    for &w in b_lanes[cl].iter().take(clen) {
-                                        lp.add(w);
-                                    }
-                                    for (g, bo) in
-                                        bias_ones.iter_mut().enumerate().take(n)
-                                    {
-                                        *bo = u64::from(lp.total(g));
-                                    }
-                                } else {
-                                    let ones = b_run[cl].count_ones() as u64;
-                                    for bo in bias_ones.iter_mut().take(n) {
-                                        *bo = ones;
-                                    }
-                                }
+                                // of every XNOR product row and of the bias
+                                // row.
                                 let mut totals = [0u64; MAX_LANES];
-                                for (j, x) in cur.iter().enumerate().take(*in_f) {
-                                    let row = if mixed {
-                                        LaneRow::XnorLanes(x, &w_lanes[cl * in_f + j])
-                                    } else {
-                                        LaneRow::Xnor(x, w_run[cl * in_f + j].words())
-                                    };
+                                let products = cur
+                                    .iter()
+                                    .zip(wrow)
+                                    .map(|(x, ws)| LaneRow::Xnor(x, ws.words()));
+                                for row in products.chain([LaneRow::Broadcast(b[cl].words())]) {
                                     let mut lp = LanePopcount::<W>::new();
                                     for t in 0..clen {
-                                        lp.add(row.word(t));
+                                        lp.add(row.word(t, classes));
                                     }
                                     for (g, tot) in totals.iter_mut().enumerate().take(n) {
                                         *tot += u64::from(lp.total(g));
                                     }
                                 }
-                                for (g, st) in states.iter_mut().enumerate() {
-                                    st.class_acc[cl] += totals[g] + bias_ones[g];
+                                for (st, tot) in states.iter_mut().zip(totals) {
+                                    st.class_acc[cl] += tot;
                                 }
                             }
                         }
@@ -1222,11 +1104,11 @@ impl ExecPlan {
 /// Reusable scratch for the batch-transposed path
 /// ([`ExecPlan::advance_batch_in`]) at stripe width `W`: the lane-packed
 /// activation ping-pong arenas, the CMOS mux-pool selector masks, gathered
-/// per-lane FSM residuals, and the uniform-offset
-/// (chunk slice) and mixed-offset (per-lane gathered window) forms of the
-/// weight / bias / neutral streams. Every buffer grows to its high-water
-/// mark and is then reused, so a steady-state chunk driver allocates
-/// nothing per chunk.
+/// per-lane FSM residuals, and the group's offset-class table. Weight,
+/// bias and neutral streams are never copied: every row reads the plan's
+/// cached streams at its lanes' class offsets. Every buffer grows to its
+/// high-water mark and is then reused, so a steady-state chunk driver
+/// allocates nothing per chunk.
 pub struct BatchArena<const W: usize = 1> {
     /// Lane-packed activations the layer under evaluation reads.
     cur: Vec<Vec<Stripe<W>>>,
@@ -1237,20 +1119,8 @@ pub struct BatchArena<const W: usize = 1> {
     masks: Vec<Vec<Stripe<W>>>,
     /// Gathered per-lane FSM residuals for the lane-parallel runners.
     r_scratch: Vec<i64>,
-    /// Uniform-offset weight chunk slices of the layer under evaluation.
-    w_chunks: Vec<BitStream>,
-    /// Uniform-offset bias chunk slices of the layer under evaluation.
-    b_chunks: Vec<BitStream>,
-    /// Mixed-offset per-lane weight windows of the layer under evaluation.
-    w_lanes: Vec<Vec<Stripe<W>>>,
-    /// Mixed-offset per-lane bias windows of the layer under evaluation.
-    b_lanes: Vec<Vec<Stripe<W>>>,
-    /// Uniform-offset neutral-pad chunk slice.
-    neutral_buf: BitStream,
-    /// Mixed-offset per-lane neutral-pad windows.
-    neutral_lanes: Vec<Stripe<W>>,
-    /// Per-lane absolute cycle offsets of the group under evaluation.
-    offsets: Vec<usize>,
+    /// The group's lanes split by absolute cycle offset.
+    classes: OffsetClasses<W>,
 }
 
 impl<const W: usize> Default for BatchArena<W> {
@@ -1260,13 +1130,7 @@ impl<const W: usize> Default for BatchArena<W> {
             next: Vec::new(),
             masks: Vec::new(),
             r_scratch: Vec::new(),
-            w_chunks: Vec::new(),
-            b_chunks: Vec::new(),
-            w_lanes: Vec::new(),
-            b_lanes: Vec::new(),
-            neutral_buf: BitStream::zeros(0),
-            neutral_lanes: Vec::new(),
-            offsets: Vec::new(),
+            classes: OffsetClasses::default(),
         }
     }
 }
@@ -1283,33 +1147,6 @@ pub struct StripeArenas {
     w2: BatchArena<2>,
     /// 256-lane scratch.
     w4: BatchArena<4>,
-}
-
-/// Gathers the per-lane windows of every weight and bias stream of one
-/// layer at the lanes' own absolute offsets (the mixed-offset counterpart
-/// of [`chunk_streams`]), reusing the arena buffers.
-fn pack_windows_all<const W: usize>(
-    w: &[BitStream],
-    b: &[BitStream],
-    offsets: &[usize],
-    clen: usize,
-    w_lanes: &mut Vec<Vec<Stripe<W>>>,
-    b_lanes: &mut Vec<Vec<Stripe<W>>>,
-) {
-    if w_lanes.len() < w.len() {
-        w_lanes.resize_with(w.len(), Vec::new);
-    }
-    if b_lanes.len() < b.len() {
-        b_lanes.resize_with(b.len(), Vec::new);
-    }
-    for (s, out) in w.iter().zip(w_lanes.iter_mut()) {
-        pack_offset_windows_into(s.words(), s.len(), offsets, clen, out)
-            .expect("lane group within stripe capacity");
-    }
-    for (s, out) in b.iter().zip(b_lanes.iter_mut()) {
-        pack_offset_windows_into(s.words(), s.len(), offsets, clen, out)
-            .expect("lane group within stripe capacity");
-    }
 }
 
 /// All resumable state of one in-flight image plus the reusable scratch
@@ -1479,6 +1316,7 @@ fn lane_neuron_chunk<const W: usize>(
     idx: usize,
     rows: usize,
     row_descs: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
     clen: usize,
     r_scratch: &mut Vec<i64>,
     out: &mut Vec<Stripe<W>>,
@@ -1495,7 +1333,7 @@ fn lane_neuron_chunk<const W: usize>(
                 LayerState::Feature { r } => r[idx],
                 _ => unreachable!("neuron state matches platform"),
             }));
-            fe.run_rows_resume_into(row_descs, clen, r_scratch, out);
+            fe.run_rows_resume_into(row_descs, classes, clen, r_scratch, out);
             for (st, &r) in states.iter_mut().zip(r_scratch.iter()) {
                 match &mut st.layers[li] {
                     LayerState::Feature { r: rs } => rs[idx] = r,
@@ -1511,7 +1349,7 @@ fn lane_neuron_chunk<const W: usize>(
                     _ => unreachable!("neuron state matches platform"),
                 })
                 .collect();
-            Btanh::run_rows_resume_into(&mut fsms, row_descs, clen, out);
+            Btanh::run_rows_resume_into(&mut fsms, row_descs, classes, clen, out);
         }
     }
 }
@@ -1528,6 +1366,7 @@ fn lane_pool_chunk<const W: usize>(
     idx: usize,
     window: usize,
     row_descs: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
     clen: usize,
     r_scratch: &mut Vec<i64>,
     out: &mut Vec<Stripe<W>>,
@@ -1540,7 +1379,7 @@ fn lane_pool_chunk<const W: usize>(
         LayerState::PoolSorter { r } => r[idx],
         _ => unreachable!("pool state matches platform"),
     }));
-    ap.run_rows_resume_into(row_descs, clen, r_scratch, out);
+    ap.run_rows_resume_into(row_descs, classes, clen, r_scratch, out);
     for (st, &r) in states.iter_mut().zip(r_scratch.iter()) {
         match &mut st.layers[li] {
             LayerState::PoolSorter { r: rs } => rs[idx] = r,

@@ -25,9 +25,10 @@
 //! goes to a free pool and is immediately re-`begin`-ed on the next queued
 //! image, keeping the stripe dense instead of dragging finished images to
 //! full N. Refilled lanes start at absolute cycle 0 while survivors sit
-//! mid-stream; [`ExecPlan::advance_batch_in`] gathers the
-//! image-independent streams per lane at each lane's own offset, which is
-//! what makes compaction bit-drift-free. Each group advance runs at the
+//! mid-stream; [`ExecPlan::advance_batch_in`] groups the lanes into
+//! offset classes and reads every image-independent stream in place at
+//! each class's offset, broadcast to that class's lanes, which is what
+//! makes compaction bit-drift-free. Each group advance runs at the
 //! narrowest stripe width covering the live lane count
 //! ([`ExecPlan::advance_batch_striped`]) — stripe-width independence of
 //! the kernels makes the per-step choice invisible in the bits.
@@ -39,9 +40,9 @@
 //! for the next job, so a serving front-end can feed requests that arrive
 //! *while a group is already in flight* straight into freshly retired
 //! lanes. The slice-based [`drive_lane_groups`] is a thin adapter over the
-//! same core; because lane composition never affects bits (each lane's
-//! streams are gathered at its own offset), a job's result is independent
-//! of when the source produced it.
+//! same core; because lane composition never affects bits (each lane
+//! reads the image-independent streams at its own offset), a job's result
+//! is independent of when the source produced it.
 
 use std::borrow::Borrow;
 

@@ -32,9 +32,11 @@
 //! schedule, policy, thread count, and lane-group size, the batched run
 //! reports the same label, scores, cycle count, and chunk count per image
 //! as [`BatchMode::Scalar`] — the scheduler advances each lane to exactly
-//! the cycles the scalar loop would, and per-lane stream gathering in
-//! [`ExecPlan::advance_batch`](crate::ExecPlan::advance_batch) keeps
-//! mixed-offset words bit-exact after compaction.
+//! the cycles the scalar loop would, and the offset classes of
+//! [`ExecPlan::advance_batch`](crate::ExecPlan::advance_batch) — each
+//! image-independent stream read at every class's offset and broadcast to
+//! that class's lanes — keep mixed-offset words bit-exact after
+//! compaction.
 
 use aqfp_sc_bitstream::{MAX_LANES, WORD_BITS};
 use aqfp_sc_nn::Tensor;

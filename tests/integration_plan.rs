@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 
 use aqfp_sc_dnn::network::{
-    build_model, ActivationStyle, ChunkSchedule, CompiledNetwork, ExecPlan, ExecState,
+    build_model, ActivationStyle, BatchArena, ChunkSchedule, CompiledNetwork, ExecPlan, ExecState,
     InferenceEngine, LayerSpec, NetworkSpec, Platform, StreamingEngine, StripeArenas,
 };
 use aqfp_sc_dnn::nn::{Padding, Tensor};
@@ -279,6 +279,54 @@ fn paper_snn_lane_groups_match_scalar_on_both_platforms() {
                     "{platform:?} lane {g} diverged (staggered: {staggered})"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn seventeen_offset_classes_in_a_full_w4_group_match_scalar_on_both_platforms() {
+    // 256 lanes of the tiny net in one W = 4 group, lane g sitting g % 17
+    // chunks ahead: 17 offset classes, none word-aligned past the first
+    // (7-cycle chunks), spread over every stripe element. The group and
+    // then the lanes it leaves behind advance in mixed-offset groups until
+    // every lane reaches N; each lane must match its scalar one-shot
+    // scores bit for bit.
+    let spec = NetworkSpec::tiny(8);
+    let mut model = build_model(&spec, ActivationStyle::AqfpFeature, 17);
+    let compiled = CompiledNetwork::from_model(&spec, &mut model, 8);
+    let (n, chunk, lanes) = (193, 7, 256);
+    let image = |g: usize| {
+        Tensor::from_vec(
+            vec![1, 8, 8],
+            (0..64).map(|p| ((p * 3 + g * 5) % 11) as f32 / 11.0).collect(),
+        )
+    };
+    for platform in [Platform::Aqfp, Platform::Cmos] {
+        let plan = ExecPlan::new(&compiled, n, platform);
+        let mut states: Vec<ExecState> = (0..lanes).map(|_| plan.new_state()).collect();
+        for (g, st) in states.iter_mut().enumerate() {
+            plan.begin(st, &image(g), 7_000 + g as u64);
+            plan.advance(st, (g % 17) * chunk);
+        }
+        let mut offsets: Vec<usize> = states.iter().map(ExecState::cycles).collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        assert_eq!(offsets.len(), 17, "one offset class per stagger");
+        let mut arena = BatchArena::<4>::default();
+        let mut group: Vec<&mut ExecState> = states.iter_mut().collect();
+        while plan.advance_batch_in(&mut group, chunk, &mut arena) > 0 {}
+        let mut arenas = StripeArenas::default();
+        loop {
+            let mut behind: Vec<&mut ExecState> =
+                states.iter_mut().filter(|st| st.cycles() < n).collect();
+            if behind.is_empty() {
+                break;
+            }
+            while plan.advance_batch_striped(&mut behind, chunk, &mut arenas) > 0 {}
+        }
+        for (g, st) in states.iter().enumerate() {
+            let want = plan.run_one_shot(&mut plan.new_state(), &image(g), 7_000 + g as u64);
+            assert_eq!(plan.scores(st), want, "{platform:?} lane {g} diverged");
         }
     }
 }
