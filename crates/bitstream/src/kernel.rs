@@ -2,16 +2,17 @@
 //!
 //! Stochastic-computing layers consume *column counts*: for cycle `c`, the
 //! number of input rows whose bit `c` is set. The scalar path builds these by
-//! walking one bit at a time; the kernels here instead sweep whole 64-bit
-//! words in cache-sized blocks, accumulating counts in a carry-save form
-//! (one bit-plane per binary digit of the count) and converting to per-cycle
-//! `u32` values with branchless 8x8 bit-matrix transposes.
+//! walking one bit at a time; the kernels here instead add whole 64-bit
+//! words, 16 rows at a time, through one Harley–Seal carry-save network
+//! (`fold_slab`) into bit-planes (one plane per binary digit of the
+//! count).
 //!
-//! Two layouts are supported:
+//! Two layouts are supported, and the same slab network counts both:
 //!
 //! * **Word-parallel** ([`column_counts_into`]): rows are ordinary
 //!   [`BitStream`] word slices for a single image. Each 64-bit word holds 64
-//!   consecutive cycles of one row.
+//!   consecutive cycles of one row; the planes are converted to per-cycle
+//!   `u32` counts with branchless 8x8 bit-matrix transposes.
 //! * **Batch-transposed** ([`lane_counts_stream`] and friends): each lane
 //!   word holds the *same* cycle of up to `64·W` images ("lanes") in a
 //!   [`Stripe<W>`] of `W` machine words. Weight streams are
@@ -262,6 +263,17 @@ pub fn xnor_popcount(x: &[u64], w: &[u64], len: usize) -> u32 {
 /// rows have bit `c` set, writing the counts into `counts` (resized to
 /// `len`). Bit-identical to summing `BitStream::get` per row per cycle.
 ///
+/// This is the lane kernel's slab compressor turned on its side: one
+/// [`Stripe<1>`] holds 64 consecutive cycles of one row instead of one
+/// cycle of 64 images, and the same [`TREE_ROWS`]-input carry-save network
+/// (`fold_slab`) adds the rows up, so one compressor serves both
+/// orientations. Kernels of at most [`TREE_ROWS`] rows are folded one word
+/// at a time straight from the rows, zero-padded to a full slab, so the
+/// count planes never leave registers. Wider kernels run in blocks of up to
+/// [`BLOCK_WORDS`] words: each slab is folded into every word of the block,
+/// the count's four low planes acting as the network's carry-save state and
+/// its sixteens carry rippling through the planes above.
+///
 /// Panics if any row is shorter than `len` bits, if an XNOR row's operands
 /// disagree in word count, or if there are more than [`MAX_KERNEL_ROWS`]
 /// rows.
@@ -276,37 +288,52 @@ pub fn column_counts_into(rows: &[KernelRow<'_>], len: usize, counts: &mut Vec<u
     if len == 0 || rows.is_empty() {
         return;
     }
+    let max_planes = bit_width(rows.len());
+    // Word `w`'s counts from its planes (`Stripe<1>` is one `u64`).
+    let mut extract = |w: usize, planes: &[Stripe<1>]| {
+        let mut words = [0u64; MAX_PLANES];
+        for (word, plane) in words.iter_mut().zip(planes) {
+            *word = plane.0[0];
+        }
+        let cyc0 = w * WORD_BITS;
+        let valid = (len - cyc0).min(WORD_BITS);
+        extract_plane_counts(&words[..max_planes], valid, &mut counts[cyc0..cyc0 + valid]);
+    };
+    let mut x = [Stripe::<1>::ZERO; TREE_ROWS];
+    if rows.len() <= TREE_ROWS {
+        for w in 0..nw {
+            for (slot, row) in x.iter_mut().zip(rows) {
+                *slot = Stripe([row.word(w)]);
+            }
+            let mut planes = [Stripe::ZERO; TREE_PLANES];
+            fold_slab(&x, &mut planes);
+            extract(w, &planes);
+        }
+        return;
+    }
+    let mut acc = [[Stripe::<1>::ZERO; MAX_PLANES]; BLOCK_WORDS];
     let mut w0 = 0usize;
     while w0 < nw {
         let bw = (nw - w0).min(BLOCK_WORDS);
-        let mut planes = [[0u64; BLOCK_WORDS]; MAX_PLANES];
-        let mut used = 0usize;
-        for row in rows {
-            #[allow(clippy::needless_range_loop)] // t indexes every plane's block
-            for t in 0..bw {
-                let mut carry = row.word(w0 + t);
-                let mut p = 0usize;
-                while carry != 0 {
-                    let s = planes[p][t];
-                    planes[p][t] = s ^ carry;
-                    carry &= s;
-                    p += 1;
+        let block = &mut acc[..bw];
+        for acc_t in block.iter_mut() {
+            acc_t[..max_planes].fill(Stripe::ZERO);
+        }
+        let mut folded = 0usize;
+        for slab in rows.chunks(TREE_ROWS) {
+            folded += slab.len();
+            let planes = bit_width(folded);
+            // A short last slab is a full one over zero rows.
+            x[slab.len()..].fill(Stripe::ZERO);
+            for (t, acc_t) in block.iter_mut().enumerate() {
+                for (slot, row) in x.iter_mut().zip(slab) {
+                    *slot = Stripe([row.word(w0 + t)]);
                 }
-                if p > used {
-                    used = p;
-                }
+                fold_slab(&x, &mut acc_t[..planes]);
             }
         }
-        // Extract this block's counts word by word.
-        let mut pw = [0u64; MAX_PLANES];
-        #[allow(clippy::needless_range_loop)] // t indexes every plane's block
-        for t in 0..bw {
-            let cyc0 = (w0 + t) * WORD_BITS;
-            let valid = (len - cyc0).min(WORD_BITS);
-            for p in 0..used {
-                pw[p] = planes[p][t];
-            }
-            extract_plane_counts(&pw[..used], valid, &mut counts[cyc0..cyc0 + valid]);
+        for (t, acc_t) in block.iter().enumerate() {
+            extract(w0 + t, &acc_t[..max_planes]);
         }
         w0 += bw;
     }
@@ -459,11 +486,13 @@ impl<'r, const W: usize> LaneRow<'r, W> {
     }
 }
 
-/// Slab height of the lane compressor: the carry-save network of
-/// [`lane_counts_stream`] adds this many rows per step. Kernels up to this
-/// many rows (every conv-1 and pool window in practice) are counted cycle
-/// by cycle in registers; wider kernels are cut into slabs of this many
-/// rows, each folded into a per-block accumulator.
+/// Slab height of the one compressor both orientations share: the
+/// carry-save network (`fold_slab`) of [`lane_counts_stream`] and
+/// [`column_counts_into`] adds this many rows per step. Kernels up to this
+/// many rows (every conv-1 and pool window in practice) are counted in
+/// registers — cycle by cycle across the lanes, or word by word along one
+/// image's streams; wider kernels are cut into slabs of this many rows,
+/// each folded into a per-block accumulator.
 pub const TREE_ROWS: usize = 16;
 
 /// Count bit-planes needed for [`TREE_ROWS`] rows.
@@ -706,7 +735,10 @@ fn fold_block<const W: usize, const ONE: bool>(
 /// new total): the Harley–Seal 16-input carry-save network, 15 full
 /// adders with the low four planes as its ones/twos/fours/eights state,
 /// then a half-adder ripple of the sixteens carry through the planes
-/// above.
+/// above. Each bit position of `x` is one independent column, so the one
+/// network counts both orientations: a bit per image at one cycle
+/// ([`lane_counts_stream`]) or a bit per cycle of one image
+/// ([`column_counts_into`], at `W = 1`).
 #[inline(always)]
 fn fold_slab<const W: usize>(x: &[Stripe<W>; TREE_ROWS], acc: &mut [Stripe<W>]) {
     let (ones, twos_a) = csa(acc[0], x[0], x[1]);

@@ -1,3 +1,5 @@
+use std::borrow::Borrow;
+
 use rand::Rng;
 
 use crate::{BitStream, BitstreamError};
@@ -37,16 +39,22 @@ pub fn maj3_streams(
 ///
 /// Every cycle one input is selected uniformly at random, so the output value
 /// is the *mean* of the input values — the `1/n` scaling that motivates the
-/// paper's sorter-based feature-extraction block, which avoids it.
+/// paper's sorter-based feature-extraction block, which avoids it. The
+/// inputs may be owned streams or references to them, so a window of a
+/// larger activation map is read in place.
 ///
 /// # Errors
 ///
 /// Returns [`BitstreamError::Empty`] for no inputs and
 /// [`BitstreamError::LengthMismatch`] when stream lengths differ.
-pub fn mux_add<R: Rng>(streams: &[BitStream], rng: &mut R) -> Result<BitStream, BitstreamError> {
-    let first = streams.first().ok_or(BitstreamError::Empty)?;
+pub fn mux_add<S: Borrow<BitStream>, R: Rng>(
+    streams: &[S],
+    rng: &mut R,
+) -> Result<BitStream, BitstreamError> {
+    let first = streams.first().ok_or(BitstreamError::Empty)?.borrow();
     let len = first.len();
     for s in streams {
+        let s = s.borrow();
         if s.len() != len {
             return Err(BitstreamError::LengthMismatch { left: len, right: s.len() });
         }
@@ -54,9 +62,7 @@ pub fn mux_add<R: Rng>(streams: &[BitStream], rng: &mut R) -> Result<BitStream, 
     let n = streams.len();
     Ok(BitStream::from_fn(len, |cycle| {
         let pick = rng.gen_range(0..n);
-        streams[pick]
-            .get(cycle)
-            .expect("cycle < len by construction")
+        streams[pick].borrow().get(cycle).expect("cycle < len by construction")
     }))
 }
 
@@ -114,7 +120,17 @@ mod tests {
     #[test]
     fn mux_add_rejects_empty() {
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(mux_add(&[], &mut rng), Err(BitstreamError::Empty));
+        assert_eq!(mux_add::<BitStream, _>(&[], &mut rng), Err(BitstreamError::Empty));
+    }
+
+    #[test]
+    fn mux_add_reads_borrowed_windows_like_owned_ones() {
+        let streams: Vec<BitStream> =
+            (0..9u64).map(|i| BitStream::from_fn(200, |c| (c as u64 * (i + 3)) % 7 < 3)).collect();
+        let window: Vec<&BitStream> = streams.iter().collect();
+        let owned = mux_add(&streams, &mut StdRng::seed_from_u64(11)).unwrap();
+        let borrowed = mux_add(&window, &mut StdRng::seed_from_u64(11)).unwrap();
+        assert_eq!(owned, borrowed);
     }
 
     #[test]

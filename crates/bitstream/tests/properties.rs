@@ -225,21 +225,33 @@ proptest! {
 
     #[test]
     fn word_parallel_column_counts_match_the_per_bit_reference(
-        len in 1usize..300,
-        xnor_rows in 1usize..8,
-        plain_rows in 0usize..3,
+        rows_pick in 0usize..20,
+        rows_any in 1usize..=820,
+        len_pick in 0usize..16,
+        len_any in 1usize..=1100,
+        plain_per_mille in 0usize..=1000,
         seed in any::<u64>(),
     ) {
-        // Random lengths cover ragged (non-multiple-of-64) tails where the
-        // XNOR of the last word sets garbage bits beyond `len`; the row mix
-        // covers product rows (conv/dense taps) and plain rows (bias,
-        // pooling inputs).
+        // Row counts straddle the 16-row slabs of the compressor (15/16/17,
+        // 31/32/33) and the paper's FC500 neuron (800 taps + bias), and
+        // lengths straddle a 64-cycle word and an 8-word (512-cycle) block,
+        // so short last slabs, short last blocks and ragged tails — where
+        // the XNOR of the last word sets garbage bits beyond `len` — all
+        // occur. The row mix covers product rows (conv/dense taps) and
+        // plain rows (bias, pad, pooling inputs).
+        const ROWS: [usize; 8] = [15, 16, 17, 31, 32, 33, 800, 801];
+        const LENS: [usize; 8] = [63, 64, 65, 511, 512, 513, 1024, 1089];
+        let n = ROWS.get(rows_pick).copied().unwrap_or(rows_any);
+        let len = LENS.get(len_pick).copied().unwrap_or(len_any);
+        let plain_rows = n * plain_per_mille / 1000;
         let mut rng = SplitMix64::new(seed);
-        let pairs: Vec<(BitStream, BitStream)> = (0..xnor_rows)
-            .map(|_| (random_stream(&mut rng, len), random_stream(&mut rng, len)))
-            .collect();
-        let plains: Vec<BitStream> =
-            (0..plain_rows).map(|_| random_stream(&mut rng, len)).collect();
+        let mut stream = || {
+            let words = (0..len.div_ceil(64)).map(|_| rng.next_u64()).collect();
+            BitStream::from_words(words, len)
+        };
+        let pairs: Vec<(BitStream, BitStream)> =
+            (plain_rows..n).map(|_| (stream(), stream())).collect();
+        let plains: Vec<BitStream> = (0..plain_rows).map(|_| stream()).collect();
         let mut rows: Vec<KernelRow<'_>> = pairs
             .iter()
             .map(|(a, b)| KernelRow::Xnor(a.words(), b.words()))

@@ -434,17 +434,33 @@ mod tests {
 
     #[test]
     fn btanh_fsm_is_chunk_resumable() {
-        // One FSM fed 300 counts in one pass vs. a second FSM fed the same
-        // counts in uneven chunks: identical output bits.
-        let counts: Vec<u32> = (0..300).map(|i| ((i * 13) % 11) as u32).collect();
-        let mut whole = Btanh::new(9);
-        let reference: Vec<bool> = counts.iter().map(|&c| whole.step(c)).collect();
-        let mut chunked = Btanh::new(9);
-        let mut got = Vec::new();
-        for chunk in counts.chunks(37) {
-            got.extend(chunk.iter().map(|&c| chunked.step(c)));
+        // One FSM fed counts in chunks that end one short of, on, and one
+        // past a 64-cycle word (and past two words), from a counter pushed
+        // off its power-on value, against the saturating up/down counter
+        // written out one cycle at a time.
+        let m = 9usize;
+        let max = i64::from(btanh_states(m)) - 1;
+        for clen in [63usize, 64, 65, 129] {
+            let counts: Vec<u32> =
+                (0..3 * clen + 17).map(|i| ((i * 13) % (m + 2)) as u32).collect();
+            let mut fsm = Btanh::new(m);
+            let mut state = max / 2;
+            for _ in 0..3 {
+                fsm.step(m as u32);
+                state = (state + m as i64).clamp(0, max);
+            }
+            let mut want = Vec::new();
+            for &c in &counts {
+                state = (state + 2 * i64::from(c) - m as i64).clamp(0, max);
+                want.push(state > max / 2);
+            }
+            let mut got = Vec::new();
+            for chunk in counts.chunks(clen) {
+                got.extend(chunk.iter().map(|&c| fsm.step(c)));
+            }
+            assert_eq!(got, want, "chunk {clen}");
+            assert_eq!(fsm.state, state, "final counter, chunk {clen}");
         }
-        assert_eq!(got, reference);
     }
 
     #[test]

@@ -126,16 +126,23 @@ impl FeatureExtraction {
     pub fn run_counts_resume_into(&self, counts: &[u32], r: &mut i64, out: &mut BitStream) {
         let threshold = self.threshold() as i64;
         let cap = self.m as i64;
-        out.fill_from_bits(counts.iter().map(|&c| {
-            let t = c as i64 + *r;
-            let fire = t >= threshold;
-            // Firing subtracts (M-1)/2 + 1; not firing leaves T < threshold,
-            // so T − threshold < 0 and the clamp lands at 0 — one formula
-            // covers both branches. The upper clamp is the physical feedback
-            // capacity of M wires.
-            *r = (t - threshold).clamp(0, cap);
-            fire
-        }));
+        // The residual lives in a register across the chunk; each output
+        // word is assembled from 64 steps and stored once.
+        let mut res = *r;
+        out.fill_words_with(counts.len(), |w, n| {
+            let mut word = 0u64;
+            for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
+                let t = c as i64 + res;
+                word |= u64::from(t >= threshold) << i;
+                // Firing subtracts (M-1)/2 + 1; not firing leaves
+                // T < threshold, so T − threshold < 0 and the clamp lands
+                // at 0 — one formula covers both branches. The upper clamp
+                // is the physical feedback capacity of M wires.
+                res = (t - threshold).clamp(0, cap);
+            }
+            word
+        });
+        *r = res;
     }
 
     /// Lane-parallel [`FeatureExtraction::run_counts_resume_into`], fused
@@ -545,15 +552,54 @@ mod tests {
 
     #[test]
     fn run_counts_resume_is_chunk_identical() {
-        let fe = FeatureExtraction::new(9);
-        let counts: Vec<u32> = (0..257).map(|i| ((i * 7) % 10) as u32).collect();
-        let whole = fe.run_counts_resume(&counts, &mut 0);
-        let mut r = 0i64;
-        let mut bits = Vec::new();
-        for chunk in counts.chunks(37) {
-            bits.extend(fe.run_counts_resume(chunk, &mut r).iter());
+        // Chunks that end one short of, on, and one past a 64-cycle word
+        // (and past two words), resumed from a nonzero feedback, against
+        // the Algorithm 1 recurrence written out one cycle at a time. The
+        // even fan-in pads to width 9 with the 0101… stream at the ABSOLUTE
+        // cycle, and the run starts at cycle 1, so chunks start at odd as
+        // well as even absolute cycles.
+        for inputs in [8usize, 9] {
+            let fe = FeatureExtraction::new(inputs);
+            let (threshold, cap) = (fe.width().div_ceil(2) as i64, fe.width() as i64);
+            for clen in [63usize, 64, 65, 129] {
+                let start = 1usize;
+                // Runs of near-full columns drive the feedback into its
+                // upper clamp; the runs between them drain it to zero.
+                let counts: Vec<u32> = (0..3 * clen + 17)
+                    .map(|i| {
+                        let c = if (i / 40).is_multiple_of(2) {
+                            inputs - i % 3
+                        } else {
+                            (i * 7) % inputs
+                        };
+                        c as u32
+                    })
+                    .collect();
+                let mut want = Vec::new();
+                let mut r_want = 3i64;
+                for (i, &c) in counts.iter().enumerate() {
+                    let pad = u32::from(inputs == 8 && (start + i).is_multiple_of(2));
+                    let t = i64::from(c + pad) + r_want;
+                    want.push(t >= threshold);
+                    r_want = (t - threshold).clamp(0, cap);
+                }
+                let mut r = 3i64;
+                let mut got = Vec::new();
+                let mut out = BitStream::zeros(0);
+                for (k, chunk) in counts.chunks(clen).enumerate() {
+                    let offset = start + k * clen;
+                    let padded: Vec<u32> = chunk
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| c + fe.pad_count_at(offset + i))
+                        .collect();
+                    fe.run_counts_resume_into(&padded, &mut r, &mut out);
+                    got.extend(out.iter());
+                }
+                assert_eq!(got, want, "inputs {inputs}, chunk {clen}");
+                assert_eq!(r, r_want, "final feedback, inputs {inputs}, chunk {clen}");
+            }
         }
-        assert_eq!(BitStream::from_bits(bits), whole);
     }
 
     fn check_lane_planes_match_scalar<const W: usize>(lanes_n: usize) {

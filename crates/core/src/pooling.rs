@@ -85,12 +85,20 @@ impl AveragePooling {
     /// per window per chunk).
     pub fn run_counts_resume_into(&self, counts: &[u32], r: &mut i64, out: &mut BitStream) {
         let m = self.m as i64;
-        out.fill_from_bits(counts.iter().map(|&c| {
-            let t = c as i64 + *r;
-            let fire = t >= m;
-            *r = t - m * i64::from(fire);
-            fire
-        }));
+        // The residual lives in a register across the chunk; each output
+        // word is assembled from 64 steps and stored once.
+        let mut res = *r;
+        out.fill_words_with(counts.len(), |w, n| {
+            let mut word = 0u64;
+            for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
+                let t = c as i64 + res;
+                let fire = t >= m;
+                word |= u64::from(fire) << i;
+                res = t - m * i64::from(fire);
+            }
+            word
+        });
+        *r = res;
     }
 
     /// Lane-parallel [`AveragePooling::run_counts_resume_into`], fused
@@ -385,15 +393,38 @@ mod tests {
 
     #[test]
     fn run_counts_resume_is_chunk_identical() {
-        let pool = AveragePooling::new(4);
-        let counts: Vec<u32> = (0..200).map(|i| ((i * 5) % 6) as u32).collect();
-        let whole = pool.run_counts_resume(&counts, &mut 0);
-        let mut r = 0i64;
-        let mut bits = Vec::new();
-        for chunk in counts.chunks(23) {
-            bits.extend(pool.run_counts_resume(chunk, &mut r).iter());
+        // Chunks that end one short of, on, and one past a 64-cycle word
+        // (and past two words), resumed from a nonzero feedback, against
+        // the conserving recurrence written out one cycle at a time.
+        for m in [4usize, 9] {
+            let pool = AveragePooling::new(m);
+            let mi = m as i64;
+            for clen in [63usize, 64, 65, 129] {
+                let counts: Vec<u32> =
+                    (0..3 * clen + 17).map(|i| ((i * 5) % (m + 1)) as u32).collect();
+                let mut want = Vec::new();
+                let mut r_want = mi - 1;
+                for &c in &counts {
+                    let t = i64::from(c) + r_want;
+                    if t >= mi {
+                        want.push(true);
+                        r_want = t - mi;
+                    } else {
+                        want.push(false);
+                        r_want = t;
+                    }
+                }
+                let mut r = mi - 1;
+                let mut got = Vec::new();
+                let mut out = BitStream::zeros(0);
+                for chunk in counts.chunks(clen) {
+                    pool.run_counts_resume_into(chunk, &mut r, &mut out);
+                    got.extend(out.iter());
+                }
+                assert_eq!(got, want, "window {m}, chunk {clen}");
+                assert_eq!(r, r_want, "final feedback, window {m}, chunk {clen}");
+            }
         }
-        assert_eq!(BitStream::from_bits(bits), whole);
     }
 
     #[test]

@@ -494,10 +494,11 @@ impl ExecPlan {
                         Padding::Same => (k / 2) as isize,
                     };
                     let m = in_c * k * k;
+                    let pad_row = sorter_pads(platform, m + 1);
                     let (w_run, b_run) =
                         chunk_streams(full, w, b, offset, clen, w_chunks, b_chunks);
                     act_b.resize_with(out_c * oh * ow, || BitStream::zeros(0));
-                    let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(m + 1);
+                    let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(m + 2);
                     let mut idx = 0usize;
                     for oc in 0..*out_c {
                         let wrow = &w_run[oc * m..(oc + 1) * m];
@@ -529,15 +530,11 @@ impl ExecPlan {
                                     }
                                 }
                                 rows.push(KernelRow::Plain(b_run[oc].words()));
+                                if pad_row {
+                                    rows.push(KernelRow::Plain(neutral.words()));
+                                }
                                 column_counts_into(&rows, clen, counts);
-                                neuron_chunk_into(
-                                    m + 1,
-                                    offset,
-                                    lstate,
-                                    idx,
-                                    counts,
-                                    &mut act_b[idx],
-                                );
+                                neuron_chunk_into(m + 1, lstate, idx, counts, &mut act_b[idx]);
                                 idx += 1;
                             }
                         }
@@ -547,6 +544,7 @@ impl ExecPlan {
                     let (oh, ow) = (h / k, w_dim / k);
                     act_b.resize_with(layer_in_c * oh * ow, || BitStream::zeros(0));
                     let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(k * k);
+                    let mut window_refs: Vec<&BitStream> = Vec::with_capacity(k * k);
                     let mut idx = 0usize;
                     for c in 0..layer_in_c {
                         // All windows of a channel share one selector
@@ -573,8 +571,9 @@ impl ExecPlan {
                                     }
                                     (Platform::Cmos, LayerState::PoolMux { rngs }) => {
                                         let mut rng = rngs[c].clone();
-                                        let cloned: Vec<BitStream> = window.cloned().collect();
-                                        act_b[idx] = mux_add(&cloned, &mut rng)
+                                        window_refs.clear();
+                                        window_refs.extend(window);
+                                        act_b[idx] = mux_add(&window_refs, &mut rng)
                                             .expect("well-formed window");
                                         advanced = Some(rng);
                                     }
@@ -594,7 +593,8 @@ impl ExecPlan {
                     let (w_run, b_run) =
                         chunk_streams(full, w, b, offset, clen, w_chunks, b_chunks);
                     act_b.resize_with(*out_f, || BitStream::zeros(0));
-                    let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 1);
+                    let pad_row = sorter_pads(platform, in_f + 1);
+                    let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
                     for o in 0..*out_f {
                         let wrow = &w_run[o * in_f..(o + 1) * in_f];
                         rows.clear();
@@ -602,8 +602,11 @@ impl ExecPlan {
                             rows.push(KernelRow::Xnor(x.words(), ws.words()));
                         }
                         rows.push(KernelRow::Plain(b_run[o].words()));
+                        if pad_row {
+                            rows.push(KernelRow::Plain(neutral.words()));
+                        }
                         column_counts_into(&rows, clen, counts);
-                        neuron_chunk_into(in_f + 1, offset, lstate, o, counts, &mut act_b[o]);
+                        neuron_chunk_into(in_f + 1, lstate, o, counts, &mut act_b[o]);
                     }
                 }
                 CachedLayer::Output { in_f, classes, order, w, b } => {
@@ -839,8 +842,7 @@ impl ExecPlan {
                     // The sorter pads even fan-ins with the 0101… neutral
                     // stream; fold it in as one more kernel row so the lane
                     // FSM sees finished counts.
-                    let pad_row = platform == Platform::Aqfp
-                        && FeatureExtraction::new(m + 1).width() != m + 1;
+                    let pad_row = sorter_pads(platform, m + 1);
                     if next.len() < out_c * oh * ow {
                         next.resize_with(out_c * oh * ow, Vec::new);
                     }
@@ -987,8 +989,7 @@ impl ExecPlan {
                     }
                 }
                 CachedLayer::Dense { in_f, out_f, w, b } => {
-                    let pad_row = platform == Platform::Aqfp
-                        && FeatureExtraction::new(in_f + 1).width() != in_f + 1;
+                    let pad_row = sorter_pads(platform, in_f + 1);
                     if next.len() < *out_f {
                         next.resize_with(*out_f, Vec::new);
                     }
@@ -1252,31 +1253,41 @@ fn slice_all(src: &[BitStream], offset: usize, clen: usize, out: &mut Vec<BitStr
     }
 }
 
-/// One neuron's chunk output from the per-cycle column `counts`, resuming
+/// Whether a `rows`-input neuron on `platform` needs the `0101…` neutral
+/// pad as one more counted row: the AQFP sorter pads even fan-ins to an
+/// odd width (the CMOS APC counts its rows as they are).
+fn sorter_pads(platform: Platform, rows: usize) -> bool {
+    platform == Platform::Aqfp && FeatureExtraction::new(rows).width() != rows
+}
+
+/// One neuron's chunk output from the per-cycle column `counts` of its
+/// `rows` inputs (the AQFP sorter's neutral pad already counted, read at
+/// the ABSOLUTE cycle so odd chunk offsets keep the 0101… phase), resuming
 /// the neuron's cross-chunk state at slot `idx` and writing into `out`
-/// (reusing its allocation). The even-width sorter pad is folded in at the
-/// ABSOLUTE cycle so odd chunk offsets keep the 0101… phase.
+/// (reusing its allocation).
 fn neuron_chunk_into(
     rows: usize,
-    offset: usize,
     lstate: &mut LayerState,
     idx: usize,
-    counts: &mut [u32],
+    counts: &[u32],
     out: &mut BitStream,
 ) {
     match lstate {
         LayerState::Feature { r } => {
-            let fe = FeatureExtraction::new(rows);
-            if fe.width() != rows {
-                for (i, c) in counts.iter_mut().enumerate() {
-                    *c += fe.pad_count_at(offset + i);
-                }
-            }
-            fe.run_counts_resume_into(counts, &mut r[idx], out);
+            FeatureExtraction::new(rows).run_counts_resume_into(counts, &mut r[idx], out);
         }
         LayerState::Fsm { fsm } => {
-            let f = &mut fsm[idx];
-            out.fill_from_bits(counts.iter().map(|&c| f.step(c)));
+            // The counter steps on a register copy, one output word at a
+            // time, and is stored back once per chunk.
+            let mut f = fsm[idx].clone();
+            out.fill_words_with(counts.len(), |w, n| {
+                let mut word = 0u64;
+                for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
+                    word |= u64::from(f.step(c)) << i;
+                }
+                word
+            });
+            fsm[idx] = f;
         }
         _ => unreachable!("neuron state matches layer kind"),
     }
@@ -1517,5 +1528,46 @@ fn generate_stream(
         // shared-polynomial LFSR bank would add cross-correlation the
         // baseline papers explicitly design away).
         Platform::Cmos => Sng::new(bits, SplitMix64::new(key)).generate_level(level, len),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aqfp_sc_core::baseline::btanh_states;
+
+    #[test]
+    fn btanh_word_runner_matches_the_recurrence() {
+        // The CMOS neuron's word-at-a-time runner, fed chunks that end one
+        // short of, on, and one past a 64-cycle word (and past two words)
+        // from a counter pushed off its power-on value — every chunk after
+        // the first resumes the counter the runner stored — against the
+        // saturating up/down counter written out one cycle at a time.
+        let m = 9usize;
+        let max = i64::from(btanh_states(m)) - 1;
+        for clen in [63usize, 64, 65, 129] {
+            let counts: Vec<u32> =
+                (0..3 * clen + 17).map(|i| ((i * 13) % (m + 2)) as u32).collect();
+            let mut fsm = Btanh::new(m);
+            let mut state = max / 2;
+            for _ in 0..3 {
+                fsm.step(m as u32);
+                state = (state + m as i64).clamp(0, max);
+            }
+            let mut want = Vec::new();
+            for &c in &counts {
+                state = (state + 2 * i64::from(c) - m as i64).clamp(0, max);
+                want.push(state > max / 2);
+            }
+            let mut lstate = LayerState::Fsm { fsm: vec![Btanh::new(m), fsm] };
+            let mut got = Vec::new();
+            let mut out = BitStream::zeros(0);
+            for chunk in counts.chunks(clen) {
+                neuron_chunk_into(m, &mut lstate, 1, chunk, &mut out);
+                assert_eq!(out.len(), chunk.len());
+                got.extend(out.iter());
+            }
+            assert_eq!(got, want, "chunk {clen}");
+        }
     }
 }

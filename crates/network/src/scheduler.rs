@@ -59,13 +59,14 @@ use crate::streaming::ChunkSchedule;
 /// Measured break-even (the `calibrate` bench in `crates/bench`: trained
 /// tiny net, N=512, one thread, one-shot full-length schedule — re-run it
 /// when retuning for a new host; numbers below from the reference
-/// container, see ROADMAP): with the fused count→FSM sweeps the AQFP lane
-/// path is already ~1.7× the scalar core at 8 lanes (~3.2× at 16, ~6× at
-/// 32, ~9× at 64, ~11× at 256), so every group the scheduler can form is
-/// worth batching. On CMOS the bit-parallel scalar core is much faster to
-/// begin with: 8 lanes is exact break-even (1.0×, inside host noise), and
-/// the lane path pulls clearly ahead from 16 lanes (~2×, climbing to
-/// ~5.7× at 64 and ~6.3× at 256 with full stripes).
+/// container, see ROADMAP; medians of three runs against the scalar core
+/// that counts with the slab compressor and steps its FSMs a word at a
+/// time): the AQFP lane path is ~1.45× the scalar core at 8 lanes (~2.7×
+/// at 16, ~4.7× at 32, ~7.4× at 64, ~9× at 256), so every group the
+/// scheduler can form is still worth batching. On CMOS 8 lanes is
+/// break-even or just below (0.92–1.0×), and the lane path pulls clearly
+/// ahead from 16 lanes (~1.9×, climbing to ~5.5× at 64 and ~6.1× at 256
+/// with full stripes).
 pub fn lane_min(platform: Platform) -> usize {
     match platform {
         Platform::Aqfp => 8,
@@ -86,7 +87,7 @@ pub fn lane_min(platform: Platform) -> usize {
 /// auto-vectorised `[u64; W]` plane ops amortise pack/broadcast overhead
 /// further with every doubling — W=4 is the widest supported stripe and
 /// measures fastest per image on both platforms at full occupancy
-/// (AQFP ~10.9× scalar, CMOS ~6.3× scalar at 256 lanes), so both pick
+/// (AQFP ~9× scalar, CMOS ~6.1× scalar at 256 lanes), so both pick
 /// it. The 128-lane row trails 64 slightly on both platforms (a W=2
 /// stripe pays two words per op over lanes a single full word already
 /// covers), which is why the scheduler drops to the narrowest covering
