@@ -12,8 +12,8 @@
 
 use aqfp_sc_data::synthetic_digits;
 use aqfp_sc_network::{
-    build_model, ActivationStyle, BatchMode, CompiledNetwork, ExecPlan, ExecState, ExitPolicy,
-    InferenceEngine, NetworkSpec, Platform, StreamingEngine, StripeArenas,
+    build_model, ActivationStyle, CompiledNetwork, ExecPlan, ExecState, ExitPolicy,
+    InferenceEngine, NetworkSpec, Platform, StreamingEngine, StreamingOutcome, StripeArenas,
 };
 use aqfp_sc_nn::Tensor;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -65,6 +65,15 @@ fn images(n: usize) -> Vec<Tensor> {
         .collect()
 }
 
+/// The scalar reference: one image at a time through the scalar chunk loop
+/// on the calling thread, at the batch APIs' per-image seeds.
+fn scalar_batch(streaming: &StreamingEngine<'_>, imgs: &[Tensor]) -> Vec<StreamingOutcome> {
+    imgs.iter()
+        .enumerate()
+        .map(|(i, x)| streaming.classify(x, InferenceEngine::image_seed(SEED, i)))
+        .collect()
+}
+
 fn bench_streaming_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_inference");
     group.sample_size(10);
@@ -94,37 +103,27 @@ fn bench_streaming_inference(c: &mut Criterion) {
             },
         );
     }
-    // The lane-group headline: scalar vs batch-transposed streaming on a
-    // single worker (threads pinned to 1 so the ratio isolates the lane
-    // path instead of worker-count fragmentation), margin policy on the
-    // fixed-64 schedule. CI gates batched/32 normalised by scalar/32.
-    let single = InferenceEngine::new(&compiled, STREAM_LEN, Platform::Aqfp).with_threads(1);
-    let imgs = images(32);
-    for (name, mode) in
-        [("scalar", BatchMode::Scalar), ("batched", BatchMode::LaneGroups)]
-    {
-        group.bench_with_input(BenchmarkId::new(name, 32), &imgs, |b, imgs| {
-            let streaming = StreamingEngine::new(&single, CHUNK)
-                .with_policy(ExitPolicy::Margin { z: 2.5 })
-                .with_min_cycles(CHUNK)
-                .with_batch_mode(mode);
-            b.iter(|| black_box(streaming.classify_batch(imgs, SEED)))
+    // The lane-group headline: the scalar chunk loop vs batch-transposed
+    // streaming on a single worker (threads pinned to 1 so the ratio
+    // isolates the lane path instead of worker-count fragmentation),
+    // margin policy on the fixed-64 schedule, and on the CMOS baseline at
+    // full stripe occupancy (256 images = one W=4 lane group: APC
+    // counting and lane-parallel mux pooling). CI gates batched/32
+    // normalised by scalar/32 and cmos_batched/256 normalised by
+    // cmos_scalar/256.
+    for (platform, batch, scalar_name, batched_name) in [
+        (Platform::Aqfp, 32usize, "scalar", "batched"),
+        (Platform::Cmos, 256, "cmos_scalar", "cmos_batched"),
+    ] {
+        let single = InferenceEngine::new(&compiled, STREAM_LEN, platform).with_threads(1);
+        let streaming = StreamingEngine::new(&single, CHUNK)
+            .with_policy(ExitPolicy::Margin { z: 2.5 })
+            .with_min_cycles(CHUNK);
+        let imgs = images(batch);
+        group.bench_with_input(BenchmarkId::new(scalar_name, batch), &imgs, |b, imgs| {
+            b.iter(|| black_box(scalar_batch(&streaming, imgs)))
         });
-    }
-    // Same discipline on the CMOS baseline at full stripe occupancy
-    // (256 images = one W=4 lane group): APC counting and lane-parallel
-    // mux pooling against the per-image scalar core. CI gates
-    // cmos_batched/256 normalised by cmos_scalar/256.
-    let cmos = InferenceEngine::new(&compiled, STREAM_LEN, Platform::Cmos).with_threads(1);
-    let imgs = images(256);
-    for (name, mode) in
-        [("cmos_scalar", BatchMode::Scalar), ("cmos_batched", BatchMode::LaneGroups)]
-    {
-        group.bench_with_input(BenchmarkId::new(name, 256), &imgs, |b, imgs| {
-            let streaming = StreamingEngine::new(&cmos, CHUNK)
-                .with_policy(ExitPolicy::Margin { z: 2.5 })
-                .with_min_cycles(CHUNK)
-                .with_batch_mode(mode);
+        group.bench_with_input(BenchmarkId::new(batched_name, batch), &imgs, |b, imgs| {
             b.iter(|| black_box(streaming.classify_batch(imgs, SEED)))
         });
     }

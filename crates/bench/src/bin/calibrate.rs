@@ -21,8 +21,8 @@ use std::time::Instant;
 
 use aqfp_sc_data::synthetic_digits;
 use aqfp_sc_network::{
-    build_model, ActivationStyle, BatchMode, CompiledNetwork, InferenceEngine, NetworkSpec,
-    Platform, StreamingEngine,
+    build_model, ActivationStyle, CompiledNetwork, InferenceEngine, NetworkSpec, Platform,
+    StreamingEngine,
 };
 use aqfp_sc_nn::Tensor;
 
@@ -57,13 +57,13 @@ fn images(n: usize) -> Vec<Tensor> {
     synthetic_digits(n, 77).iter().map(|(img, _)| shrink(img)).collect()
 }
 
-/// Per-image microseconds for `reps` full runs over `imgs`.
-fn time_per_image(streaming: &StreamingEngine<'_>, imgs: &[Tensor], reps: usize) -> f64 {
+/// Per-image microseconds for `reps` full runs of `run` over `imgs`.
+fn time_per_image<T>(imgs: &[Tensor], reps: usize, run: impl Fn(&[Tensor]) -> T) -> f64 {
     // One warm-up pass populates arenas and the page cache.
-    let _ = streaming.classify_batch(imgs, SEED);
+    let _ = run(imgs);
     let start = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(streaming.classify_batch(imgs, SEED));
+        std::hint::black_box(run(imgs));
     }
     start.elapsed().as_secs_f64() * 1e6 / (reps * imgs.len()) as f64
 }
@@ -139,19 +139,20 @@ fn main() {
     for platform in [Platform::Aqfp, Platform::Cmos] {
         let engine =
             InferenceEngine::new(&compiled, STREAM_LEN, platform).with_threads(1);
-        let scalar = time_per_image(
-            &StreamingEngine::new(&engine, CHUNK).with_batch_mode(BatchMode::Scalar),
-            &imgs,
-            reps,
-        );
+        // The scalar reference: one image at a time through the scalar
+        // chunk loop, at the batch APIs' per-image seeds.
+        let streaming = StreamingEngine::new(&engine, CHUNK);
+        let scalar = time_per_image(&imgs, reps, |imgs| {
+            imgs.iter()
+                .enumerate()
+                .map(|(i, x)| streaming.classify(x, InferenceEngine::image_seed(SEED, i)))
+                .collect::<Vec<_>>()
+        });
         println!("{platform:?}: scalar core {scalar:9.1} us/img");
         println!("  lanes  us/img  vs-scalar   (lane groups forced to the given size)");
         for lanes in [8usize, 16, 24, 32, 48, 64, 128, 256] {
-            let lane = time_per_image(
-                &StreamingEngine::new(&engine, CHUNK).with_lane_group(lanes),
-                &imgs,
-                reps,
-            );
+            let streaming = StreamingEngine::new(&engine, CHUNK).with_lane_group(lanes);
+            let lane = time_per_image(&imgs, reps, |imgs| streaming.classify_batch(imgs, SEED));
             println!("  {lanes:5} {lane:8.1} {:9.2}x", scalar / lane);
         }
         println!();

@@ -1,14 +1,15 @@
 //! The reusable batched inference front-end: one [`ExecPlan`] (cached
-//! weight streams) shared immutably across a scoped worker pool, each
-//! worker driving its image slice through the shared lane-group scheduler
-//! ([`crate::scheduler`]) — up to 64 images per machine word, with
-//! recycled [`ExecState`]s and a scalar fallback below the measured lane
-//! break-even.
+//! weight streams) shared immutably across the scheduler's worker pool
+//! ([`crate::scheduler`]), whose workers pull images from a shared job
+//! cursor into lane groups of up to
+//! [`MAX_LANES`](aqfp_sc_bitstream::MAX_LANES) images, with recycled
+//! [`ExecState`](crate::ExecState)s and a scalar fallback below the
+//! measured lane break-even.
 //!
 //! The forward pass itself lives in [`crate::plan`] — this module only
-//! owns the batching policy: static contiguous partitioning of the image
-//! list across `threads` workers, with per-image seeds derived via
-//! [`InferenceEngine::image_seed`] so results never depend on scheduling.
+//! owns the one-shot batch policy: a full-length schedule with no exits,
+//! and per-image seeds derived via [`InferenceEngine::image_seed`] so
+//! results never depend on scheduling.
 
 use std::sync::Arc;
 
@@ -18,7 +19,7 @@ use aqfp_sc_bitstream::WORD_BITS;
 
 use crate::compile::CompiledNetwork;
 use crate::plan::{argmax, derive, ExecPlan, Platform, TAG_IMAGE};
-use crate::scheduler::{drive_lane_groups, lane_min, stripe_width, GroupStats, NoExit};
+use crate::scheduler::{drive_batch, stripe_width, NoExit};
 use crate::streaming::ChunkSchedule;
 
 /// Reusable, thread-safe stochastic inference engine over a
@@ -27,8 +28,8 @@ use crate::streaming::ChunkSchedule;
 /// Construction pays the full weight-stream generation cost once (the
 /// engine owns an [`ExecPlan`]); every subsequent image only generates its
 /// pixel streams and runs the word-level column-count pipeline as a single
-/// full-length chunk. [`scores_batch`] / [`classify_batch`] split the
-/// batch across `threads` scoped workers.
+/// full-length chunk. [`scores_batch`] / [`classify_batch`] share the
+/// batch among `threads` scoped workers.
 ///
 /// [`scores_batch`]: InferenceEngine::scores_batch
 /// [`classify_batch`]: InferenceEngine::classify_batch
@@ -142,14 +143,14 @@ impl InferenceEngine {
     /// Image `i` uses `Self::image_seed(base_seed, i)`.
     pub fn scores_batch(&self, images: &[Tensor], base_seed: u64) -> Vec<Vec<f64>> {
         let refs: Vec<&Tensor> = images.iter().collect();
-        self.run_batch(&refs, base_seed, |scores| scores)
+        self.run_batch(&refs, base_seed)
     }
 
     /// Classifies a batch, fanned out over the worker pool. Image `i` uses
     /// `Self::image_seed(base_seed, i)`.
     pub fn classify_batch(&self, images: &[Tensor], base_seed: u64) -> Vec<usize> {
         let refs: Vec<&Tensor> = images.iter().collect();
-        self.run_batch(&refs, base_seed, |scores| argmax(&scores))
+        self.run_batch(&refs, base_seed).iter().map(|s| argmax(s)).collect()
     }
 
     /// Accuracy over a labelled set through the batch pipeline, or `None`
@@ -158,59 +159,29 @@ impl InferenceEngine {
     /// wrong).
     pub fn evaluate(&self, samples: &[(Tensor, usize)], base_seed: u64) -> Option<f64> {
         let images: Vec<&Tensor> = samples.iter().map(|(x, _)| x).collect();
-        let classes = self.run_batch(&images, base_seed, |scores| argmax(&scores));
-        accuracy(&classes, samples, |&c| c)
+        let scores = self.run_batch(&images, base_seed);
+        accuracy(&scores, samples, |s| argmax(s))
     }
 
-    /// Shared batch driver: contiguous chunks of the image list go to
-    /// scoped workers, and each worker runs its slice through the shared
-    /// lane-group scheduler with a full-length schedule and no exit policy
-    /// — every group of up to 64 images advances as one machine word
-    /// through [`ExecPlan::advance_batch`]. Groups below
-    /// [`lane_min`](crate::lane_min) lanes (short remainders, tiny
-    /// batches) run the scalar core instead, which is bit-identical; the
-    /// threshold is the measured per-platform break-even of the lane path. The static
-    /// partition keeps the output ordering (and the per-image seeds)
-    /// independent of scheduling.
-    pub(crate) fn run_batch<T, F>(&self, images: &[&Tensor], base_seed: u64, finish: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Vec<f64>) -> T + Sync,
-    {
-        if images.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.threads.min(images.len());
-        let chunk = images.len().div_ceil(threads);
-        let mut out: Vec<Option<T>> = Vec::new();
-        out.resize_with(images.len(), || None);
-        let schedule = ChunkSchedule::fixed(self.plan.stream_len().max(1));
-        std::thread::scope(|scope| {
-            for (ci, (imgs, slots)) in
-                images.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-            {
-                let finish = &finish;
-                scope.spawn(move || {
-                    let seeds: Vec<u64> = (0..imgs.len())
-                        .map(|j| Self::image_seed(base_seed, ci * chunk + j))
-                        .collect();
-                    let outcomes = drive_lane_groups(
-                        &self.plan,
-                        imgs,
-                        &seeds,
-                        schedule,
-                        &NoExit,
-                        WORD_BITS * stripe_width(self.plan.platform()),
-                        lane_min(self.plan.platform()),
-                        &mut GroupStats::default(),
-                    );
-                    for (slot, o) in slots.iter_mut().zip(outcomes) {
-                        *slot = Some(finish(o.scores));
-                    }
-                });
-            }
-        });
-        out.into_iter().map(|s| s.expect("every slot filled")).collect()
+    /// Shared batch driver: the scheduler's worker pool runs the images
+    /// with a full-length schedule and no exit policy, so every lane group
+    /// of up to `64 ·` [`stripe_width`](crate::stripe_width) images
+    /// advances through [`ExecPlan::advance_batch_striped`] in one chunk.
+    /// Groups below [`lane_min`](crate::lane_min) lanes (small batches,
+    /// tiny shares per worker) run the scalar core instead, which is
+    /// bit-identical; the threshold is the measured per-platform
+    /// break-even of the lane path.
+    fn run_batch(&self, images: &[&Tensor], base_seed: u64) -> Vec<Vec<f64>> {
+        let (outcomes, _) = drive_batch(
+            &self.plan,
+            images,
+            base_seed,
+            ChunkSchedule::fixed(self.plan.stream_len().max(1)),
+            &NoExit,
+            self.threads,
+            WORD_BITS * stripe_width(self.plan.platform()),
+        );
+        outcomes.into_iter().map(|o| o.scores).collect()
     }
 }
 

@@ -24,7 +24,7 @@
 //! 5. Every front-end is a thin wrapper over the same plan, bit-identical
 //!    by construction: the serial [`CompiledNetwork::classify_aqfp`] /
 //!    [`classify_cmos`] entry points run one full-length chunk, the
-//!    batched [`InferenceEngine`] fans images out over a scoped worker
+//!    batched [`InferenceEngine`] shares images among a scoped worker
 //!    pool ([`InferenceEngine::classify_batch`]), and the
 //!    [`StreamingEngine`] drives smaller chunks through a
 //!    [`ChunkSchedule`] with a pluggable [`ExitPolicy`], so each image
@@ -78,6 +78,6 @@ pub use plan::{BatchArena, ExecPlan, ExecState, PlanFingerprint, Platform, Strip
 pub use registry::{ModelRegistry, RegistryError};
 pub use scheduler::{lane_min, stripe_width, GroupStats};
 pub use streaming::{
-    BatchMode, ChunkSchedule, ExitPolicy, LaneJob, LaneSource, StreamingEngine,
-    StreamingEvaluation, StreamingOutcome,
+    ChunkSchedule, ExitPolicy, LaneJob, LaneSource, StreamingEngine, StreamingEvaluation,
+    StreamingOutcome,
 };

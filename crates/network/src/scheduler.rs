@@ -39,16 +39,24 @@
 //! rather than a pre-known slice: at every refill point it asks the source
 //! for the next job, so a serving front-end can feed requests that arrive
 //! *while a group is already in flight* straight into freshly retired
-//! lanes. The slice-based [`drive_lane_groups`] is a thin adapter over the
-//! same core; because lane composition never affects bits (each lane
-//! reads the image-independent streams at its own offset), a job's result
-//! is independent of when the source produced it.
+//! lanes. Because lane composition never affects bits (each lane reads the
+//! image-independent streams at its own offset), a job's result is
+//! independent of when the source produced it.
+//!
+//! # One worker pool
+//!
+//! Both batch front-ends hand their image list to [`drive_batch`], the
+//! crate's only scoped worker pool: every worker runs the same core over a
+//! shared job cursor, taking the next image index as lanes free up. The
+//! serving front-end drives the core directly over its request queue.
 
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use aqfp_sc_bitstream::MAX_LANES;
 use aqfp_sc_nn::Tensor;
 
+use crate::engine::InferenceEngine;
 use crate::plan::{ExecPlan, ExecState, Platform, StripeArenas};
 use crate::streaming::ChunkSchedule;
 
@@ -161,7 +169,7 @@ impl GroupStats {
         }
     }
 
-    /// Folds another accumulator in (workers sum their per-slice stats).
+    /// Folds another accumulator in (the pool sums its workers' stats).
     pub fn merge(&mut self, other: GroupStats) {
         self.steps += other.steps;
         self.lane_steps += other.lane_steps;
@@ -215,84 +223,124 @@ struct Lane<B> {
     book: B,
 }
 
-/// Slice adapter: feeds a pre-known image/seed slice to the core and
-/// collects outcomes back into input order.
-struct SliceFeed<'a> {
+/// A worker's view of the shared batch: it takes the next image index
+/// from the job cursor every pool worker shares, keeps at most `cap` of
+/// its jobs in flight, and keeps its outcomes until the join.
+struct CursorFeed<'a> {
     images: &'a [&'a Tensor],
-    seeds: &'a [u64],
-    next: usize,
-    results: Vec<Option<LaneOutcome>>,
+    base_seed: u64,
+    cursor: &'a AtomicUsize,
+    cap: usize,
+    in_flight: usize,
+    done: Vec<(u64, LaneOutcome)>,
 }
 
-impl<'a> JobSource for SliceFeed<'a> {
+impl<'a> JobSource for CursorFeed<'a> {
     type Img = &'a Tensor;
 
     fn next_job(&mut self) -> Option<SourcedJob<&'a Tensor>> {
-        let i = self.next;
-        if i >= self.images.len() {
+        if self.in_flight == self.cap {
             return None;
         }
-        self.next += 1;
-        Some(SourcedJob { image: self.images[i], seed: self.seeds[i], tag: i as u64 })
+        // The cursor publishes no other data (the images are shared
+        // read-only from before the spawn), and fetch_add hands each index
+        // out exactly once under any ordering.
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let image = *self.images.get(i)?;
+        self.in_flight += 1;
+        let seed = InferenceEngine::image_seed(self.base_seed, i);
+        Some(SourcedJob { image, seed, tag: i as u64 })
     }
 
     fn deliver(&mut self, tag: u64, outcome: LaneOutcome) {
-        self.results[tag as usize] = Some(outcome);
+        self.in_flight -= 1;
+        self.done.push((tag, outcome));
     }
 }
 
-/// Drives `images` (with per-image `seeds`) to completion through the
-/// plan, keeping up to `lane_limit` lanes in flight and consulting
-/// `policy` at each lane's own schedule checkpoints. Groups below
-/// `min_batch_lanes` advance through the scalar core instead (bit-identical
-/// either way — the threshold is purely a throughput knob). Returns one
-/// outcome per image, in input order, and accumulates word-occupancy
-/// accounting into `stats`.
-#[allow(clippy::too_many_arguments)] // the scheduler knobs are all orthogonal
-pub(crate) fn drive_lane_groups<P: LanePolicy>(
+/// The batch front-ends' worker pool: `min(threads, n)` scoped workers
+/// each run [`drive_lane_source`] over a shared job cursor, so a worker
+/// whose lanes retire early takes the next image instead of idling on a
+/// fixed slice. Image `i` runs under
+/// [`InferenceEngine::image_seed`]`(base_seed, i)`, so no outcome depends
+/// on which worker ran it. Each worker keeps at most
+/// `min(lane_limit, ⌈n / workers⌉)` images in flight, which spreads a
+/// batch over every worker; `lane_limit` still sets the scalar fallback
+/// threshold, so a small batch split across workers runs the scalar core
+/// rather than a lane group below the break-even. Returns one outcome per
+/// image, in input order, and the merged word-occupancy accounting.
+pub(crate) fn drive_batch<P: LanePolicy + Sync>(
     plan: &ExecPlan,
     images: &[&Tensor],
-    seeds: &[u64],
+    base_seed: u64,
     schedule: ChunkSchedule,
     policy: &P,
+    threads: usize,
     lane_limit: usize,
-    min_batch_lanes: usize,
-    stats: &mut GroupStats,
-) -> Vec<LaneOutcome> {
-    assert_eq!(images.len(), seeds.len(), "one seed per image");
-    let mut feed = SliceFeed {
-        images,
-        seeds,
-        next: 0,
-        results: {
-            let mut r: Vec<Option<LaneOutcome>> = Vec::new();
-            r.resize_with(images.len(), || None);
-            r
-        },
-    };
-    drive_lane_source(plan, &mut feed, schedule, policy, lane_limit, min_batch_lanes, stats);
-    feed.results.into_iter().map(|r| r.expect("every image retired")).collect()
+) -> (Vec<LaneOutcome>, GroupStats) {
+    let n = images.len();
+    if n == 0 {
+        return (Vec::new(), GroupStats::default());
+    }
+    let workers = threads.clamp(1, n);
+    let cap = lane_limit.clamp(1, MAX_LANES).min(n.div_ceil(workers));
+    let cursor = AtomicUsize::new(0);
+    let finished: Vec<(Vec<(u64, LaneOutcome)>, GroupStats)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let cursor = &cursor;
+                scope.spawn(move || {
+                    let mut feed = CursorFeed {
+                        images,
+                        base_seed,
+                        cursor,
+                        cap,
+                        in_flight: 0,
+                        done: Vec::new(),
+                    };
+                    let stats = drive_lane_source(plan, &mut feed, schedule, policy, lane_limit);
+                    (feed.done, stats)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
+    let mut out: Vec<Option<LaneOutcome>> = Vec::new();
+    out.resize_with(n, || None);
+    let mut stats = GroupStats::default();
+    for (done, worker_stats) in finished {
+        for (tag, outcome) in done {
+            out[tag as usize] = Some(outcome);
+        }
+        stats.merge(worker_stats);
+    }
+    (out.into_iter().map(|o| o.expect("every image retired")).collect(), stats)
 }
 
 /// The lane-group core over a live [`JobSource`]: keeps up to `lane_limit`
 /// lanes in flight, refills from the source whenever lanes are free
 /// (including mid-run, after retirements), and consults `policy` at each
-/// lane's own schedule checkpoints. Returns once the source is drained and
-/// every lane has retired. Outcomes go back through
-/// [`JobSource::deliver`]; word-occupancy accounting accumulates into
-/// `stats`.
-#[allow(clippy::too_many_arguments)] // the scheduler knobs are all orthogonal
+/// lane's own schedule checkpoints. Groups below
+/// `lane_min(platform).min(lane_limit)` lanes advance through the scalar
+/// core instead (bit-identical either way — the threshold is purely a
+/// throughput knob, lowered only when a caller forces a smaller lane
+/// cap). Returns once the source is drained and every lane has retired.
+/// Outcomes go back through [`JobSource::deliver`]; the word-occupancy
+/// accounting of the run is returned.
 pub(crate) fn drive_lane_source<P: LanePolicy, S: JobSource>(
     plan: &ExecPlan,
     source: &mut S,
     schedule: ChunkSchedule,
     policy: &P,
     lane_limit: usize,
-    min_batch_lanes: usize,
-    stats: &mut GroupStats,
-) {
+) -> GroupStats {
     let n = plan.stream_len();
     let lane_limit = lane_limit.clamp(1, MAX_LANES);
+    let min_batch_lanes = lane_min(plan.platform()).min(lane_limit);
+    let mut stats = GroupStats::default();
     let mut free: Vec<ExecState> = Vec::new();
     let mut lanes: Vec<Lane<P::Book>> = Vec::new();
     let mut arenas = StripeArenas::default();
@@ -393,4 +441,5 @@ pub(crate) fn drive_lane_source<P: LanePolicy, S: JobSource>(
             }
         }
     }
+    stats
 }

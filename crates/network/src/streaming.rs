@@ -23,16 +23,17 @@
 //!
 //! # Lane-group batching
 //!
-//! The batch front-ends default to [`BatchMode::LaneGroups`]: each worker
-//! drives its image slice through the shared lane-group scheduler
-//! (`crate::scheduler`), which packs up to 64 in-flight images into one
-//! machine word per cycle, consults the exit policy at each lane's own
-//! schedule checkpoints, and refills retired lanes from the pending queue
-//! so the word stays dense. The invariant extends to this path: for every
-//! schedule, policy, thread count, and lane-group size, the batched run
-//! reports the same label, scores, cycle count, and chunk count per image
-//! as [`BatchMode::Scalar`] — the scheduler advances each lane to exactly
-//! the cycles the scalar loop would, and the offset classes of
+//! The batch front-ends hand their images to the shared lane-group
+//! scheduler (`crate::scheduler`), whose workers pull images from one job
+//! cursor into lane groups of up to [`MAX_LANES`] in-flight images,
+//! consult the exit policy at each lane's own schedule checkpoints, and
+//! refill retired lanes from the cursor so the stripe stays dense. The
+//! invariant extends to this path: for every schedule, policy, thread
+//! count, and lane-group size, the batched run reports the same label,
+//! scores, cycle count, and chunk count per image as the scalar chunk
+//! loop of [`StreamingEngine::classify`] — the scheduler advances each
+//! lane to exactly the cycles the scalar loop would, and the offset
+//! classes of
 //! [`ExecPlan::advance_batch`](crate::ExecPlan::advance_batch) — each
 //! image-independent stream read at every class's offset and broadcast to
 //! that class's lanes — keep mixed-offset words bit-exact after
@@ -44,8 +45,8 @@ use aqfp_sc_nn::Tensor;
 use crate::engine::{accuracy, InferenceEngine};
 use crate::plan::{argmax, ExecPlan, ExecState, Platform};
 use crate::scheduler::{
-    drive_lane_groups, drive_lane_source, lane_min, stripe_width, GroupStats, JobSource,
-    LanePolicy, SourcedJob,
+    drive_batch, drive_lane_source, stripe_width, GroupStats, JobSource, LaneOutcome, LanePolicy,
+    SourcedJob,
 };
 
 /// When a streaming run is allowed to stop consuming cycles.
@@ -160,24 +161,6 @@ impl ChunkSchedule {
     }
 }
 
-/// How the [`StreamingEngine`] batch front-ends advance their images.
-///
-/// Both modes are bit-identical per image (same label, scores, exit cycle,
-/// and chunk count — enforced by the equivalence proptests in
-/// `tests/integration_streaming.rs`); the mode is purely a throughput
-/// knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
-    /// One image at a time through the scalar chunk loop — the reference
-    /// path.
-    Scalar,
-    /// Whole lane groups through the batch-transposed kernel
-    /// ([`ExecPlan::advance_batch`](crate::ExecPlan::advance_batch)) with
-    /// per-lane exit decisions and retire-and-refill compaction (the
-    /// default).
-    LaneGroups,
-}
-
 /// Result of one streamed classification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingOutcome {
@@ -255,8 +238,8 @@ pub struct StreamingEngine<'e> {
     /// σ(t) = cmos_sigma_factor/√t (unused on AQFP, which plugs the
     /// running estimates into the exact Bernoulli bound).
     cmos_sigma_factor: f64,
-    mode: BatchMode,
-    /// Max lanes per word group in [`BatchMode::LaneGroups`] (1..=64).
+    /// Max lanes per lane group of the batch front-ends and
+    /// [`StreamingEngine::drive_source`] (1..=[`MAX_LANES`]).
     lane_limit: usize,
 }
 
@@ -278,22 +261,14 @@ impl<'e> StreamingEngine<'e> {
             policy: ExitPolicy::Disabled,
             min_cycles: 0,
             cmos_sigma_factor,
-            mode: BatchMode::LaneGroups,
             lane_limit: WORD_BITS * stripe_width(engine.plan().platform()),
         }
     }
 
-    /// Sets how the batch front-ends advance images (default:
-    /// [`BatchMode::LaneGroups`]). Never changes results — only
-    /// wall-clock.
-    pub fn with_batch_mode(mut self, mode: BatchMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Caps the lane-group size used by [`BatchMode::LaneGroups`]
-    /// (clamped to `1..=MAX_LANES`; default `64 ·`
-    /// [`stripe_width`](crate::stripe_width) of the platform). Never
+    /// Caps the lane-group size of the batch front-ends and
+    /// [`StreamingEngine::drive_source`] (clamped to `1..=MAX_LANES`;
+    /// default `64 ·` [`stripe_width`](crate::stripe_width) of the
+    /// platform). Never
     /// changes results — the knob exists for break-even experiments and
     /// for the group-size equivalence proptests.
     pub fn with_lane_group(mut self, limit: usize) -> Self {
@@ -339,11 +314,6 @@ impl<'e> StreamingEngine<'e> {
         self.policy
     }
 
-    /// The configured batch mode.
-    pub fn batch_mode(&self) -> BatchMode {
-        self.mode
-    }
-
     /// The wrapped engine.
     pub fn engine(&self) -> &InferenceEngine {
         self.engine
@@ -351,6 +321,9 @@ impl<'e> StreamingEngine<'e> {
 
     /// Streams one image under `image_seed` until the exit policy fires or
     /// the full stream length is consumed.
+    ///
+    /// This scalar chunk loop is the reference every lane-group run is
+    /// checked against.
     pub fn classify(&self, image: &Tensor, image_seed: u64) -> StreamingOutcome {
         let mut state = self.engine.plan().new_state();
         self.classify_with_state(image, image_seed, &mut state)
@@ -366,8 +339,10 @@ impl<'e> StreamingEngine<'e> {
 
     /// [`StreamingEngine::classify_batch`] plus the word-occupancy
     /// accounting of the run: how many kernel advance steps were taken and
-    /// how full the lane word was on average (all zeros in
-    /// [`BatchMode::Scalar`], which never enters the lane path).
+    /// how full the lane stripe was on average. With more than one worker
+    /// the accounting depends on which images each worker drew from the
+    /// shared job cursor, so it can differ between runs; the outcomes
+    /// cannot.
     pub fn classify_batch_with_stats(
         &self,
         images: &[Tensor],
@@ -388,8 +363,7 @@ impl<'e> StreamingEngine<'e> {
     }
 
     /// [`StreamingEngine::evaluate`] plus the word-occupancy accounting of
-    /// the run (all zeros in [`BatchMode::Scalar`], which never enters the
-    /// lane path).
+    /// the run.
     pub fn evaluate_with_stats(
         &self,
         samples: &[(Tensor, usize)],
@@ -417,90 +391,41 @@ impl<'e> StreamingEngine<'e> {
         })
     }
 
-    /// Static-partition batch driver mirroring the engine's: contiguous
-    /// image chunks per worker, per-image seeds derived from the *global*
-    /// index so results never depend on scheduling. Each worker drives its
-    /// slice per the configured [`BatchMode`] — the scalar per-image chunk
-    /// loop, or the lane-group scheduler with per-lane exit decisions and
-    /// retire-and-refill compaction — and sums its lane-occupancy
-    /// accounting.
+    /// Batch driver: the scheduler's worker pool runs the images under
+    /// this engine's schedule, exit policy, and lane-group cap, with
+    /// per-lane exit decisions and retire-and-refill compaction.
     fn run_batch_with_stats(
         &self,
         images: &[&Tensor],
         base_seed: u64,
     ) -> (Vec<StreamingOutcome>, GroupStats) {
-        if images.is_empty() {
-            return (Vec::new(), GroupStats::default());
+        let (outcomes, stats) = drive_batch(
+            self.engine.plan(),
+            images,
+            base_seed,
+            self.schedule,
+            &self.check(),
+            self.engine.threads(),
+            self.lane_limit,
+        );
+        (outcomes.into_iter().map(StreamingOutcome::from).collect(), stats)
+    }
+
+    /// The configured exit policy as the scheduler's per-lane check.
+    fn check(&self) -> PolicyCheck {
+        PolicyCheck {
+            policy: self.policy,
+            min_cycles: self.min_cycles,
+            cmos_sigma_factor: self.cmos_sigma_factor,
         }
-        let threads = self.engine.threads().min(images.len());
-        let chunk = images.len().div_ceil(threads);
-        let mut out: Vec<Option<StreamingOutcome>> = Vec::new();
-        out.resize_with(images.len(), || None);
-        let workers = images.len().div_ceil(chunk);
-        let mut worker_stats: Vec<GroupStats> = vec![GroupStats::default(); workers];
-        std::thread::scope(|scope| {
-            for ((ci, (imgs, slots)), stats) in images
-                .chunks(chunk)
-                .zip(out.chunks_mut(chunk))
-                .enumerate()
-                .zip(worker_stats.iter_mut())
-            {
-                scope.spawn(move || match self.mode {
-                    BatchMode::Scalar => {
-                        let mut state = self.engine.plan().new_state();
-                        for (j, (img, slot)) in imgs.iter().zip(slots).enumerate() {
-                            let seed = InferenceEngine::image_seed(base_seed, ci * chunk + j);
-                            *slot = Some(self.classify_with_state(img, seed, &mut state));
-                        }
-                    }
-                    BatchMode::LaneGroups => {
-                        let seeds: Vec<u64> = (0..imgs.len())
-                            .map(|j| InferenceEngine::image_seed(base_seed, ci * chunk + j))
-                            .collect();
-                        let check = PolicyCheck {
-                            policy: self.policy,
-                            min_cycles: self.min_cycles,
-                            cmos_sigma_factor: self.cmos_sigma_factor,
-                        };
-                        let outcomes = drive_lane_groups(
-                            self.engine.plan(),
-                            imgs,
-                            &seeds,
-                            self.schedule,
-                            &check,
-                            self.lane_limit,
-                            lane_min(self.engine.plan().platform()).min(self.lane_limit),
-                            stats,
-                        );
-                        for (slot, o) in slots.iter_mut().zip(outcomes) {
-                            *slot = Some(StreamingOutcome {
-                                class: argmax(&o.scores),
-                                scores: o.scores,
-                                cycles: o.cycles,
-                                chunks: o.chunks,
-                                early_exit: o.early_exit,
-                            });
-                        }
-                    }
-                });
-            }
-        });
-        let mut stats = GroupStats::default();
-        for ws in worker_stats {
-            stats.merge(ws);
-        }
-        (
-            out.into_iter().map(|s| s.expect("every slot filled")).collect(),
-            stats,
-        )
     }
 
     /// Drives a live [`LaneSource`] to exhaustion through the lane-group
     /// scheduler, on the calling thread, under this engine's configured
     /// schedule, exit policy, and lane-group cap.
     ///
-    /// This is the serving entry point: unlike the slice-based batch APIs,
-    /// the set of images is not known up front — the scheduler asks
+    /// This is the serving entry point: unlike the batch APIs, it does not
+    /// know the set of images up front — the scheduler asks
     /// `source` for more work at every refill point (including mid-run,
     /// whenever lanes retire), so requests that arrive while a group is
     /// already in flight ride freshly freed lanes instead of waiting for
@@ -513,23 +438,9 @@ impl<'e> StreamingEngine<'e> {
     /// other jobs shared its group, or the lane it landed in. Returns the
     /// word-occupancy accounting of the run.
     pub fn drive_source(&self, source: &mut dyn LaneSource) -> GroupStats {
-        let check = PolicyCheck {
-            policy: self.policy,
-            min_cycles: self.min_cycles,
-            cmos_sigma_factor: self.cmos_sigma_factor,
-        };
-        let mut stats = GroupStats::default();
         let mut feed = DynFeed { source };
-        drive_lane_source(
-            self.engine.plan(),
-            &mut feed,
-            self.schedule,
-            &check,
-            self.lane_limit,
-            lane_min(self.engine.plan().platform()).min(self.lane_limit),
-            &mut stats,
-        );
-        stats
+        let plan = self.engine.plan();
+        drive_lane_source(plan, &mut feed, self.schedule, &self.check(), self.lane_limit)
     }
 
     /// The chunk loop for one image: schedule-driven `advance` calls with a
@@ -652,17 +563,20 @@ impl JobSource for DynFeed<'_> {
             .map(|j| SourcedJob { image: j.image, seed: j.seed, tag: j.tag })
     }
 
-    fn deliver(&mut self, tag: u64, outcome: crate::scheduler::LaneOutcome) {
-        self.source.complete(
-            tag,
-            StreamingOutcome {
-                class: argmax(&outcome.scores),
-                scores: outcome.scores,
-                cycles: outcome.cycles,
-                chunks: outcome.chunks,
-                early_exit: outcome.early_exit,
-            },
-        );
+    fn deliver(&mut self, tag: u64, outcome: LaneOutcome) {
+        self.source.complete(tag, outcome.into());
+    }
+}
+
+impl From<LaneOutcome> for StreamingOutcome {
+    fn from(o: LaneOutcome) -> Self {
+        StreamingOutcome {
+            class: argmax(&o.scores),
+            scores: o.scores,
+            cycles: o.cycles,
+            chunks: o.chunks,
+            early_exit: o.early_exit,
+        }
     }
 }
 

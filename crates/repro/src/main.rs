@@ -1,7 +1,7 @@
 //! Reproduction harness: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro <experiment> [--quick|--full] [--threads N] [--batched]
+//! repro <experiment> [--quick|--full] [--threads N]
 //!
 //! experiments: table1 table2 table3 table4 table5 table6 table7 table8
 //!              table9 fig7b fig11 fig13 ablation streaming serve
@@ -12,11 +12,8 @@
 //! for the cross-process model-artifact round trip (see `tables::artifact`).
 //! `--threads N` sets the inference-engine worker-pool size in the
 //! batched-vs-serial ablation segment and in `repro streaming` (default:
-//! available parallelism); `--batched` switches `repro streaming` from the
-//! scalar reference loop to the lane-group scheduler and reports the
-//! word-occupancy it sustained. Neither flag ever changes results — only
-//! wall-clock — so the streaming table prints identical numbers either
-//! way.
+//! available parallelism). It never changes results — only wall-clock and
+//! the lane occupancy `repro streaming` reports.
 //!
 //! Every experiment prints the paper's reported values next to the
 //! measured ones; `EXPERIMENTS.md` records a full run.
@@ -57,7 +54,7 @@ fn main() {
         "fig11" => tables::fig11(),
         "fig13" => tables::fig13(mode),
         "ablation" => tables::ablation(mode, threads),
-        "streaming" => tables::streaming(mode, threads, args.iter().any(|a| a == "--batched")),
+        "streaming" => tables::streaming(mode, threads),
         "serve" => tables::serve_demo(mode),
         "artifact" => tables::artifact(mode, &args),
         "all" => {
@@ -73,14 +70,14 @@ fn main() {
             tables::fig11();
             tables::fig13(mode);
             tables::ablation(mode, threads);
-            tables::streaming(mode, threads, args.iter().any(|a| a == "--batched"));
+            tables::streaming(mode, threads);
             tables::serve_demo(mode);
             tables::artifact(mode, &args);
             tables::table9(mode);
         }
         _ => {
             eprintln!(
-                "usage: repro <table1..table9|fig7b|fig11|fig13|ablation|streaming|serve|artifact|all> [--quick|--full] [--threads N] [--batched]\n       repro artifact [--save PATH|--verify PATH]"
+                "usage: repro <table1..table9|fig7b|fig11|fig13|ablation|streaming|serve|artifact|all> [--quick|--full] [--threads N]\n       repro artifact [--save PATH|--verify PATH]"
             );
             std::process::exit(2);
         }

@@ -9,9 +9,9 @@ use aqfp_sc_core::accuracy::{
 use aqfp_sc_core::baseline;
 use aqfp_sc_core::{MajorityChain, SngBlock};
 use aqfp_sc_network::{
-    build_model, network_cost, run_table9, ActivationStyle, BatchMode, ChunkSchedule,
-    CompiledNetwork, ExecPlan, ExitPolicy, InferenceEngine, ModelRegistry, NetworkSpec, Platform,
-    StreamingEngine, Table9Config, ARTIFACT_VERSION,
+    build_model, network_cost, run_table9, ActivationStyle, ChunkSchedule, CompiledNetwork,
+    ExecPlan, ExitPolicy, InferenceEngine, ModelRegistry, NetworkSpec, Platform, StreamingEngine,
+    Table9Config, ARTIFACT_VERSION,
 };
 use aqfp_sc_nn::Tensor;
 use aqfp_sc_sorting::{Direction, SortingNetwork};
@@ -272,11 +272,10 @@ pub fn table9(mode: Mode) {
 
 /// Streaming chunked-N early-exit inference: the paper's accuracy-vs-N
 /// tradeoff (§V) with progressive precision — every image consumes only as
-/// many cycles as its decision needs. `batched` switches the evaluation
-/// from the scalar reference loop to the lane-group scheduler (identical
-/// numbers — the batched path is bit-identical per image — plus the
-/// word-occupancy it sustained); `threads` sizes the worker pool.
-pub fn streaming(mode: Mode, threads: Option<usize>, batched: bool) {
+/// many cycles as its decision needs. The batches run through the
+/// lane-group scheduler, which also reports the stripe occupancy it
+/// sustained; `threads` sizes the worker pool.
+pub fn streaming(mode: Mode, threads: Option<usize>) {
     header("Streaming early-exit inference: accuracy vs average cycles consumed");
     let samples_n = trials(mode, 60);
     let train_n = trials(mode, 240);
@@ -306,7 +305,6 @@ pub fn streaming(mode: Mode, threads: Option<usize>, batched: bool) {
         .map(|(img, l)| (crop(img), *l))
         .collect();
     let z = 2.5;
-    let bmode = if batched { BatchMode::LaneGroups } else { BatchMode::Scalar };
     let mk_engine = |n: usize| {
         let engine = InferenceEngine::new(&compiled, n, Platform::Aqfp);
         match threads {
@@ -315,10 +313,6 @@ pub fn streaming(mode: Mode, threads: Option<usize>, batched: bool) {
         }
     };
     println!("policy: margin z={z} (exit when top-2 margin ≥ z·σ(t)), chunk = N/8, floor N/8");
-    println!(
-        "batch mode: {} (bit-identical either way)",
-        if batched { "lane groups (batch-transposed kernel, retire-and-refill)" } else { "scalar reference loop" },
-    );
     // Lane-occupancy capacity: the scheduler targets `64·W` lanes per
     // group at the platform's stripe width.
     let cap = 64 * aqfp_sc_network::stripe_width(Platform::Aqfp);
@@ -330,28 +324,26 @@ pub fn streaming(mode: Mode, threads: Option<usize>, batched: bool) {
         let chunk = n / 8;
         let streaming = StreamingEngine::new(&engine, chunk)
             .with_policy(ExitPolicy::Margin { z })
-            .with_min_cycles(chunk)
-            .with_batch_mode(bmode);
+            .with_min_cycles(chunk);
         let (eval, stats) = streaming.evaluate_with_stats(&samples, SEED);
         let eval = eval.expect("non-empty sample set");
         let savings = eval.cycle_savings(n);
         // Mean live lanes per kernel advance step against the `64·W`
-        // stripe capacity: how dense retire-and-refill kept the stripe
-        // (scalar mode never enters the lane path, so it has no
-        // occupancy to report). A batch smaller than the capacity caps
-        // the reachable occupancy at the batch size.
-        let lanes = if batched {
-            format!("{:5.1} ({:3.0}%)", stats.avg_lanes(), stats.avg_lanes() * 100.0 / cap as f64)
-        } else {
-            "          -".into()
-        };
+        // stripe capacity: how dense retire-and-refill kept the stripe. A
+        // batch smaller than the capacity (or split across workers) caps
+        // the reachable occupancy at each worker's share. With several
+        // workers it also depends on which images each one drew from the
+        // shared cursor, so it can differ between runs; no other column
+        // can.
+        let lanes = stats.avg_lanes();
         println!(
-            "{n:6} | {:10.2}% | {:9.2}% | {:10.1} | {:6.1}% | {:9.1}% | {lanes}",
+            "{n:6} | {:10.2}% | {:9.2}% | {:10.1} | {:6.1}% | {:9.1}% | {lanes:5.1} ({:3.0}%)",
             fixed * 100.0,
             eval.accuracy * 100.0,
             eval.avg_cycles,
             savings * 100.0,
             eval.early_exit_fraction * 100.0,
+            lanes * 100.0 / cap as f64,
         );
         if n == 1024 {
             headline = Some((fixed - eval.accuracy, savings));
@@ -386,8 +378,7 @@ pub fn streaming(mode: Mode, threads: Option<usize>, batched: bool) {
             let streaming = StreamingEngine::new(&engine, n / 16)
                 .with_schedule(schedule)
                 .with_policy(ExitPolicy::Margin { z })
-                .with_min_cycles(n / 16)
-                .with_batch_mode(bmode);
+                .with_min_cycles(n / 16);
             // One batch sweep per schedule; every stat derives from it.
             let outcomes = streaming.classify_batch(&images, SEED);
             let correct = outcomes

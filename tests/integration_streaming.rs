@@ -7,8 +7,8 @@
 use std::sync::OnceLock;
 
 use aqfp_sc_dnn::network::{
-    build_model, ActivationStyle, BatchMode, ChunkSchedule, CompiledNetwork, ExitPolicy,
-    InferenceEngine, LayerSpec, NetworkSpec, Platform, StreamingEngine,
+    build_model, ActivationStyle, ChunkSchedule, CompiledNetwork, ExitPolicy, InferenceEngine,
+    LayerSpec, NetworkSpec, Platform, StreamingEngine, StreamingOutcome,
 };
 use aqfp_sc_dnn::nn::{Padding, Tensor};
 use proptest::prelude::*;
@@ -58,6 +58,16 @@ fn compiled_probe() -> &'static CompiledNetwork {
 fn compiled_tiny_static() -> &'static CompiledNetwork {
     static COMPILED: OnceLock<CompiledNetwork> = OnceLock::new();
     COMPILED.get_or_init(compiled_tiny)
+}
+
+/// The scalar reference: every image through the scalar chunk loop of
+/// `StreamingEngine::classify`, at the batch APIs' per-image seeds.
+fn scalar_reference(s: &StreamingEngine<'_>, images: &[Tensor]) -> Vec<StreamingOutcome> {
+    images
+        .iter()
+        .enumerate()
+        .map(|(i, x)| s.classify(x, InferenceEngine::image_seed(BASE_SEED, i)))
+        .collect()
 }
 
 fn probe_spec_image(variant: usize) -> Tensor {
@@ -118,15 +128,13 @@ proptest! {
         }
         for platform in [Platform::Aqfp, Platform::Cmos] {
             let engine = InferenceEngine::new(compiled, n, platform).with_threads(threads);
-            let scalar = StreamingEngine::new(&engine, 64)
-                .with_schedule(schedule)
-                .with_policy(policy)
-                .with_batch_mode(BatchMode::Scalar)
-                .classify_batch(&images, BASE_SEED);
+            let scalar = scalar_reference(
+                &StreamingEngine::new(&engine, 64).with_schedule(schedule).with_policy(policy),
+                &images,
+            );
             let batched = StreamingEngine::new(&engine, 64)
                 .with_schedule(schedule)
                 .with_policy(policy)
-                .with_batch_mode(BatchMode::LaneGroups)
                 .with_lane_group(lane_limit)
                 .classify_batch(&images, BASE_SEED);
             prop_assert_eq!(
@@ -185,18 +193,16 @@ proptest! {
         }
         for platform in [Platform::Aqfp, Platform::Cmos] {
             let engine = InferenceEngine::new(compiled, n, platform).with_threads(1);
-            let reference = StreamingEngine::new(&engine, 64)
-                .with_schedule(schedule)
-                .with_policy(policy)
-                .with_batch_mode(BatchMode::Scalar)
-                .classify_batch(&images, BASE_SEED);
+            let reference = scalar_reference(
+                &StreamingEngine::new(&engine, 64).with_schedule(schedule).with_policy(policy),
+                &images,
+            );
             // 48 and 64 stay at width 1 (multiple groups vs one full
             // word); 128 and 256 engage width-2 and width-4 stripes.
             for lane_limit in [48usize, 64, 128, 256] {
                 let batched = StreamingEngine::new(&engine, 64)
                     .with_schedule(schedule)
                     .with_policy(policy)
-                    .with_batch_mode(BatchMode::LaneGroups)
                     .with_lane_group(lane_limit)
                     .classify_batch(&images, BASE_SEED);
                 prop_assert_eq!(
@@ -220,11 +226,10 @@ fn batched_streaming_with_min_cycles_floor_matches_scalar() {
         for policy in
             [ExitPolicy::Margin { z: 2.0 }, ExitPolicy::StableArgmax { k: 1 }]
         {
-            let scalar = StreamingEngine::new(&engine, 32)
-                .with_policy(policy)
-                .with_min_cycles(96)
-                .with_batch_mode(BatchMode::Scalar)
-                .classify_batch(&images, BASE_SEED);
+            let scalar = scalar_reference(
+                &StreamingEngine::new(&engine, 32).with_policy(policy).with_min_cycles(96),
+                &images,
+            );
             let batched = StreamingEngine::new(&engine, 32)
                 .with_policy(policy)
                 .with_min_cycles(96)
@@ -253,13 +258,32 @@ fn lane_occupancy_stats_track_retire_and_refill() {
         avg > 64.0 && avg <= 256.0,
         "avg occupancy {avg} outside (64, 256] for a 300-image run"
     );
-    // Scalar mode never enters the lane path: stats stay zero.
-    let (_, scalar_stats) = StreamingEngine::new(&engine, 32)
-        .with_policy(ExitPolicy::Margin { z: 2.0 })
-        .with_batch_mode(BatchMode::Scalar)
-        .classify_batch_with_stats(&images, BASE_SEED);
-    assert_eq!(scalar_stats.steps, 0);
-    assert_eq!(scalar_stats.avg_lanes(), 0.0);
+}
+
+#[test]
+fn pool_lane_cap_splits_the_batch_evenly_across_workers() {
+    // One full-length chunk and no exits: every worker fills its lanes
+    // once and never refills, so the occupancy is exactly each worker's
+    // share, min(lane_limit, ceil(n / workers)).
+    let compiled = compiled_tiny();
+    let images = probe_images(256);
+    for (threads, want) in [(2usize, 128.0), (1, 256.0)] {
+        let engine =
+            InferenceEngine::new(&compiled, STREAM_LEN, Platform::Aqfp).with_threads(threads);
+        let (_, stats) = StreamingEngine::new(&engine, 64)
+            .with_schedule(ChunkSchedule::fixed(STREAM_LEN))
+            .with_policy(ExitPolicy::Disabled)
+            .classify_batch_with_stats(&images, BASE_SEED);
+        assert_eq!(stats.avg_lanes(), want, "threads={threads}");
+    }
+    // Three workers over seven images: shares of three, and job i keeps
+    // seed image_seed(base, i) whichever worker ran it.
+    let engine = InferenceEngine::new(&compiled, STREAM_LEN, Platform::Aqfp).with_threads(3);
+    let streaming = StreamingEngine::new(&engine, 64)
+        .with_schedule(ChunkSchedule::fixed(STREAM_LEN))
+        .with_policy(ExitPolicy::Disabled);
+    let images = probe_images(7);
+    assert_eq!(streaming.classify_batch(&images, BASE_SEED), scalar_reference(&streaming, &images));
 }
 
 #[test]
