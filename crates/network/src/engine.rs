@@ -7,7 +7,8 @@
 //! measured lane break-even.
 //!
 //! The forward pass itself lives in [`crate::plan`] — this module only
-//! owns the one-shot batch policy: a full-length schedule with no exits,
+//! owns the one-shot batch policy: a batch is a [`StreamingEngine`] run
+//! with its defaults at chunk length N (one full-length chunk, no exits),
 //! and per-image seeds derived via [`InferenceEngine::image_seed`] so
 //! results never depend on scheduling.
 
@@ -15,12 +16,10 @@ use std::sync::Arc;
 
 use aqfp_sc_nn::Tensor;
 
-use aqfp_sc_bitstream::WORD_BITS;
-
 use crate::compile::CompiledNetwork;
 use crate::plan::{argmax, derive, ExecPlan, Platform, TAG_IMAGE};
-use crate::scheduler::{drive_batch, stripe_width, NoExit};
-use crate::streaming::ChunkSchedule;
+use crate::scheduler::drive_batch;
+use crate::streaming::StreamingEngine;
 
 /// Reusable, thread-safe stochastic inference engine over a
 /// [`CompiledNetwork`].
@@ -63,6 +62,10 @@ impl InferenceEngine {
     ///
     /// The worker count defaults to [`std::thread::available_parallelism`]
     /// (see [`InferenceEngine::with_threads`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stream_len` is 0.
     pub fn new(net: &CompiledNetwork, stream_len: usize, platform: Platform) -> Self {
         Self::from_plan(Arc::new(ExecPlan::new(net, stream_len, platform)))
     }
@@ -163,24 +166,18 @@ impl InferenceEngine {
         accuracy(&scores, samples, |s| argmax(s))
     }
 
-    /// Shared batch driver: the scheduler's worker pool runs the images
-    /// with a full-length schedule and no exit policy, so every lane group
-    /// of up to `64 ·` [`stripe_width`](crate::stripe_width) images
-    /// advances through [`ExecPlan::advance_batch_striped`] in one chunk.
+    /// Shared batch driver: a [`StreamingEngine`] over this engine with
+    /// its defaults at chunk length N — one full-length chunk, no exit
+    /// policy, lane groups of up to `64 ·`
+    /// [`stripe_width`](crate::stripe_width) images, this engine's worker
+    /// count — runs the images through the scheduler's worker pool.
     /// Groups below [`lane_min`](crate::lane_min) lanes (small batches,
     /// tiny shares per worker) run the scalar core instead, which is
     /// bit-identical; the threshold is the measured per-platform
     /// break-even of the lane path.
     fn run_batch(&self, images: &[&Tensor], base_seed: u64) -> Vec<Vec<f64>> {
-        let (outcomes, _) = drive_batch(
-            &self.plan,
-            images,
-            base_seed,
-            ChunkSchedule::fixed(self.plan.stream_len().max(1)),
-            &NoExit,
-            self.threads,
-            WORD_BITS * stripe_width(self.plan.platform()),
-        );
+        let streaming = StreamingEngine::new(self, self.plan.stream_len());
+        let (outcomes, _) = drive_batch(&streaming, images, base_seed);
         outcomes.into_iter().map(|o| o.scores).collect()
     }
 }

@@ -14,7 +14,7 @@
 //! * [`ExecState`] — everything that is a property of one *in-flight
 //!   image*: the per-pixel SNG cursors, the per-neuron feedback / FSM
 //!   state, the running class accumulators, and a reusable scratch arena
-//!   (column counter, counts buffer, chunk-slice buffers) so the chunk
+//!   (counts buffer, pixel/weight/neutral chunk-slice buffers) so the chunk
 //!   bookkeeping that used to allocate per chunk reuses persistent
 //!   buffers, including the ping-pong activation arenas every layer of
 //!   [`ExecPlan::advance`] writes into in place.
@@ -168,6 +168,10 @@ impl ExecPlan {
     /// cloned into shared ownership — see [`ExecPlan::from_arc`] to reuse
     /// an existing [`Arc`] (e.g. one model compiled once and planned on
     /// both platforms).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stream_len` is 0.
     pub fn new(net: &CompiledNetwork, stream_len: usize, platform: Platform) -> Self {
         Self::from_arc(Arc::new(net.clone()), stream_len, platform)
     }
@@ -176,7 +180,13 @@ impl ExecPlan {
     /// their network, carry no borrows, and are `Send + Sync`, so a
     /// [`ModelRegistry`](crate::ModelRegistry) can hand out
     /// `Arc<ExecPlan>` handles and hot-swap models under live traffic.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stream_len` is 0: a zero-length stream has no cycles
+    /// to score, so every inference would fail in [`ExecPlan::scores`].
     pub fn from_arc(net: Arc<CompiledNetwork>, stream_len: usize, platform: Platform) -> Self {
+        assert!(stream_len > 0, "stream length must be at least 1 cycle");
         let bits = net.bits();
         let seed = net.stream_seed();
         let mut layers = Vec::with_capacity(net.layers().len());

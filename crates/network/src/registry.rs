@@ -97,6 +97,10 @@ impl ModelRegistry {
 
     /// Compiles `net` into a fresh plan (paying weight-stream generation
     /// once) and registers it, returning any replaced plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stream_len` is 0 (see [`ExecPlan::from_arc`]).
     pub fn install(
         &self,
         name: impl Into<String>,
@@ -110,6 +114,10 @@ impl ModelRegistry {
     /// Loads a model artifact from `path`, builds its plan, and registers
     /// it under `name`. Every decode failure is a typed
     /// [`ArtifactError`]; the registry is untouched on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stream_len` is 0 (see [`ExecPlan::from_arc`]).
     pub fn load(
         &self,
         name: impl Into<String>,

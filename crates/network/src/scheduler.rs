@@ -1,9 +1,12 @@
 //! The shared lane-group scheduler: both batched front-ends — the
-//! one-shot [`InferenceEngine`](crate::InferenceEngine) and the
-//! early-exit [`StreamingEngine`](crate::StreamingEngine) — drive images
-//! through the batch-transposed kernel path in stripes of up to
-//! [`MAX_LANES`] lanes (`64·W` for stripe width `W ∈ {1, 2, 4}`), with
-//! per-lane schedule checkpoints and retire-and-refill compaction.
+//! one-shot [`InferenceEngine`] and the early-exit [`StreamingEngine`] —
+//! and the serving front-end drive images through the batch-transposed
+//! kernel path in stripes of up to
+//! [`MAX_LANES`](aqfp_sc_bitstream::MAX_LANES) lanes (`64·W` for stripe
+//! width `W ∈ {1, 2, 4}`), with per-lane schedule checkpoints and
+//! retire-and-refill compaction. Every run is configured by one
+//! [`StreamingEngine`]: its plan, chunk schedule, exit policy, worker
+//! count, and lane-group cap.
 //!
 //! # Lane ownership
 //!
@@ -14,51 +17,56 @@
 //! lane's next checkpoint, so every lane lands exactly on its own
 //! checkpoints; splitting one lane's schedule chunk into several
 //! sub-advances is safe because any partition of N cycles is bit-identical
-//! (the partition invariant of [`ExecPlan::advance`]).
+//! (the partition invariant of
+//! [`ExecPlan::advance`](crate::ExecPlan::advance)).
 //!
 //! # Retire and refill
 //!
 //! The exit policy is consulted only for a lane sitting exactly at its own
-//! checkpoint, with the same per-image bookkeeping the scalar streaming
-//! loop keeps — so a batched run retires every image at the same cycle,
-//! with the same scores, as the scalar path. A retired lane's `ExecState`
-//! goes to a free pool and is immediately re-`begin`-ed on the next queued
-//! image, keeping the stripe dense instead of dragging finished images to
-//! full N. Refilled lanes start at absolute cycle 0 while survivors sit
-//! mid-stream; [`ExecPlan::advance_batch_in`] groups the lanes into
-//! offset classes and reads every image-independent stream in place at
-//! each class's offset, broadcast to that class's lanes, which is what
-//! makes compaction bit-drift-free. Each group advance runs at the
-//! narrowest stripe width covering the live lane count
-//! ([`ExecPlan::advance_batch_striped`]) — stripe-width independence of
-//! the kernels makes the per-step choice invisible in the bits.
+//! checkpoint, through the same [`StreamingEngine::exit`] check, with the
+//! same per-image bookkeeping, that the scalar streaming loop uses — so a
+//! batched run retires every image at the same cycle, with the same
+//! scores, as the scalar path. A retired lane's `ExecState` goes to a free
+//! pool and is immediately re-`begin`-ed on the next queued image, keeping
+//! the stripe dense instead of dragging finished images to full N.
+//! Refilled lanes start at absolute cycle 0 while survivors sit
+//! mid-stream;
+//! [`ExecPlan::advance_batch_in`](crate::ExecPlan::advance_batch_in)
+//! groups the lanes into offset classes and reads every image-independent
+//! stream in place at each class's offset, broadcast to that class's
+//! lanes, which is what makes compaction bit-drift-free. Each group
+//! advance runs at the narrowest stripe width covering the live lane count
+//! ([`ExecPlan::advance_batch_striped`](crate::ExecPlan::advance_batch_striped))
+//! — stripe-width independence of the kernels makes the per-step choice
+//! invisible in the bits.
 //!
 //! # Live sources
 //!
-//! The core loop ([`drive_lane_source`]) pulls work from a [`JobSource`]
-//! rather than a pre-known slice: at every refill point it asks the source
-//! for the next job, so a serving front-end can feed requests that arrive
-//! *while a group is already in flight* straight into freshly retired
-//! lanes. Because lane composition never affects bits (each lane reads the
-//! image-independent streams at its own offset), a job's result is
-//! independent of when the source produced it.
+//! The core loop ([`drive_lane_source`]) pulls work from a public
+//! [`LaneSource`] rather than a pre-known slice: at every refill point it
+//! asks the source for the next [`LaneJob`], so a serving front-end can
+//! feed requests that arrive *while a group is already in flight* straight
+//! into freshly retired lanes. Each lane retires straight into a
+//! [`StreamingOutcome`] handed to [`LaneSource::complete`]. Because lane
+//! composition never affects bits (each lane reads the image-independent
+//! streams at its own offset), a job's result is independent of when the
+//! source produced it.
 //!
 //! # One worker pool
 //!
 //! Both batch front-ends hand their image list to [`drive_batch`], the
 //! crate's only scoped worker pool: every worker runs the same core over a
-//! shared job cursor, taking the next image index as lanes free up. The
-//! serving front-end drives the core directly over its request queue.
+//! shared job cursor (a [`LaneSource`] too), taking the next image index
+//! as lanes free up. The serving front-end drives the core directly over
+//! its request queue through [`StreamingEngine::drive_source`].
 
-use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use aqfp_sc_bitstream::MAX_LANES;
 use aqfp_sc_nn::Tensor;
 
 use crate::engine::InferenceEngine;
-use crate::plan::{ExecPlan, ExecState, Platform, StripeArenas};
-use crate::streaming::ChunkSchedule;
+use crate::plan::{ExecState, Platform, StripeArenas};
+use crate::streaming::{LaneJob, LaneSource, PolicyBook, StreamingEngine, StreamingOutcome};
 
 /// Smallest lane group the batch-transposed kernel path is worth engaging
 /// for; smaller groups run the scalar core, which is bit-identical — the
@@ -107,47 +115,6 @@ pub fn stripe_width(platform: Platform) -> usize {
     }
 }
 
-/// Per-lane early-exit decision logic, consulted only when a lane reaches
-/// one of its own schedule checkpoints with cycles still remaining. The
-/// `Book` is the per-image bookkeeping carried across checkpoints (e.g.
-/// the argmax stability streak); it starts fresh at `Default` every time a
-/// lane is (re)filled.
-pub(crate) trait LanePolicy {
-    /// Cross-checkpoint bookkeeping carried per lane.
-    type Book: Default;
-
-    /// Returns `true` to retire the lane early. Must depend only on `plan`,
-    /// `state`, and `book` — never on lane position or group composition —
-    /// so batched and scalar runs make identical decisions.
-    fn exit(&self, plan: &ExecPlan, state: &ExecState, book: &mut Self::Book) -> bool;
-}
-
-/// A policy that never exits early: one-shot batch semantics (every lane
-/// runs to full N; with a full-length schedule there is exactly one
-/// checkpoint, at N).
-pub(crate) struct NoExit;
-
-impl LanePolicy for NoExit {
-    type Book = ();
-
-    fn exit(&self, _plan: &ExecPlan, _state: &ExecState, _book: &mut ()) -> bool {
-        false
-    }
-}
-
-/// Result of one lane's run, in the same terms as the scalar streaming
-/// loop reports.
-pub(crate) struct LaneOutcome {
-    /// Class scores at the cycle the lane retired.
-    pub scores: Vec<f64>,
-    /// Cycles consumed.
-    pub cycles: usize,
-    /// Schedule checkpoints reached (the scalar loop's chunk count).
-    pub chunks: usize,
-    /// Whether the policy fired before full N.
-    pub early_exit: bool,
-}
-
 /// Occupancy accounting of a lane-group run: how full the machine word was
 /// kept across kernel advance steps.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -176,41 +143,9 @@ impl GroupStats {
     }
 }
 
-/// One unit of work pulled from a [`JobSource`]: an image, its stream
-/// seed, and an opaque tag the source uses to route the outcome back to
-/// whoever asked for it.
-pub(crate) struct SourcedJob<I> {
-    pub image: I,
-    pub seed: u64,
-    pub tag: u64,
-}
-
-/// A feed of classification jobs for the lane-group core. `next_job` is
-/// consulted at every refill point — including mid-run, after lanes
-/// retire — so the source may produce jobs that did not exist when the
-/// drive started (a live request queue). `deliver` receives each job's
-/// outcome as soon as its lane retires, in retirement order (not
-/// submission order).
-pub(crate) trait JobSource {
-    /// How the source hands over image data. `&Tensor` for slice-backed
-    /// sources (no copy), owned `Tensor` for queues that transfer
-    /// ownership; [`ExecPlan::begin`] copies what it needs, so the image
-    /// is dropped once the lane starts.
-    type Img: Borrow<Tensor>;
-
-    /// The next job ready *right now*, or `None` to leave the lane empty
-    /// this round (the core asks again at the next refill point while any
-    /// lane is live; once no lanes are live and `next_job` returns `None`,
-    /// the drive returns).
-    fn next_job(&mut self) -> Option<SourcedJob<Self::Img>>;
-
-    /// Outcome delivery for the job tagged `tag`.
-    fn deliver(&mut self, tag: u64, outcome: LaneOutcome);
-}
-
-/// One live lane: an in-flight image, its next checkpoint, and the
+/// One live lane: an in-flight image, its next checkpoint, and the exit
 /// policy's per-image bookkeeping.
-struct Lane<B> {
+struct Lane {
     state: ExecState,
     /// The source's routing tag for this job (results are delivered under
     /// it no matter when the lane retires).
@@ -220,7 +155,7 @@ struct Lane<B> {
     chunk_idx: usize,
     /// Absolute cycle of the next policy consult, capped at N.
     checkpoint: usize,
-    book: B,
+    book: PolicyBook,
 }
 
 /// A worker's view of the shared batch: it takes the next image index
@@ -232,13 +167,11 @@ struct CursorFeed<'a> {
     cursor: &'a AtomicUsize,
     cap: usize,
     in_flight: usize,
-    done: Vec<(u64, LaneOutcome)>,
+    done: Vec<(u64, StreamingOutcome)>,
 }
 
-impl<'a> JobSource for CursorFeed<'a> {
-    type Img = &'a Tensor;
-
-    fn next_job(&mut self) -> Option<SourcedJob<&'a Tensor>> {
+impl LaneSource for CursorFeed<'_> {
+    fn next(&mut self) -> Option<LaneJob> {
         if self.in_flight == self.cap {
             return None;
         }
@@ -246,13 +179,13 @@ impl<'a> JobSource for CursorFeed<'a> {
         // read-only from before the spawn), and fetch_add hands each index
         // out exactly once under any ordering.
         let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let image = *self.images.get(i)?;
+        let image = (*self.images.get(i)?).clone();
         self.in_flight += 1;
         let seed = InferenceEngine::image_seed(self.base_seed, i);
-        Some(SourcedJob { image, seed, tag: i as u64 })
+        Some(LaneJob { image, seed, tag: i as u64 })
     }
 
-    fn deliver(&mut self, tag: u64, outcome: LaneOutcome) {
+    fn complete(&mut self, tag: u64, outcome: StreamingOutcome) {
         self.in_flight -= 1;
         self.done.push((tag, outcome));
     }
@@ -265,27 +198,24 @@ impl<'a> JobSource for CursorFeed<'a> {
 /// [`InferenceEngine::image_seed`]`(base_seed, i)`, so no outcome depends
 /// on which worker ran it. Each worker keeps at most
 /// `min(lane_limit, ⌈n / workers⌉)` images in flight, which spreads a
-/// batch over every worker; `lane_limit` still sets the scalar fallback
-/// threshold, so a small batch split across workers runs the scalar core
-/// rather than a lane group below the break-even. Returns one outcome per
-/// image, in input order, and the merged word-occupancy accounting.
-pub(crate) fn drive_batch<P: LanePolicy + Sync>(
-    plan: &ExecPlan,
+/// batch over every worker; the engine's `lane_limit` still sets the
+/// scalar fallback threshold, so a small batch split across workers runs
+/// the scalar core rather than a lane group below the break-even. Returns
+/// one outcome per image, in input order, and the merged word-occupancy
+/// accounting.
+pub(crate) fn drive_batch(
+    streaming: &StreamingEngine<'_>,
     images: &[&Tensor],
     base_seed: u64,
-    schedule: ChunkSchedule,
-    policy: &P,
-    threads: usize,
-    lane_limit: usize,
-) -> (Vec<LaneOutcome>, GroupStats) {
+) -> (Vec<StreamingOutcome>, GroupStats) {
     let n = images.len();
     if n == 0 {
         return (Vec::new(), GroupStats::default());
     }
-    let workers = threads.clamp(1, n);
-    let cap = lane_limit.clamp(1, MAX_LANES).min(n.div_ceil(workers));
+    let workers = streaming.engine().threads().clamp(1, n);
+    let cap = streaming.lane_limit().min(n.div_ceil(workers));
     let cursor = AtomicUsize::new(0);
-    let finished: Vec<(Vec<(u64, LaneOutcome)>, GroupStats)> = std::thread::scope(|scope| {
+    let finished: Vec<(Vec<(u64, StreamingOutcome)>, GroupStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let cursor = &cursor;
@@ -298,7 +228,7 @@ pub(crate) fn drive_batch<P: LanePolicy + Sync>(
                         in_flight: 0,
                         done: Vec::new(),
                     };
-                    let stats = drive_lane_source(plan, &mut feed, schedule, policy, lane_limit);
+                    let stats = drive_lane_source(streaming, &mut feed);
                     (feed.done, stats)
                 })
             })
@@ -308,8 +238,7 @@ pub(crate) fn drive_batch<P: LanePolicy + Sync>(
             .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
             .collect()
     });
-    let mut out: Vec<Option<LaneOutcome>> = Vec::new();
-    out.resize_with(n, || None);
+    let mut out: Vec<Option<StreamingOutcome>> = vec![None; n];
     let mut stats = GroupStats::default();
     for (done, worker_stats) in finished {
         for (tag, outcome) in done {
@@ -320,57 +249,46 @@ pub(crate) fn drive_batch<P: LanePolicy + Sync>(
     (out.into_iter().map(|o| o.expect("every image retired")).collect(), stats)
 }
 
-/// The lane-group core over a live [`JobSource`]: keeps up to `lane_limit`
+/// The lane-group core over a live [`LaneSource`], under `streaming`'s
+/// schedule, exit policy, and lane-group cap: keeps up to `lane_limit`
 /// lanes in flight, refills from the source whenever lanes are free
-/// (including mid-run, after retirements), and consults `policy` at each
-/// lane's own schedule checkpoints. Groups below
-/// `lane_min(platform).min(lane_limit)` lanes advance through the scalar
-/// core instead (bit-identical either way — the threshold is purely a
-/// throughput knob, lowered only when a caller forces a smaller lane
-/// cap). Returns once the source is drained and every lane has retired.
-/// Outcomes go back through [`JobSource::deliver`]; the word-occupancy
-/// accounting of the run is returned.
-pub(crate) fn drive_lane_source<P: LanePolicy, S: JobSource>(
-    plan: &ExecPlan,
-    source: &mut S,
-    schedule: ChunkSchedule,
-    policy: &P,
-    lane_limit: usize,
+/// (including mid-run, after retirements), and consults
+/// [`StreamingEngine::exit`] at each lane's own schedule checkpoints.
+/// Groups below `lane_min(platform).min(lane_limit)` lanes advance
+/// through the scalar core instead (bit-identical either way — the
+/// threshold is purely a throughput knob, lowered only when a caller
+/// forces a smaller lane cap). Returns once the source is drained and
+/// every lane has retired. Outcomes go back through
+/// [`LaneSource::complete`]; the word-occupancy accounting of the run is
+/// returned.
+pub(crate) fn drive_lane_source(
+    streaming: &StreamingEngine<'_>,
+    source: &mut dyn LaneSource,
 ) -> GroupStats {
+    let plan = streaming.engine().plan();
+    let schedule = streaming.schedule();
+    let lane_limit = streaming.lane_limit();
     let n = plan.stream_len();
-    let lane_limit = lane_limit.clamp(1, MAX_LANES);
     let min_batch_lanes = lane_min(plan.platform()).min(lane_limit);
     let mut stats = GroupStats::default();
     let mut free: Vec<ExecState> = Vec::new();
-    let mut lanes: Vec<Lane<P::Book>> = Vec::new();
+    let mut lanes: Vec<Lane> = Vec::new();
     let mut arenas = StripeArenas::default();
     loop {
         // Refill (and the initial fill): recycled states re-`begin` on
         // sourced jobs until the word is at capacity or the source has
-        // nothing ready.
+        // nothing ready. `begin` copies what it needs, so the job's image
+        // is dropped as the lane starts.
         while lanes.len() < lane_limit {
-            let Some(job) = source.next_job() else { break };
+            let Some(job) = source.next() else { break };
             let mut state = free.pop().unwrap_or_else(|| plan.new_state());
-            plan.begin(&mut state, job.image.borrow(), job.seed);
-            if n == 0 {
-                // Degenerate zero-length stream: the scalar loop never
-                // advances and never consults the policy.
-                let outcome = LaneOutcome {
-                    scores: plan.scores(&state),
-                    cycles: 0,
-                    chunks: 0,
-                    early_exit: false,
-                };
-                source.deliver(job.tag, outcome);
-                free.push(state);
-                continue;
-            }
+            plan.begin(&mut state, &job.image, job.seed);
             lanes.push(Lane {
                 checkpoint: schedule.len_at(0).min(n),
                 state,
                 tag: job.tag,
                 chunk_idx: 0,
-                book: P::Book::default(),
+                book: PolicyBook::default(),
             });
         }
         if lanes.is_empty() {
@@ -379,7 +297,11 @@ pub(crate) fn drive_lane_source<P: LanePolicy, S: JobSource>(
         // Advance the whole group to the nearest per-lane checkpoint.
         // Live lanes always have checkpoint > cycles, so d >= 1 and the
         // loop makes progress every iteration.
-        let d = lanes.iter().map(|l| l.checkpoint - l.state.cycles()).min().unwrap();
+        let d = lanes
+            .iter()
+            .map(|l| l.checkpoint - l.state.cycles())
+            .min()
+            .expect("the group has a live lane");
         if lanes.len() >= min_batch_lanes {
             let mut advanced = 0usize;
             while advanced < d {
@@ -408,37 +330,23 @@ pub(crate) fn drive_lane_source<P: LanePolicy, S: JobSource>(
         // (`early_exit = false`).
         let mut i = 0usize;
         while i < lanes.len() {
-            let retire = {
-                let lane = &mut lanes[i];
-                if lane.state.cycles() < lane.checkpoint {
-                    i += 1;
-                    continue;
-                }
-                lane.chunk_idx += 1;
-                let consumed = lane.state.cycles();
-                if consumed >= n {
-                    Some(false)
-                } else if policy.exit(plan, &lane.state, &mut lane.book) {
-                    Some(true)
-                } else {
-                    lane.checkpoint = (consumed + schedule.len_at(lane.chunk_idx)).min(n);
-                    None
-                }
-            };
-            match retire {
-                Some(early_exit) => {
-                    let lane = lanes.swap_remove(i);
-                    let outcome = LaneOutcome {
-                        scores: plan.scores(&lane.state),
-                        cycles: lane.state.cycles(),
-                        chunks: lane.chunk_idx,
-                        early_exit,
-                    };
-                    source.deliver(lane.tag, outcome);
-                    free.push(lane.state);
-                }
-                None => i += 1,
+            let lane = &mut lanes[i];
+            if lane.state.cycles() < lane.checkpoint {
+                i += 1;
+                continue;
             }
+            lane.chunk_idx += 1;
+            let consumed = lane.state.cycles();
+            let early_exit = consumed < n && streaming.exit(&lane.state, &mut lane.book);
+            if consumed < n && !early_exit {
+                lane.checkpoint = (consumed + schedule.len_at(lane.chunk_idx)).min(n);
+                i += 1;
+                continue;
+            }
+            let lane = lanes.swap_remove(i);
+            let outcome = StreamingOutcome::retire(plan, &lane.state, lane.chunk_idx, early_exit);
+            source.complete(lane.tag, outcome);
+            free.push(lane.state);
         }
     }
     stats

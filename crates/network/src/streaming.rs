@@ -5,7 +5,7 @@
 //! knob — accuracy climbs with N while energy and latency scale linearly
 //! with cycles (§V). A fixed-N engine spends the worst-case budget on every
 //! image; the [`StreamingEngine`] instead drives the shared
-//! [`ExecPlan`](crate::ExecPlan) chunk by chunk through a
+//! [`ExecPlan`] chunk by chunk through a
 //! [`ChunkSchedule`] and consults a pluggable [`ExitPolicy`] after each
 //! chunk, so easy images pay a fraction of N and only ambiguous ones run
 //! long.
@@ -23,17 +23,22 @@
 //!
 //! # Lane-group batching
 //!
-//! The batch front-ends hand their images to the shared lane-group
-//! scheduler (`crate::scheduler`), whose workers pull images from one job
-//! cursor into lane groups of up to [`MAX_LANES`] in-flight images,
-//! consult the exit policy at each lane's own schedule checkpoints, and
-//! refill retired lanes from the cursor so the stripe stays dense. The
-//! invariant extends to this path: for every schedule, policy, thread
-//! count, and lane-group size, the batched run reports the same label,
-//! scores, cycle count, and chunk count per image as the scalar chunk
-//! loop of [`StreamingEngine::classify`] — the scheduler advances each
-//! lane to exactly the cycles the scalar loop would, and the offset
-//! classes of
+//! The batch front-ends and [`StreamingEngine::drive_source`] hand their
+//! jobs to the shared lane-group scheduler (`crate::scheduler`), which
+//! reads everything it needs — plan, schedule, exit policy, worker count,
+//! lane-group cap — from the [`StreamingEngine`]. Its workers pull jobs
+//! from a [`LaneSource`] (a shared job cursor for batches, the caller's
+//! queue for `drive_source`) into lane groups of up to [`MAX_LANES`]
+//! in-flight images, consult the exit policy at each lane's own schedule
+//! checkpoints, retire each lane straight into a [`StreamingOutcome`], and
+//! refill retired lanes from the source so the stripe stays dense. The
+//! exit rule itself lives in one place, [`StreamingEngine::exit`], which
+//! both the scalar chunk loop and every lane call. The invariant extends
+//! to this path: for every schedule, policy, thread count, and lane-group
+//! size, the batched run reports the same label, scores, cycle count, and
+//! chunk count per image as the scalar chunk loop of
+//! [`StreamingEngine::classify`] — the scheduler advances each lane to
+//! exactly the cycles the scalar loop would, and the offset classes of
 //! [`ExecPlan::advance_batch`](crate::ExecPlan::advance_batch) — each
 //! image-independent stream read at every class's offset and broadcast to
 //! that class's lanes — keep mixed-offset words bit-exact after
@@ -44,10 +49,7 @@ use aqfp_sc_nn::Tensor;
 
 use crate::engine::{accuracy, InferenceEngine};
 use crate::plan::{argmax, ExecPlan, ExecState, Platform};
-use crate::scheduler::{
-    drive_batch, drive_lane_source, stripe_width, GroupStats, JobSource, LaneOutcome, LanePolicy,
-    SourcedJob,
-};
+use crate::scheduler::{drive_batch, drive_lane_source, stripe_width, GroupStats};
 
 /// When a streaming run is allowed to stop consuming cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,6 +179,26 @@ pub struct StreamingOutcome {
     pub early_exit: bool,
 }
 
+impl StreamingOutcome {
+    /// The outcome of a run that stopped after `chunks` checkpoints with
+    /// `state`'s cycles consumed: its scores and their argmax.
+    pub(crate) fn retire(
+        plan: &ExecPlan,
+        state: &ExecState,
+        chunks: usize,
+        early_exit: bool,
+    ) -> Self {
+        let scores = plan.scores(state);
+        StreamingOutcome {
+            class: argmax(&scores),
+            scores,
+            cycles: state.cycles(),
+            chunks,
+            early_exit,
+        }
+    }
+}
+
 /// Aggregate result of [`StreamingEngine::evaluate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingEvaluation {
@@ -206,8 +228,6 @@ impl StreamingEvaluation {
 /// weight streams) is shared. The engine's `stream_len` is the full budget
 /// N; the [`ChunkSchedule`] sets the evaluation granularity (the final
 /// chunk is shortened when the schedule does not divide N).
-///
-/// [`ExecPlan`]: crate::ExecPlan
 ///
 /// # Example
 ///
@@ -267,10 +287,10 @@ impl<'e> StreamingEngine<'e> {
 
     /// Caps the lane-group size of the batch front-ends and
     /// [`StreamingEngine::drive_source`] (clamped to `1..=MAX_LANES`;
-    /// default `64 ·` [`stripe_width`](crate::stripe_width) of the
-    /// platform). Never
-    /// changes results — the knob exists for break-even experiments and
-    /// for the group-size equivalence proptests.
+    /// default `64 ·` [`stripe_width`] of the platform). Never changes
+    /// results, only throughput: the serving front-end sets it from its
+    /// configured lane limit, and the break-even experiments and the
+    /// group-size equivalence proptests sweep it.
     pub fn with_lane_group(mut self, limit: usize) -> Self {
         self.lane_limit = limit.clamp(1, MAX_LANES);
         self
@@ -319,14 +339,34 @@ impl<'e> StreamingEngine<'e> {
         self.engine
     }
 
+    /// Max lanes per lane group (see [`StreamingEngine::with_lane_group`]).
+    pub(crate) fn lane_limit(&self) -> usize {
+        self.lane_limit
+    }
+
     /// Streams one image under `image_seed` until the exit policy fires or
     /// the full stream length is consumed.
     ///
-    /// This scalar chunk loop is the reference every lane-group run is
-    /// checked against.
+    /// This scalar chunk loop — schedule-driven `advance` calls with a
+    /// policy check at every chunk boundary short of N — is the reference
+    /// every lane-group run is checked against.
     pub fn classify(&self, image: &Tensor, image_seed: u64) -> StreamingOutcome {
-        let mut state = self.engine.plan().new_state();
-        self.classify_with_state(image, image_seed, &mut state)
+        let plan = self.engine.plan();
+        let n = plan.stream_len();
+        let mut state = plan.new_state();
+        plan.begin(&mut state, image, image_seed);
+        let mut book = PolicyBook::default();
+        let mut chunks = 0usize;
+        let mut early_exit = false;
+        while state.cycles() < n {
+            plan.advance(&mut state, self.schedule.len_at(chunks));
+            chunks += 1;
+            if state.cycles() < n && self.exit(&state, &mut book) {
+                early_exit = true;
+                break;
+            }
+        }
+        StreamingOutcome::retire(plan, &state, chunks, early_exit)
     }
 
     /// Streams a batch, fanned out over the engine's worker pool. Image `i`
@@ -349,7 +389,7 @@ impl<'e> StreamingEngine<'e> {
         base_seed: u64,
     ) -> (Vec<StreamingOutcome>, GroupStats) {
         let refs: Vec<&Tensor> = images.iter().collect();
-        self.run_batch_with_stats(&refs, base_seed)
+        drive_batch(self, &refs, base_seed)
     }
 
     /// Accuracy and cycle statistics over a labelled set, or `None` for an
@@ -370,7 +410,7 @@ impl<'e> StreamingEngine<'e> {
         base_seed: u64,
     ) -> (Option<StreamingEvaluation>, GroupStats) {
         let images: Vec<&Tensor> = samples.iter().map(|(x, _)| x).collect();
-        let (outcomes, stats) = self.run_batch_with_stats(&images, base_seed);
+        let (outcomes, stats) = drive_batch(self, &images, base_seed);
         (Self::summarise(&outcomes, samples), stats)
     }
 
@@ -391,35 +431,6 @@ impl<'e> StreamingEngine<'e> {
         })
     }
 
-    /// Batch driver: the scheduler's worker pool runs the images under
-    /// this engine's schedule, exit policy, and lane-group cap, with
-    /// per-lane exit decisions and retire-and-refill compaction.
-    fn run_batch_with_stats(
-        &self,
-        images: &[&Tensor],
-        base_seed: u64,
-    ) -> (Vec<StreamingOutcome>, GroupStats) {
-        let (outcomes, stats) = drive_batch(
-            self.engine.plan(),
-            images,
-            base_seed,
-            self.schedule,
-            &self.check(),
-            self.engine.threads(),
-            self.lane_limit,
-        );
-        (outcomes.into_iter().map(StreamingOutcome::from).collect(), stats)
-    }
-
-    /// The configured exit policy as the scheduler's per-lane check.
-    fn check(&self) -> PolicyCheck {
-        PolicyCheck {
-            policy: self.policy,
-            min_cycles: self.min_cycles,
-            cmos_sigma_factor: self.cmos_sigma_factor,
-        }
-    }
-
     /// Drives a live [`LaneSource`] to exhaustion through the lane-group
     /// scheduler, on the calling thread, under this engine's configured
     /// schedule, exit policy, and lane-group cap.
@@ -438,79 +449,48 @@ impl<'e> StreamingEngine<'e> {
     /// other jobs shared its group, or the lane it landed in. Returns the
     /// word-occupancy accounting of the run.
     pub fn drive_source(&self, source: &mut dyn LaneSource) -> GroupStats {
-        let mut feed = DynFeed { source };
-        let plan = self.engine.plan();
-        drive_lane_source(plan, &mut feed, self.schedule, &self.check(), self.lane_limit)
+        drive_lane_source(self, source)
     }
 
-    /// The chunk loop for one image: schedule-driven `advance` calls with a
-    /// policy check at every chunk boundary.
-    fn classify_with_state(
-        &self,
-        image: &Tensor,
-        image_seed: u64,
-        state: &mut ExecState,
-    ) -> StreamingOutcome {
+    /// The exit rule, consulted at every schedule checkpoint short of N by
+    /// the scalar chunk loop of [`StreamingEngine::classify`] and by every
+    /// lane of the scheduler alike, so batched and scalar runs retire each
+    /// image at the same cycle. `book` is the image's bookkeeping across
+    /// checkpoints, fresh for every image. Returns `true` to stop the run.
+    pub(crate) fn exit(&self, state: &ExecState, book: &mut PolicyBook) -> bool {
         let plan = self.engine.plan();
-        let n = plan.stream_len();
-        plan.begin(state, image, image_seed);
-        let mut chunks = 0usize;
-        let mut early_exit = false;
-        let mut last_argmax: Option<usize> = None;
-        let mut stable_chunks = 0usize;
-        while state.cycles() < n {
-            let want = self.schedule.len_at(chunks);
-            plan.advance(state, want);
-            chunks += 1;
-            let consumed = state.cycles();
-            if consumed >= n {
-                break;
-            }
-            match self.policy {
-                ExitPolicy::Disabled => {}
-                ExitPolicy::Margin { z } => {
-                    if consumed >= self.min_cycles {
-                        let scores = plan.scores(state);
-                        let (best, second) = top_two(&scores);
-                        let sigma = match plan.platform() {
-                            // Exact Bernoulli variance of the two running
-                            // bipolar estimates.
-                            Platform::Aqfp => (((1.0 - best * best).max(0.0)
-                                + (1.0 - second * second).max(0.0))
-                                / consumed as f64)
-                                .sqrt(),
-                            Platform::Cmos => {
-                                self.cmos_sigma_factor / (consumed as f64).sqrt()
-                            }
-                        };
-                        if best - second >= z * sigma {
-                            early_exit = true;
-                            break;
-                        }
-                    }
+        let consumed = state.cycles();
+        match self.policy {
+            ExitPolicy::Disabled => false,
+            ExitPolicy::Margin { z } => {
+                if consumed < self.min_cycles {
+                    return false;
                 }
-                ExitPolicy::StableArgmax { k } => {
-                    let winner = argmax(&plan.scores(state));
-                    stable_chunks = if last_argmax == Some(winner) {
-                        stable_chunks + 1
-                    } else {
-                        1
-                    };
-                    last_argmax = Some(winner);
-                    if consumed >= self.min_cycles && stable_chunks >= k {
-                        early_exit = true;
-                        break;
-                    }
-                }
+                let scores = plan.scores(state);
+                let (best, second) = top_two(&scores);
+                let sigma = match plan.platform() {
+                    // Exact Bernoulli variance of the two running bipolar
+                    // estimates.
+                    Platform::Aqfp => (((1.0 - best * best).max(0.0)
+                        + (1.0 - second * second).max(0.0))
+                        / consumed as f64)
+                        .sqrt(),
+                    Platform::Cmos => self.cmos_sigma_factor / (consumed as f64).sqrt(),
+                };
+                best - second >= z * sigma
             }
-        }
-        let scores = plan.scores(state);
-        StreamingOutcome {
-            class: argmax(&scores),
-            scores,
-            cycles: state.cycles(),
-            chunks,
-            early_exit,
+            ExitPolicy::StableArgmax { k } => {
+                // The streak advances at *every* checkpoint, even below
+                // the min-cycles floor.
+                let winner = argmax(&plan.scores(state));
+                book.stable_chunks = if book.last_argmax == Some(winner) {
+                    book.stable_chunks + 1
+                } else {
+                    1
+                };
+                book.last_argmax = Some(winner);
+                consumed >= self.min_cycles && book.stable_chunks >= k
+            }
         }
     }
 }
@@ -548,94 +528,12 @@ pub trait LaneSource {
     fn complete(&mut self, tag: u64, outcome: StreamingOutcome);
 }
 
-/// Adapts the public object-safe [`LaneSource`] to the scheduler's
-/// internal generic feed.
-struct DynFeed<'a> {
-    source: &'a mut dyn LaneSource,
-}
-
-impl JobSource for DynFeed<'_> {
-    type Img = Tensor;
-
-    fn next_job(&mut self) -> Option<SourcedJob<Tensor>> {
-        self.source
-            .next()
-            .map(|j| SourcedJob { image: j.image, seed: j.seed, tag: j.tag })
-    }
-
-    fn deliver(&mut self, tag: u64, outcome: LaneOutcome) {
-        self.source.complete(tag, outcome.into());
-    }
-}
-
-impl From<LaneOutcome> for StreamingOutcome {
-    fn from(o: LaneOutcome) -> Self {
-        StreamingOutcome {
-            class: argmax(&o.scores),
-            scores: o.scores,
-            cycles: o.cycles,
-            chunks: o.chunks,
-            early_exit: o.early_exit,
-        }
-    }
-}
-
-/// Per-lane bookkeeping of [`PolicyCheck`], reset whenever a lane is
-/// (re)filled — exactly the locals the scalar chunk loop keeps per image.
+/// Per-image bookkeeping of [`StreamingEngine::exit`] across checkpoints
+/// (the argmax stability streak), fresh for every image or refilled lane.
 #[derive(Default)]
-struct PolicyBook {
+pub(crate) struct PolicyBook {
     last_argmax: Option<usize>,
     stable_chunks: usize,
-}
-
-/// The [`ExitPolicy`] evaluated as a [`LanePolicy`]: byte-for-byte the
-/// scalar loop's checkpoint logic (same score reads, same float ops in the
-/// same order), so batched and scalar runs retire every image at the same
-/// cycle.
-struct PolicyCheck {
-    policy: ExitPolicy,
-    min_cycles: usize,
-    cmos_sigma_factor: f64,
-}
-
-impl LanePolicy for PolicyCheck {
-    type Book = PolicyBook;
-
-    fn exit(&self, plan: &ExecPlan, state: &ExecState, book: &mut PolicyBook) -> bool {
-        let consumed = state.cycles();
-        match self.policy {
-            ExitPolicy::Disabled => false,
-            ExitPolicy::Margin { z } => {
-                if consumed < self.min_cycles {
-                    return false;
-                }
-                let scores = plan.scores(state);
-                let (best, second) = top_two(&scores);
-                let sigma = match plan.platform() {
-                    // Exact Bernoulli variance of the two running bipolar
-                    // estimates.
-                    Platform::Aqfp => (((1.0 - best * best).max(0.0)
-                        + (1.0 - second * second).max(0.0))
-                        / consumed as f64)
-                        .sqrt(),
-                    Platform::Cmos => self.cmos_sigma_factor / (consumed as f64).sqrt(),
-                };
-                best - second >= z * sigma
-            }
-            ExitPolicy::StableArgmax { k } => {
-                // The streak advances at *every* checkpoint (even below
-                // the min-cycles floor), matching the scalar loop.
-                let winner = argmax(&plan.scores(state));
-                book.stable_chunks = if book.last_argmax == Some(winner) {
-                    book.stable_chunks + 1
-                } else {
-                    1
-                };
-                book.last_argmax = Some(winner);
-                consumed >= self.min_cycles && book.stable_chunks >= k
-            }
-        }
-    }
 }
 
 /// The largest and second-largest scores (the second defaults to the best

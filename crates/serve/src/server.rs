@@ -36,8 +36,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use aqfp_sc_network::{
-    ChunkSchedule, ExitPolicy, InferenceEngine, LaneJob, LaneSource, ModelRegistry,
-    StreamingEngine, StreamingOutcome,
+    ExitPolicy, InferenceEngine, LaneJob, LaneSource, ModelRegistry, StreamingEngine,
+    StreamingOutcome,
 };
 
 use crate::protocol::{
@@ -389,12 +389,10 @@ fn dispatch_group(shared: &Arc<Shared>, key: QueueKey, batch: Vec<Pending>) {
             .with_min_cycles(cfg.deadline_min_cycles)
             .with_lane_group(cfg.lane_limit)
     } else {
-        // Full-length fixed schedule + exits disabled: bit-identical to
-        // `InferenceEngine::scores`, whatever the group composition.
-        StreamingEngine::new(&engine, engine.stream_len())
-            .with_policy(ExitPolicy::Disabled)
-            .with_schedule(ChunkSchedule::fixed(engine.stream_len()))
-            .with_lane_group(cfg.lane_limit)
+        // The defaults at chunk length N — one full-length chunk, exits
+        // disabled: bit-identical to `InferenceEngine::scores`, whatever
+        // the group composition.
+        StreamingEngine::new(&engine, engine.stream_len()).with_lane_group(cfg.lane_limit)
     };
     let mut source = DispatchSource {
         shared,

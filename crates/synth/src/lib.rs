@@ -11,7 +11,7 @@
 //!   elimination, buffer bypassing and structural common-subexpression
 //!   elimination. All rules preserve the computed function (property-tested
 //!   against exhaustive evaluation).
-//! * **Legalisation** ([`legalize`]): automatic splitter-tree insertion for
+//! * **Legalisation** ([`legalize()`]): automatic splitter-tree insertion for
 //!   every multi-sink node (constants are replicated instead — cheaper and
 //!   semantics-preserving; shared RNG cells get splitters so deliberate bit
 //!   sharing, as in the paper's RNG matrix, is preserved), then buffer

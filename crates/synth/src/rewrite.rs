@@ -216,7 +216,7 @@ fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 ///
 /// The rewritten netlist computes the same outputs for every input vector
 /// (verified by property tests). Fan-out and phase balance are *not*
-/// maintained — run [`crate::legalize`] afterwards.
+/// maintained — run [`crate::legalize()`] afterwards.
 pub fn optimize(input: &Netlist) -> OptimizeResult {
     let mut rw = Rewriter {
         out: Netlist::new(),

@@ -164,3 +164,9 @@ fn batches_crossing_the_lane_threshold_match_per_image_scores() {
         }
     }
 }
+
+#[test]
+#[should_panic(expected = "stream length must be at least 1 cycle")]
+fn zero_length_stream_is_rejected_at_construction() {
+    let _ = InferenceEngine::new(&compiled_tiny(), 0, Platform::Aqfp);
+}

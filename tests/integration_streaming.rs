@@ -4,11 +4,13 @@
 //! lane-group scheduler's per-image equivalence with the scalar path
 //! (retire-and-refill compaction must never change bits).
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
 
 use aqfp_sc_dnn::network::{
-    build_model, ActivationStyle, ChunkSchedule, CompiledNetwork, ExitPolicy, InferenceEngine,
-    LayerSpec, NetworkSpec, Platform, StreamingEngine, StreamingOutcome,
+    build_model, ActivationStyle, ChunkSchedule, CompiledLayer, CompiledNetwork, ExecPlan,
+    ExitPolicy, InferenceEngine, LaneJob, LaneSource, LayerSpec, NetworkSpec, Platform,
+    StreamingEngine, StreamingOutcome,
 };
 use aqfp_sc_dnn::nn::{Padding, Tensor};
 use proptest::prelude::*;
@@ -445,4 +447,203 @@ fn evaluate_reports_cycle_statistics_and_rejects_empty_sets() {
     assert_eq!(eval.avg_cycles, STREAM_LEN as f64);
     assert_eq!(eval.early_exit_fraction, 0.0);
     assert_eq!(eval.cycle_savings(STREAM_LEN), 0.0);
+}
+
+/// Where the margin rule, written out from its documentation, stops one
+/// image: steps `plan` chunk by chunk and returns `(cycles, chunks,
+/// early_exit)` at the first checkpoint short of N with `t ≥ min_cycles`
+/// and `margin ≥ z·σ(t)`, where `σ(t) = √(((1−v̂₁²)+(1−v̂₂²))/t)` on AQFP
+/// and `√((in_f+1)/(2t))` on CMOS; `(N, chunks to N, false)` if none does.
+/// The last field counts the checkpoints the rule declined on the way.
+fn margin_oracle(
+    plan: &ExecPlan,
+    image: &Tensor,
+    seed: u64,
+    schedule: ChunkSchedule,
+    z: f64,
+    min_cycles: usize,
+    in_f: usize,
+) -> (usize, usize, bool, usize) {
+    let n = plan.stream_len();
+    let mut state = plan.new_state();
+    plan.begin(&mut state, image, seed);
+    let (mut chunks, mut declined) = (0usize, 0usize);
+    while state.cycles() < n {
+        plan.advance(&mut state, schedule.len_at(chunks));
+        chunks += 1;
+        let t = state.cycles();
+        if t == n || t < min_cycles {
+            continue;
+        }
+        let mut scores = plan.scores(&state);
+        scores.sort_by(|a, b| b.total_cmp(a));
+        let (v1, v2) = (scores[0], scores[1]);
+        let sigma = match plan.platform() {
+            Platform::Aqfp => (((1.0 - v1 * v1) + (1.0 - v2 * v2)) / t as f64).sqrt(),
+            Platform::Cmos => ((in_f + 1) as f64 / (2.0 * t as f64)).sqrt(),
+        };
+        let gap = (v1 - v2) - z * sigma;
+        assert!(
+            gap == 0.0 || gap.abs() > 1e-12,
+            "checkpoint at t={t} sits within rounding of the margin boundary"
+        );
+        if gap >= 0.0 {
+            return (t, chunks, true, declined);
+        }
+        declined += 1;
+    }
+    (state.cycles(), chunks, false, declined)
+}
+
+#[test]
+fn margin_exit_retires_at_the_first_checkpoint_its_formula_allows() {
+    // The shared exit check against an oracle outside itself: the margin
+    // rule recomputed from its documented formula on a plan stepped chunk
+    // by chunk, for the scalar loop and for lane groups on one and two
+    // workers.
+    let compiled = compiled_tiny();
+    let in_f = compiled
+        .layers()
+        .iter()
+        .find_map(|l| match l {
+            CompiledLayer::Output { in_f, .. } => Some(*in_f),
+            _ => None,
+        })
+        .expect("tiny has an output layer");
+    let images = probe_images(16);
+    let min_cycles = 48;
+    for platform in [Platform::Aqfp, Platform::Cmos] {
+        let (mut early, mut declined) = (0usize, 0usize);
+        for threads in [1usize, 2] {
+            let engine =
+                InferenceEngine::new(&compiled, STREAM_LEN, platform).with_threads(threads);
+            for schedule in [ChunkSchedule::fixed(16), ChunkSchedule::geometric(8, 2.0, 64)] {
+                for z in [1.0, 2.0, 3.0] {
+                    let streaming = StreamingEngine::new(&engine, 16)
+                        .with_schedule(schedule)
+                        .with_policy(ExitPolicy::Margin { z })
+                        .with_min_cycles(min_cycles);
+                    let batched = streaming.classify_batch(&images, BASE_SEED);
+                    for (i, image) in images.iter().enumerate() {
+                        let seed = InferenceEngine::image_seed(BASE_SEED, i);
+                        let (cycles, chunks, early_exit, declined_here) = margin_oracle(
+                            engine.plan(),
+                            image,
+                            seed,
+                            schedule,
+                            z,
+                            min_cycles,
+                            in_f,
+                        );
+                        let scalar = streaming.classify(image, seed);
+                        let ctx =
+                            format!("{platform:?} threads={threads} {schedule:?} z={z} image {i}");
+                        assert_eq!(
+                            (scalar.cycles, scalar.chunks, scalar.early_exit),
+                            (cycles, chunks, early_exit),
+                            "classify, {ctx}"
+                        );
+                        assert_eq!(batched[i], scalar, "classify_batch, {ctx}");
+                        early += usize::from(early_exit);
+                        declined += declined_here;
+                    }
+                }
+            }
+        }
+        // The sweep must exercise both sides of the rule.
+        assert!(early > 0, "{platform:?}: no image exited early");
+        assert!(declined > 0, "{platform:?}: the rule never declined a checkpoint");
+    }
+}
+
+/// A live queue for `drive_source`: hands out a wave of jobs, then answers
+/// `None` while that wave's lanes are live until one of them completes,
+/// then hands out the next wave.
+struct WaveSource {
+    pending: VecDeque<LaneJob>,
+    wave: usize,
+    released_in_wave: usize,
+    completed_since_wave: bool,
+    in_flight: usize,
+    /// `None` answers given while lanes were live and jobs were pending.
+    held_back: usize,
+    /// Jobs handed out while other lanes were live.
+    joined_live: usize,
+    done: Vec<(u64, StreamingOutcome)>,
+}
+
+impl LaneSource for WaveSource {
+    fn next(&mut self) -> Option<LaneJob> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        if self.released_in_wave == self.wave {
+            if self.in_flight > 0 && !self.completed_since_wave {
+                self.held_back += 1;
+                return None;
+            }
+            self.released_in_wave = 0;
+            self.completed_since_wave = false;
+        }
+        if self.in_flight > 0 {
+            self.joined_live += 1;
+        }
+        self.released_in_wave += 1;
+        self.in_flight += 1;
+        self.pending.pop_front()
+    }
+
+    fn complete(&mut self, tag: u64, outcome: StreamingOutcome) {
+        self.in_flight -= 1;
+        self.completed_since_wave = true;
+        self.done.push((tag, outcome));
+    }
+}
+
+#[test]
+fn drive_source_refills_live_lanes_from_a_queue_that_runs_dry() {
+    // Early exits stagger the retirements, so later waves join lanes that
+    // are still mid-stream; the source answers `None` in between, which
+    // must not end the drive while lanes are live.
+    let compiled = compiled_tiny();
+    let images = probe_images(40);
+    let tag_of = |i: usize| (i as u64) * 7 + 3;
+    for platform in [Platform::Aqfp, Platform::Cmos] {
+        let engine = InferenceEngine::new(&compiled, STREAM_LEN, platform);
+        let streaming = StreamingEngine::new(&engine, 32)
+            .with_policy(ExitPolicy::Margin { z: 2.0 })
+            .with_lane_group(16);
+        let mut source = WaveSource {
+            pending: images
+                .iter()
+                .enumerate()
+                .map(|(i, image)| LaneJob {
+                    image: image.clone(),
+                    seed: InferenceEngine::image_seed(BASE_SEED, i),
+                    tag: tag_of(i),
+                })
+                .collect(),
+            wave: 6,
+            released_in_wave: 0,
+            completed_since_wave: false,
+            in_flight: 0,
+            held_back: 0,
+            joined_live: 0,
+            done: Vec::new(),
+        };
+        let stats = streaming.drive_source(&mut source);
+        assert!(stats.steps > 0);
+        assert!(source.held_back > 0, "{platform:?}: the queue never ran dry mid-run");
+        assert!(source.joined_live > 0, "{platform:?}: no job joined live lanes");
+        assert_eq!(source.in_flight, 0);
+        let mut by_tag: BTreeMap<u64, StreamingOutcome> = BTreeMap::new();
+        for (tag, outcome) in source.done {
+            assert!(by_tag.insert(tag, outcome).is_none(), "{platform:?}: tag {tag} twice");
+        }
+        assert_eq!(by_tag.len(), images.len(), "{platform:?}: some tag never completed");
+        for (i, image) in images.iter().enumerate() {
+            let want = streaming.classify(image, InferenceEngine::image_seed(BASE_SEED, i));
+            assert_eq!(by_tag[&tag_of(i)], want, "{platform:?} image {i}");
+        }
+    }
 }
