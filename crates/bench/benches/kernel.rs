@@ -146,7 +146,7 @@ fn bench_kernel_column_counts(c: &mut Criterion) {
                     .map(|(x, w)| KernelRow::Xnor(x.words(), w.words()))
                     .collect();
                 rows.push(KernelRow::Plain(bias.words()));
-                column_counts_into(&rows, LEN, &mut counts);
+                column_counts_into(&rows, 0, LEN, &mut counts);
                 sum += u64::from(counts[LEN - 1]);
             }
             black_box(sum)
@@ -210,7 +210,7 @@ fn bench_kernel_column_counts(c: &mut Criterion) {
                     .map(|(x, w)| KernelRow::Xnor(x.words(), w.words()))
                     .collect();
                 rows.push(KernelRow::Plain(wide_bias.words()));
-                column_counts_into(&rows, WIDE_LEN, &mut counts);
+                column_counts_into(&rows, 0, WIDE_LEN, &mut counts);
                 fe.run_counts_resume_into(&counts, &mut 0, &mut out);
                 sum += out.count_ones() as u64;
             }

@@ -10,9 +10,10 @@
 //! Two layouts are supported, and the same slab network counts both:
 //!
 //! * **Word-parallel** ([`column_counts_into`]): rows are ordinary
-//!   [`BitStream`] word slices for a single image. Each 64-bit word holds 64
-//!   consecutive cycles of one row; the planes are converted to per-cycle
-//!   `u32` counts with branchless 8x8 bit-matrix transposes.
+//!   [`BitStream`] word slices for a single image — its own streams cover
+//!   the chunk, weight streams are read in place at the chunk's offset.
+//!   Each 64-bit word holds 64 consecutive cycles of one row; the planes
+//!   are converted to per-cycle `u32` counts with 8x8 bit transposes.
 //! * **Batch-transposed** ([`lane_counts_stream`] and friends): each lane
 //!   word holds the *same* cycle of up to `64·W` images ("lanes") in a
 //!   [`Stripe<W>`] of `W` machine words. Weight streams are
@@ -130,35 +131,78 @@ impl<const W: usize> core::ops::Not for Stripe<W> {
     }
 }
 
-/// One input row for the word-parallel kernel (single-image layout).
+/// One input row for the word-parallel kernel (single-image layout), in
+/// the four forms of [`LaneRow`]. Image operands are chunk-local: bit `c`
+/// is chunk cycle `c`. Image-independent operands (weights, biases, the
+/// `0101…` neutral pad) are full-length streams read in place at the
+/// chunk's absolute offset: chunk cycle `c` is bit `offset + c`.
 #[derive(Clone, Copy)]
 pub enum KernelRow<'a> {
-    /// XNOR of two streams: `!(a ^ b)` per word (tail bits are handled by
-    /// the caller-provided length).
+    /// An image stream XNORed with a weight stream: `!(x[c] ^ w[offset +
+    /// c])` (weight bit 1 keeps the image bit, 0 inverts it).
     Xnor(&'a [u64], &'a [u64]),
-    /// A plain stream contributing its own bits.
+    /// An image stream contributing its own bits.
     Plain(&'a [u64]),
+    /// An image-independent stream contributing its own bits (e.g. a bias
+    /// stream).
+    Broadcast(&'a [u64]),
+    /// XNOR of two image-independent streams (e.g. a padding neutral
+    /// stream times a weight stream).
+    BroadcastXnor(&'a [u64], &'a [u64]),
 }
 
 impl KernelRow<'_> {
+    /// Chunk word `w` of the row, its image-independent operands read at
+    /// absolute cycle `offset + 64·w`; bits past the chunk's end are
+    /// unspecified.
     #[inline]
-    fn word(&self, w: usize) -> u64 {
-        match self {
-            KernelRow::Xnor(a, b) => !(a[w] ^ b[w]),
-            KernelRow::Plain(a) => a[w],
+    pub fn word(&self, w: usize, offset: usize) -> u64 {
+        if offset.is_multiple_of(WORD_BITS) {
+            self.word_at::<true>(w, offset)
+        } else {
+            self.word_at::<false>(w, offset)
         }
     }
 
-    fn check(&self, need: usize) {
-        match self {
-            KernelRow::Xnor(a, b) => {
-                assert_eq!(a.len(), b.len(), "kernel row: XNOR word count mismatch");
-                assert!(a.len() >= need, "kernel row: too few words for length");
-            }
-            KernelRow::Plain(a) => {
-                assert!(a.len() >= need, "kernel row: too few words for length");
-            }
+    /// [`KernelRow::word`] with the offset's word alignment fixed at
+    /// compile time: `ALIGNED` (an offset that is a multiple of 64, as on
+    /// the one-shot path) indexes each image-independent word directly.
+    #[inline(always)]
+    fn word_at<const ALIGNED: bool>(&self, w: usize, offset: usize) -> u64 {
+        if ALIGNED {
+            // Every form is its first operand, XNORed with its second if
+            // it has one. Resolving the form to an operand and a word index
+            // before any read keeps this loop as tight as a two-form row.
+            let at = offset / WORD_BITS + w;
+            let (a, a_at, b) = match *self {
+                KernelRow::Xnor(x, s) => (x, w, Some(s)),
+                KernelRow::Plain(x) => (x, w, None),
+                KernelRow::Broadcast(s) => (s, at, None),
+                KernelRow::BroadcastXnor(p, q) => (p, at, Some(q)),
+            };
+            return match b {
+                Some(b) => !(a[a_at] ^ b[at]),
+                None => a[a_at],
+            };
         }
+        let read = |s: &[u64]| window64(s, offset + w * WORD_BITS);
+        match *self {
+            KernelRow::Xnor(x, s) => !(x[w] ^ read(s)),
+            KernelRow::Plain(x) => x[w],
+            KernelRow::Broadcast(s) => read(s),
+            KernelRow::BroadcastXnor(a, b) => !(read(a) ^ read(b)),
+        }
+    }
+
+    /// Panics unless every image-independent operand holds `scalar_words`
+    /// words.
+    fn check(&self, scalar_words: usize) {
+        let scalar = match *self {
+            KernelRow::Xnor(_, s) | KernelRow::Broadcast(s) => s.len(),
+            KernelRow::Plain(_) => usize::MAX,
+            KernelRow::BroadcastXnor(a, b) => a.len().min(b.len()),
+        };
+        assert!(scalar >= scalar_words, "kernel row: too few scalar words");
     }
 }
 
@@ -243,51 +287,60 @@ pub fn extract_plane_counts(planes: &[u64], valid: usize, out: &mut [u32]) {
     }
 }
 
-/// Fused XNOR + popcount over `len` bits: `popcount(!(x ^ w))` with the
-/// bits beyond `len` in the last word masked off.
-pub fn xnor_popcount(x: &[u64], w: &[u64], len: usize) -> u32 {
-    let nw = words_for(len);
-    assert!(x.len() >= nw && w.len() >= nw, "xnor_popcount: too few words");
-    let mut total = 0u32;
-    for i in 0..nw {
-        let mut v = !(x[i] ^ w[i]);
-        if i == nw - 1 && !len.is_multiple_of(WORD_BITS) {
-            v &= (1u64 << (len % WORD_BITS)) - 1;
-        }
-        total += v.count_ones();
-    }
-    total
-}
-
-/// Word-parallel column counting: for each cycle `c < len`, count how many
-/// rows have bit `c` set, writing the counts into `counts` (resized to
-/// `len`). Bit-identical to summing `BitStream::get` per row per cycle.
+/// Word-parallel column counting over the `len`-cycle chunk at absolute
+/// cycle `offset` (see [`KernelRow`]): for each chunk cycle `c`, count how
+/// many rows have bit `c` set, writing the counts into `counts` (resized
+/// to `len`). Bit-identical to summing `BitStream::get` per row per cycle.
 ///
 /// This is the lane kernel's slab compressor turned on its side: one
 /// [`Stripe<1>`] holds 64 consecutive cycles of one row instead of one
 /// cycle of 64 images, and the same [`TREE_ROWS`]-input carry-save network
 /// (`fold_slab`) adds the rows up, so one compressor serves both
-/// orientations. Kernels of at most [`TREE_ROWS`] rows are folded one word
-/// at a time straight from the rows, zero-padded to a full slab, so the
-/// count planes never leave registers. Wider kernels run in blocks of up to
+/// orientations (this is the one-class case of [`OffsetClasses`]).
+/// Kernels of at most [`TREE_ROWS`] rows are folded one word at a time
+/// straight from the rows, zero-padded to a full slab, so the count planes
+/// never leave registers. Wider kernels run in blocks of up to
 /// [`BLOCK_WORDS`] words: each slab is folded into every word of the block,
 /// the count's four low planes acting as the network's carry-save state and
 /// its sixteens carry rippling through the planes above.
 ///
-/// Panics if any row is shorter than `len` bits, if an XNOR row's operands
-/// disagree in word count, or if there are more than [`MAX_KERNEL_ROWS`]
-/// rows.
-pub fn column_counts_into(rows: &[KernelRow<'_>], len: usize, counts: &mut Vec<u32>) {
+/// Panics if an image operand is shorter than `len` bits, an
+/// image-independent one ends before `offset + len`, or there are more
+/// than [`MAX_KERNEL_ROWS`] rows.
+pub fn column_counts_into(
+    rows: &[KernelRow<'_>],
+    offset: usize,
+    len: usize,
+    counts: &mut Vec<u32>,
+) {
     assert!(rows.len() <= MAX_KERNEL_ROWS, "column_counts_into: too many rows");
-    let nw = words_for(len);
-    for r in rows {
-        r.check(nw);
-    }
     counts.clear();
     counts.resize(len, 0);
     if len == 0 || rows.is_empty() {
         return;
     }
+    if offset.is_multiple_of(WORD_BITS) {
+        // Aligned reads index every operand word directly, so a short
+        // operand panics at its first missing word.
+        count_columns::<true>(rows, offset, len, counts);
+    } else {
+        // The unaligned window read fills past a stream's end with zeros,
+        // so the image-independent operands are checked up front.
+        for r in rows {
+            r.check(words_for(offset + len));
+        }
+        count_columns::<false>(rows, offset, len, counts);
+    }
+}
+
+/// [`column_counts_into`] at a fixed word alignment of the offset.
+fn count_columns<const ALIGNED: bool>(
+    rows: &[KernelRow<'_>],
+    offset: usize,
+    len: usize,
+    counts: &mut [u32],
+) {
+    let nw = words_for(len);
     let max_planes = bit_width(rows.len());
     // Word `w`'s counts from its planes (`Stripe<1>` is one `u64`).
     let mut extract = |w: usize, planes: &[Stripe<1>]| {
@@ -303,7 +356,7 @@ pub fn column_counts_into(rows: &[KernelRow<'_>], len: usize, counts: &mut Vec<u
     if rows.len() <= TREE_ROWS {
         for w in 0..nw {
             for (slot, row) in x.iter_mut().zip(rows) {
-                *slot = Stripe([row.word(w)]);
+                *slot = Stripe([row.word_at::<ALIGNED>(w, offset)]);
             }
             let mut planes = [Stripe::ZERO; TREE_PLANES];
             fold_slab(&x, &mut planes);
@@ -327,7 +380,7 @@ pub fn column_counts_into(rows: &[KernelRow<'_>], len: usize, counts: &mut Vec<u
             x[slab.len()..].fill(Stripe::ZERO);
             for (t, acc_t) in block.iter_mut().enumerate() {
                 for (slot, row) in x.iter_mut().zip(slab) {
-                    *slot = Stripe([row.word(w0 + t)]);
+                    *slot = Stripe([row.word_at::<ALIGNED>(w0 + t, offset)]);
                 }
                 fold_slab(&x, &mut acc_t[..planes]);
             }
@@ -927,7 +980,7 @@ mod tests {
         let mut counts = vec![0u32; len];
         for (c, cnt) in counts.iter_mut().enumerate() {
             for r in rows {
-                let bit = (r.word(c / 64) >> (c % 64)) & 1;
+                let bit = (r.word(c / 64, 0) >> (c % 64)) & 1;
                 *cnt += bit as u32;
             }
         }
@@ -998,7 +1051,7 @@ mod tests {
                 .collect();
             rows.push(KernelRow::Plain(streams[0].words()));
             let mut counts = Vec::new();
-            column_counts_into(&rows, len, &mut counts);
+            column_counts_into(&rows, 0, len, &mut counts);
             assert_eq!(counts, naive_counts(&rows, len), "len {len}");
         }
     }
@@ -1010,28 +1063,18 @@ mod tests {
         let s = BitStream::ones(len);
         let rows: Vec<KernelRow<'_>> = (0..300).map(|_| KernelRow::Plain(s.words())).collect();
         let mut counts = Vec::new();
-        column_counts_into(&rows, len, &mut counts);
+        column_counts_into(&rows, 0, len, &mut counts);
         assert!(counts.iter().all(|&c| c == 300));
     }
 
     #[test]
-    #[should_panic(expected = "XNOR word count mismatch")]
-    fn column_counts_rejects_mismatched_xnor() {
-        let a = BitStream::zeros(64);
-        let b = BitStream::zeros(128);
-        let rows = [KernelRow::Xnor(a.words(), b.words())];
+    #[should_panic(expected = "too few scalar words")]
+    fn column_counts_reject_windows_past_the_stream() {
+        let image = rand_stream(2, 51);
+        let weight = rand_stream(3, 100);
+        let rows = [KernelRow::Xnor(image.words(), weight.words())];
         let mut counts = Vec::new();
-        column_counts_into(&rows, 64, &mut counts);
-    }
-
-    #[test]
-    fn xnor_popcount_matches_stream_op() {
-        for &len in &[1usize, 64, 65, 200, 512] {
-            let a = rand_stream(1, len);
-            let b = rand_stream(2, len);
-            let expect = a.xnor(&b).unwrap().count_ones() as u32;
-            assert_eq!(xnor_popcount(a.words(), b.words(), len), expect, "len {len}");
-        }
+        column_counts_into(&rows, 100, 51, &mut counts);
     }
 
     #[test]

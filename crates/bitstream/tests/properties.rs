@@ -230,6 +230,8 @@ proptest! {
         len_pick in 0usize..16,
         len_any in 1usize..=1100,
         plain_per_mille in 0usize..=1000,
+        offset_pick in 0usize..14,
+        offset_any in 0usize..=1100,
         seed in any::<u64>(),
     ) {
         // Row counts straddle the 16-row slabs of the compressor (15/16/17,
@@ -237,32 +239,62 @@ proptest! {
         // lengths straddle a 64-cycle word and an 8-word (512-cycle) block,
         // so short last slabs, short last blocks and ragged tails — where
         // the XNOR of the last word sets garbage bits beyond `len` — all
-        // occur. The row mix covers product rows (conv/dense taps) and
-        // plain rows (bias, pad, pooling inputs).
+        // occur. The chunk's absolute offset sits on, one short of and one
+        // past a word and a block, so both the word-aligned read and the
+        // two-word window of the image-independent operands run. The row
+        // mix covers all four forms: product rows (conv/dense taps), plain
+        // image rows (pooling inputs), broadcast rows (bias, pad) and
+        // broadcast products (padding × weight). Image operands hold the
+        // chunk only; image-independent ones are full-length streams,
+        // sometimes ending exactly at the chunk's end.
         const ROWS: [usize; 8] = [15, 16, 17, 31, 32, 33, 800, 801];
         const LENS: [usize; 8] = [63, 64, 65, 511, 512, 513, 1024, 1089];
+        const OFFSETS: [usize; 7] = [0, 1, 63, 64, 65, 511, 513];
         let n = ROWS.get(rows_pick).copied().unwrap_or(rows_any);
         let len = LENS.get(len_pick).copied().unwrap_or(len_any);
+        let offset = OFFSETS.get(offset_pick).copied().unwrap_or(offset_any);
         let plain_rows = n * plain_per_mille / 1000;
         let mut rng = SplitMix64::new(seed);
-        let mut stream = || {
+        let mut forms = SplitMix64::new(!seed);
+        let full = offset + len + [0, 1, 64, 200][(forms.next_u64() % 4) as usize];
+        let mut stream = |len: usize| {
             let words = (0..len.div_ceil(64)).map(|_| rng.next_u64()).collect();
             BitStream::from_words(words, len)
         };
-        let pairs: Vec<(BitStream, BitStream)> =
-            (plain_rows..n).map(|_| (stream(), stream())).collect();
-        let plains: Vec<BitStream> = (0..plain_rows).map(|_| stream()).collect();
-        let mut rows: Vec<KernelRow<'_>> = pairs
-            .iter()
-            .map(|(a, b)| KernelRow::Xnor(a.words(), b.words()))
+        // (form, first operand, second operand) per row: 0 = Xnor(image,
+        // full), 1 = Plain(image), 2 = Broadcast(full), 3 =
+        // BroadcastXnor(full, full).
+        let operands: Vec<(u64, BitStream, BitStream)> = (0..n)
+            .map(|i| {
+                let form =
+                    if i < plain_rows { 1 } else { [0, 2, 3][(forms.next_u64() % 3) as usize] };
+                let first = stream(if form < 2 { len } else { full });
+                (form, first, stream(full))
+            })
             .collect();
-        rows.extend(plains.iter().map(|p| KernelRow::Plain(p.words())));
+        let rows: Vec<KernelRow<'_>> = operands
+            .iter()
+            .map(|(form, a, b)| match form {
+                0 => KernelRow::Xnor(a.words(), b.words()),
+                1 => KernelRow::Plain(a.words()),
+                2 => KernelRow::Broadcast(a.words()),
+                _ => KernelRow::BroadcastXnor(a.words(), b.words()),
+            })
+            .collect();
         let mut got = Vec::new();
-        column_counts_into(&rows, len, &mut got);
-        // Per-bit reference over the same logical rows.
-        let mut materialised: Vec<BitStream> =
-            pairs.iter().map(|(a, b)| a.xnor(b).unwrap()).collect();
-        materialised.extend(plains.iter().cloned());
+        column_counts_into(&rows, offset, len, &mut got);
+        // Per-bit reference over the same logical rows, every
+        // image-independent operand sliced at the offset.
+        let at = |s: &BitStream| s.slice(offset, len);
+        let materialised: Vec<BitStream> = operands
+            .iter()
+            .map(|(form, a, b)| match form {
+                0 => a.xnor(&at(b)).unwrap(),
+                1 => a.clone(),
+                2 => at(a),
+                _ => at(a).xnor(&at(b)).unwrap(),
+            })
+            .collect();
         let want = column_counts(&materialised).unwrap();
         prop_assert_eq!(got, want);
     }

@@ -131,7 +131,7 @@ fn reference_counts<const W: usize>(
                 })
                 .collect();
             let mut counts = Vec::new();
-            column_counts_into(&krows, clen, &mut counts);
+            column_counts_into(&krows, 0, clen, &mut counts);
             counts
         })
         .collect()

@@ -14,10 +14,11 @@
 //! * [`ExecState`] — everything that is a property of one *in-flight
 //!   image*: the per-pixel SNG cursors, the per-neuron feedback / FSM
 //!   state, the running class accumulators, and a reusable scratch arena
-//!   (counts buffer, pixel/weight/neutral chunk-slice buffers) so the chunk
-//!   bookkeeping that used to allocate per chunk reuses persistent
-//!   buffers, including the ping-pong activation arenas every layer of
-//!   [`ExecPlan::advance`] writes into in place.
+//!   (pixel chunk buffers, counts buffer) so the chunk bookkeeping that
+//!   used to allocate per chunk reuses persistent buffers, including the
+//!   ping-pong activation arenas every layer of [`ExecPlan::advance`]
+//!   writes into in place. A state holds no weight stream: every chunk
+//!   reads the plan's cached streams in place at its absolute offset.
 //!
 //! The single entry point is [`ExecPlan::advance`]: evaluate the next
 //! `max_cycles` cycles of the whole pipeline and fold them into the state.
@@ -48,16 +49,17 @@
 //!
 //! The `0101…` neutral stream (zero-valued padding rows, even-width sorter
 //! pads, even-fan-in majority-chain pads) is indexed by *absolute* cycle,
-//! not chunk-local cycle: a chunk starting at an odd offset sees a neutral
-//! slice that starts with 0. Restarting the pattern per chunk would drift
-//! every odd-offset count by one.
+//! not chunk-local cycle: like every weight stream it is read in place at
+//! the chunk's offset, so a chunk starting at an odd offset sees it start
+//! with 0. Restarting the pattern per chunk would drift every odd-offset
+//! count by one.
 
 use std::sync::Arc;
 
 use aqfp_sc_bitstream::{
-    column_counts_into, mux_add, pack_lanes_into, xnor_popcount, Bipolar, BitStream, BitsAsWords,
-    KernelRow, LanePopcount, LaneRow, OffsetClasses, SplitMix64, Sng, Stripe, ThermalRng,
-    MAX_KERNEL_ROWS, MAX_LANES, WORD_BITS,
+    column_counts_into, mux_add, pack_lanes_into, Bipolar, BitStream, BitsAsWords, KernelRow,
+    LanePopcount, LaneRow, OffsetClasses, SplitMix64, Sng, Stripe, ThermalRng, MAX_KERNEL_ROWS,
+    MAX_LANES, WORD_BITS,
 };
 use aqfp_sc_core::baseline::Btanh;
 use aqfp_sc_core::{AveragePooling, FeatureExtraction};
@@ -351,9 +353,6 @@ impl ExecPlan {
             cycles: 0,
             pixel_chunks: Vec::new(),
             counts: Vec::new(),
-            neutral_chunk: BitStream::zeros(0),
-            w_chunks: Vec::new(),
-            b_chunks: Vec::new(),
             act_a: Vec::new(),
             act_b: Vec::new(),
         }
@@ -455,32 +454,14 @@ impl ExecPlan {
         if clen == 0 {
             return 0;
         }
-        // One-shot fast path: a chunk spanning the whole stream borrows the
-        // cached weight streams and the neutral stream directly — no
-        // per-chunk slicing or copying.
-        let full = offset == 0 && clen == self.stream_len;
         let platform = self.platform;
-        let ExecState {
-            pixels,
-            layers,
-            class_acc,
-            pixel_chunks,
-            counts,
-            neutral_chunk,
-            w_chunks,
-            b_chunks,
-            act_a,
-            act_b,
-            ..
-        } = state;
-        // Slice the neutral stream at the absolute offset so its 0101…
-        // parity matches a whole-stream run.
-        let neutral: &BitStream = if full {
-            &self.neutral
-        } else {
-            self.neutral.slice_into(offset, clen, neutral_chunk);
-            neutral_chunk
-        };
+        let ExecState { pixels, layers, class_acc, pixel_chunks, counts, act_a, act_b, .. } =
+            state;
+        // Every image-independent row (weight, bias, the absolute-parity
+        // 0101… neutral pad) reads its cached full-length stream in place
+        // at the chunk's offset, exactly as one offset class of the lane
+        // kernel does; only the image's own streams are chunk-local.
+        let neutral = self.neutral.words();
         // Generate this chunk of every pixel stream from its cursor, into
         // the state's persistent chunk buffers.
         for (cursor, buf) in pixels.iter_mut().zip(pixel_chunks.iter_mut()) {
@@ -505,13 +486,10 @@ impl ExecPlan {
                     };
                     let m = in_c * k * k;
                     let pad_row = sorter_pads(platform, m + 1);
-                    let (w_run, b_run) =
-                        chunk_streams(full, w, b, offset, clen, w_chunks, b_chunks);
                     act_b.resize_with(out_c * oh * ow, || BitStream::zeros(0));
                     let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(m + 2);
                     let mut idx = 0usize;
                     for oc in 0..*out_c {
-                        let wrow = &w_run[oc * m..(oc + 1) * m];
                         for oy in 0..oh {
                             for ox in 0..ow {
                                 rows.clear();
@@ -521,29 +499,28 @@ impl ExecPlan {
                                         for kx in 0..*k {
                                             let iy = oy as isize + ky as isize - pad;
                                             let ix = ox as isize + kx as isize - pad;
-                                            let x = if iy < 0
+                                            let oob = iy < 0
                                                 || ix < 0
                                                 || iy >= h as isize
-                                                || ix >= w_dim as isize
-                                            {
-                                                neutral // zero-valued padding row
+                                                || ix >= w_dim as isize;
+                                            let wj = w[oc * m + j].words();
+                                            rows.push(if oob {
+                                                // Zero-valued padding row × weight.
+                                                KernelRow::BroadcastXnor(neutral, wj)
                                             } else {
-                                                &streams[(ic * h + iy as usize) * w_dim
-                                                    + ix as usize]
-                                            };
-                                            rows.push(KernelRow::Xnor(
-                                                x.words(),
-                                                wrow[j].words(),
-                                            ));
+                                                let x = &streams
+                                                    [(ic * h + iy as usize) * w_dim + ix as usize];
+                                                KernelRow::Xnor(x.words(), wj)
+                                            });
                                             j += 1;
                                         }
                                     }
                                 }
-                                rows.push(KernelRow::Plain(b_run[oc].words()));
+                                rows.push(KernelRow::Broadcast(b[oc].words()));
                                 if pad_row {
-                                    rows.push(KernelRow::Plain(neutral.words()));
+                                    rows.push(KernelRow::Broadcast(neutral));
                                 }
-                                column_counts_into(&rows, clen, counts);
+                                column_counts_into(&rows, offset, clen, counts);
                                 neuron_chunk_into(m + 1, lstate, idx, counts, &mut act_b[idx]);
                                 idx += 1;
                             }
@@ -572,7 +549,7 @@ impl ExecPlan {
                                         for s in window {
                                             rows.push(KernelRow::Plain(s.words()));
                                         }
-                                        column_counts_into(&rows, clen, counts);
+                                        column_counts_into(&rows, offset, clen, counts);
                                         AveragePooling::new(k * k).run_counts_resume_into(
                                             counts,
                                             &mut r[idx],
@@ -600,85 +577,71 @@ impl ExecPlan {
                     }
                 }
                 CachedLayer::Dense { in_f, out_f, w, b } => {
-                    let (w_run, b_run) =
-                        chunk_streams(full, w, b, offset, clen, w_chunks, b_chunks);
                     act_b.resize_with(*out_f, || BitStream::zeros(0));
                     let pad_row = sorter_pads(platform, in_f + 1);
                     let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
                     for o in 0..*out_f {
-                        let wrow = &w_run[o * in_f..(o + 1) * in_f];
                         rows.clear();
-                        for (x, ws) in streams.iter().zip(wrow) {
+                        for (x, ws) in streams.iter().zip(&w[o * in_f..(o + 1) * in_f]) {
                             rows.push(KernelRow::Xnor(x.words(), ws.words()));
                         }
-                        rows.push(KernelRow::Plain(b_run[o].words()));
+                        rows.push(KernelRow::Broadcast(b[o].words()));
                         if pad_row {
-                            rows.push(KernelRow::Plain(neutral.words()));
+                            rows.push(KernelRow::Broadcast(neutral));
                         }
-                        column_counts_into(&rows, clen, counts);
+                        column_counts_into(&rows, offset, clen, counts);
                         neuron_chunk_into(in_f + 1, lstate, o, counts, &mut act_b[o]);
                     }
                 }
                 CachedLayer::Output { in_f, classes, order, w, b } => {
                     produced = false;
-                    let (w_run, b_run) =
-                        chunk_streams(full, w, b, offset, clen, w_chunks, b_chunks);
-                    let nw = clen.div_ceil(WORD_BITS);
-                    let tail = clen % WORD_BITS;
+                    let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
                     for (cl, class_order) in order.iter().enumerate().take(*classes) {
-                        let wrow = &w_run[cl * in_f..(cl + 1) * in_f];
+                        let wrow = &w[cl * in_f..(cl + 1) * in_f];
+                        rows.clear();
                         match platform {
                             Platform::Aqfp => {
-                                // Inline word-level majority chain over the
-                                // XNOR products (in wiring order), the bias,
-                                // and — for even fan-in+1 — the
-                                // absolute-parity neutral pad. No product
-                                // streams are materialised; the XNOR's
-                                // garbage tail bits are masked before the
-                                // popcount.
-                                let width = if (in_f + 1).is_multiple_of(2) {
-                                    in_f + 2
-                                } else {
-                                    in_f + 1
-                                };
+                                // Word-level majority chain over the XNOR
+                                // products (in wiring order), the bias, and
+                                // — for even fan-in+1 — the absolute-parity
+                                // neutral pad, as prebuilt row descriptors.
+                                // No product streams are materialised; the
+                                // garbage bits past the chunk are masked
+                                // before the popcount.
+                                for &j in class_order.iter().take(*in_f) {
+                                    rows.push(KernelRow::Xnor(streams[j].words(), wrow[j].words()));
+                                }
+                                rows.push(KernelRow::Broadcast(b[cl].words()));
+                                if (in_f + 1).is_multiple_of(2) {
+                                    rows.push(KernelRow::Broadcast(neutral));
+                                }
+                                let nw = clen.div_ceil(WORD_BITS);
                                 let mut total = 0u64;
                                 for wi in 0..nw {
-                                    let input = |i: usize| -> u64 {
-                                        if i < *in_f {
-                                            let j = class_order[i];
-                                            !(streams[j].words()[wi] ^ wrow[j].words()[wi])
-                                        } else if i == *in_f {
-                                            b_run[cl].words()[wi]
-                                        } else {
-                                            neutral.words()[wi]
-                                        }
-                                    };
-                                    let mut y = if width == 1 {
-                                        input(0)
-                                    } else {
-                                        maj_word(input(0), input(1), input(2))
-                                    };
-                                    let mut i = 3;
-                                    while i + 1 < width {
-                                        y = maj_word(y, input(i), input(i + 1));
-                                        i += 2;
+                                    // The chain's width is odd: the first
+                                    // input, then one gate per later pair.
+                                    let word = |row: &KernelRow<'_>| row.word(wi, offset);
+                                    let mut y = word(&rows[0]);
+                                    for pair in rows[1..].chunks_exact(2) {
+                                        y = maj_word(y, word(&pair[0]), word(&pair[1]));
                                     }
-                                    if wi == nw - 1 && tail != 0 {
-                                        y &= (1u64 << tail) - 1;
+                                    let valid = (clen - wi * WORD_BITS).min(WORD_BITS);
+                                    if valid < WORD_BITS {
+                                        y &= (1u64 << valid) - 1;
                                     }
                                     total += u64::from(y.count_ones());
                                 }
                                 class_acc[cl] += total;
                             }
                             Platform::Cmos => {
-                                // APC total = Σ popcount of every product
-                                // row — no per-cycle counts needed.
-                                let mut total = b_run[cl].count_ones() as u64;
+                                // APC total = Σ over cycles of the count of
+                                // every product row and the bias row.
                                 for (x, ws) in streams.iter().zip(wrow) {
-                                    total +=
-                                        u64::from(xnor_popcount(x.words(), ws.words(), clen));
+                                    rows.push(KernelRow::Xnor(x.words(), ws.words()));
                                 }
-                                class_acc[cl] += total;
+                                rows.push(KernelRow::Broadcast(b[cl].words()));
+                                column_counts_into(&rows, offset, clen, counts);
+                                class_acc[cl] += counts.iter().map(|&c| u64::from(c)).sum::<u64>();
                             }
                         }
                     }
@@ -719,7 +682,7 @@ impl ExecPlan {
     }
 
     /// Convenience one-shot run: bind, consume the full stream length in a
-    /// single chunk (the zero-copy fast path), and report the scores.
+    /// single chunk, and report the scores.
     pub fn run_one_shot(
         &self,
         state: &mut ExecState,
@@ -1163,7 +1126,9 @@ pub struct StripeArenas {
 /// All resumable state of one in-flight image plus the reusable scratch
 /// arena. Create via [`ExecPlan::new_state`], bind via [`ExecPlan::begin`]
 /// — rebinding reuses every allocation, so one state can serve a whole
-/// batch of images without per-image arena churn.
+/// batch of images without per-image arena churn. The arena holds only
+/// image-dependent data; weight, bias and neutral streams stay in the
+/// plan and are read in place.
 pub struct ExecState {
     /// Identity of the plan that last bound this state (`None` until the
     /// first [`ExecPlan::begin`]).
@@ -1182,12 +1147,6 @@ pub struct ExecState {
     pixel_chunks: Vec<BitStream>,
     /// Per-cycle counts buffer.
     counts: Vec<u32>,
-    /// Absolute-parity neutral slice of the current chunk.
-    neutral_chunk: BitStream,
-    /// Weight-stream chunk slices of the layer under evaluation.
-    w_chunks: Vec<BitStream>,
-    /// Bias-stream chunk slices of the layer under evaluation.
-    b_chunks: Vec<BitStream>,
     /// Ping-pong activation arenas: the layer under evaluation reads
     /// `act_a` and writes `act_b`, then the two swap — activations are
     /// reused across chunks and images with no per-chunk allocation.
@@ -1230,36 +1189,6 @@ fn conv_out_dims(h: usize, w: usize, k: usize, padding: Padding) -> (usize, usiz
     match padding {
         Padding::Valid => (h - k + 1, w - k + 1),
         Padding::Same => (h, w),
-    }
-}
-
-/// Borrows the cached full-length streams on the one-shot fast path, or
-/// slices the current chunk of every weight/bias stream into the arena
-/// buffers (reusing their allocations).
-fn chunk_streams<'s>(
-    full: bool,
-    w: &'s [BitStream],
-    b: &'s [BitStream],
-    offset: usize,
-    clen: usize,
-    w_chunks: &'s mut Vec<BitStream>,
-    b_chunks: &'s mut Vec<BitStream>,
-) -> (&'s [BitStream], &'s [BitStream]) {
-    if full {
-        (w, b)
-    } else {
-        slice_all(w, offset, clen, w_chunks);
-        slice_all(b, offset, clen, b_chunks);
-        (w_chunks, b_chunks)
-    }
-}
-
-/// Slices every stream in `src` to `offset .. offset + clen`, reusing the
-/// buffers in `out`.
-fn slice_all(src: &[BitStream], offset: usize, clen: usize, out: &mut Vec<BitStream>) {
-    out.resize_with(src.len(), || BitStream::zeros(0));
-    for (s, o) in src.iter().zip(out.iter_mut()) {
-        s.slice_into(offset, clen, o);
     }
 }
 

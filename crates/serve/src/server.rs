@@ -36,9 +36,10 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use aqfp_sc_network::{
-    ExitPolicy, InferenceEngine, LaneJob, LaneSource, ModelRegistry, StreamingEngine,
+    ExecPlan, ExitPolicy, InferenceEngine, LaneJob, LaneSource, ModelRegistry, StreamingEngine,
     StreamingOutcome,
 };
+use aqfp_sc_nn::Tensor;
 
 use crate::protocol::{
     decode_request, encode_response, write_frame, ClassifyRequest, ClassifyResponse, Request,
@@ -309,18 +310,9 @@ fn admit(shared: &Arc<Shared>, req: ClassifyRequest, reply: &Sender<Vec<u8>>) {
             return;
         }
     };
-    let expected = plan.network().spec().input_side;
-    let side = req.image.shape().last().copied().unwrap_or(0);
-    if side != expected {
+    if let Some(message) = shape_mismatch(&plan, &req.image) {
         shared.stats.record_bad_request();
-        send_classify(
-            reply,
-            ClassifyResponse::error(
-                req.request_id,
-                Status::BadRequest,
-                format!("image side {side} does not match model input side {expected}"),
-            ),
-        );
+        send_classify(reply, ClassifyResponse::error(req.request_id, Status::BadRequest, message));
         return;
     }
     let now = Instant::now();
@@ -345,6 +337,17 @@ fn admit(shared: &Arc<Shared>, req: ClassifyRequest, reply: &Sender<Vec<u8>>) {
             ),
         );
     }
+}
+
+/// Why `image` cannot run on `plan`, if it cannot: its side must be the
+/// model's input side. Admission checks the plan it looks up, and dispatch
+/// checks again against the plan it runs, since a registry hot swap in
+/// between may change the model's input shape.
+fn shape_mismatch(plan: &ExecPlan, image: &Tensor) -> Option<String> {
+    let expected = plan.network().spec().input_side;
+    let side = image.shape().last().copied().unwrap_or(0);
+    (side != expected)
+        .then(|| format!("image side {side} does not match model input side {expected}"))
 }
 
 fn send_classify(reply: &Sender<Vec<u8>>, resp: ClassifyResponse) {
@@ -396,6 +399,7 @@ fn dispatch_group(shared: &Arc<Shared>, key: QueueKey, batch: Vec<Pending>) {
     };
     let mut source = DispatchSource {
         shared,
+        plan: engine.plan(),
         key,
         initial: batch.into(),
         inflight: HashMap::new(),
@@ -417,10 +421,14 @@ struct InFlight {
 }
 
 /// The [`LaneSource`] a dispatcher hands to the kernel: initial batch
-/// first, then live refill via `try_pop`, expiring stale deadline-mode
-/// requests instead of spending cycles on them.
+/// first, then live refill via `try_pop`, answering stale deadline-mode
+/// requests and images the plan in use cannot take instead of spending
+/// cycles on them.
 struct DispatchSource<'a> {
     shared: &'a Shared,
+    /// The plan the group runs, which may have been swapped in after a
+    /// request was admitted against an earlier one.
+    plan: &'a ExecPlan,
     key: QueueKey,
     initial: VecDeque<Pending>,
     inflight: HashMap<u64, InFlight>,
@@ -443,14 +451,18 @@ impl LaneSource for DispatchSource<'_> {
                     p
                 }
             };
-            if pending.expires.is_some_and(|at| Instant::now() > at) {
+            let rejection = if pending.expires.is_some_and(|at| Instant::now() > at) {
                 self.shared.stats.record_expired();
-                let resp = ClassifyResponse::error(
-                    pending.request_id,
-                    Status::DeadlineExpired,
-                    "latency budget expired before dispatch",
-                );
-                let _ = pending.reply.send(encode_response(&Response::Classify(resp)));
+                Some((Status::DeadlineExpired, "latency budget expired before dispatch".into()))
+            } else if let Some(message) = shape_mismatch(self.plan, &pending.image) {
+                self.shared.stats.record_bad_request();
+                Some((Status::BadRequest, message))
+            } else {
+                None
+            };
+            if let Some((status, message)) = rejection {
+                let resp = ClassifyResponse::error(pending.request_id, status, message);
+                send_classify(&pending.reply, resp);
                 continue;
             }
             let tag = self.next_tag;

@@ -11,6 +11,8 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use aqfp_sc_data::synthetic_digits;
 use aqfp_sc_network::{
@@ -228,6 +230,39 @@ fn expired_deadline_and_unknown_model_reject_typed() {
     assert_eq!(snap.deadline_expired, 1);
     assert_eq!(snap.rejected_unknown_model, 1);
     assert_eq!(snap.rejected_bad_request, 1);
+    server.shutdown();
+}
+
+#[test]
+fn hot_swap_between_admission_and_dispatch_rejects_typed() {
+    // A long coalescing window holds an admitted 8×8 request in the queue
+    // while the model is swapped for a 6×6 one. The dispatcher answers it
+    // once with a typed rejection against the plan it runs, and keeps
+    // serving the new shape.
+    let config = ServeConfig {
+        max_delay_us: 400_000,
+        dispatch_workers: 1,
+        ..ServeConfig::default()
+    };
+    let (server, registry) = start_server(config);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.classify_send(request(1, 0, &images(1)[0])).expect("send");
+    let sent = Instant::now();
+    while server.stats().queue_depth == 0 {
+        assert!(sent.elapsed() < Duration::from_secs(5), "request never queued");
+        thread::sleep(Duration::from_millis(1));
+    }
+    let spec = NetworkSpec::tiny(6);
+    let mut model = build_model(&spec, ActivationStyle::AqfpFeature, 3);
+    let small = CompiledNetwork::from_model(&spec, &mut model, 8);
+    registry.install("tiny", &small, STREAM_LEN, Platform::Aqfp);
+    let resp = recv_classify(&mut client);
+    assert_eq!((resp.request_id, resp.status), (1, Status::BadRequest));
+    assert!(resp.error.contains('8') && resp.error.contains('6'), "{}", resp.error);
+    let ok = client.classify(request(2, 0, &Tensor::zeros(vec![1, 6, 6]))).expect("round trip");
+    assert_eq!((ok.request_id, ok.status), (2, Status::Ok));
+    let snap = server.stats();
+    assert_eq!((snap.rejected_bad_request, snap.completed), (1, 1));
     server.shutdown();
 }
 
