@@ -145,7 +145,7 @@ fn bench_kernel_column_counts(c: &mut Criterion) {
                     .zip(&weights)
                     .map(|(x, w)| KernelRow::Xnor(x.words(), w.words()))
                     .collect();
-                rows.push(KernelRow::Plain(bias.words()));
+                rows.push(KernelRow::Broadcast(bias.words()));
                 column_counts_into(&rows, 0, LEN, &mut counts);
                 sum += u64::from(counts[LEN - 1]);
             }
@@ -209,7 +209,7 @@ fn bench_kernel_column_counts(c: &mut Criterion) {
                     .zip(&wide_w)
                     .map(|(x, w)| KernelRow::Xnor(x.words(), w.words()))
                     .collect();
-                rows.push(KernelRow::Plain(wide_bias.words()));
+                rows.push(KernelRow::Broadcast(wide_bias.words()));
                 column_counts_into(&rows, 0, WIDE_LEN, &mut counts);
                 fe.run_counts_resume_into(&counts, &mut 0, &mut out);
                 sum += out.count_ones() as u64;

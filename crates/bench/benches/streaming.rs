@@ -6,7 +6,8 @@
 //! to full N with the exit policy disabled (pure chunking overhead — also
 //! the bit-identity configuration), and streaming with the margin policy
 //! (the early-exit payoff). Two more rungs time one lane-group step of
-//! the paper's SNN, at one offset class and at two.
+//! the paper's SNN, at one offset class and at two, and two time one lone
+//! SNN image through the scalar core on each platform.
 //! `BENCH_JSON=BENCH_streaming.json cargo bench --bench streaming`
 //! refreshes the committed baseline.
 
@@ -162,6 +163,19 @@ fn bench_streaming_inference(c: &mut Criterion) {
                 },
                 BatchSize::PerIteration,
             )
+        });
+    }
+    // One lone SNN image through the scalar core (`run_one_shot`, N = 256),
+    // the path every lone served request takes, on each platform. The
+    // plan and state are built outside the timed region. CI gates
+    // snn_lone/aqfp normalised by snn_cmos_uniform_step/64, a lane-path
+    // rung the scalar core does not share.
+    for (name, platform) in [("aqfp", Platform::Aqfp), ("cmos", Platform::Cmos)] {
+        let plan = ExecPlan::new(&snn, SNN_LEN, platform);
+        let mut state = plan.new_state();
+        let image = &digits[0].0;
+        group.bench_function(BenchmarkId::new("snn_lone", name), |b| {
+            b.iter(|| black_box(plan.run_one_shot(&mut state, image, SEED)))
         });
     }
     group.finish();

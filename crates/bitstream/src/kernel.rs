@@ -131,24 +131,19 @@ impl<const W: usize> core::ops::Not for Stripe<W> {
     }
 }
 
-/// One input row for the word-parallel kernel (single-image layout), in
-/// the four forms of [`LaneRow`]. Image operands are chunk-local: bit `c`
-/// is chunk cycle `c`. Image-independent operands (weights, biases, the
-/// `0101…` neutral pad) are full-length streams read in place at the
-/// chunk's absolute offset: chunk cycle `c` is bit `offset + c`.
+/// One input row for the word-parallel kernel (single-image layout). The
+/// image operand of a product row is chunk-local: bit `c` is chunk cycle
+/// `c`. Image-independent operands (weights, biases, the `0101…` neutral
+/// pad) are full-length streams read in place at the chunk's absolute
+/// offset: chunk cycle `c` is bit `offset + c`.
 #[derive(Clone, Copy)]
 pub enum KernelRow<'a> {
     /// An image stream XNORed with a weight stream: `!(x[c] ^ w[offset +
     /// c])` (weight bit 1 keeps the image bit, 0 inverts it).
     Xnor(&'a [u64], &'a [u64]),
-    /// An image stream contributing its own bits.
-    Plain(&'a [u64]),
     /// An image-independent stream contributing its own bits (e.g. a bias
     /// stream).
     Broadcast(&'a [u64]),
-    /// XNOR of two image-independent streams (e.g. a padding neutral
-    /// stream times a weight stream).
-    BroadcastXnor(&'a [u64], &'a [u64]),
 }
 
 impl KernelRow<'_> {
@@ -169,40 +164,24 @@ impl KernelRow<'_> {
     /// the one-shot path) indexes each image-independent word directly.
     #[inline(always)]
     fn word_at<const ALIGNED: bool>(&self, w: usize, offset: usize) -> u64 {
-        if ALIGNED {
-            // Every form is its first operand, XNORed with its second if
-            // it has one. Resolving the form to an operand and a word index
-            // before any read keeps this loop as tight as a two-form row.
-            let at = offset / WORD_BITS + w;
-            let (a, a_at, b) = match *self {
-                KernelRow::Xnor(x, s) => (x, w, Some(s)),
-                KernelRow::Plain(x) => (x, w, None),
-                KernelRow::Broadcast(s) => (s, at, None),
-                KernelRow::BroadcastXnor(p, q) => (p, at, Some(q)),
-            };
-            return match b {
-                Some(b) => !(a[a_at] ^ b[at]),
-                None => a[a_at],
-            };
-        }
-        let read = |s: &[u64]| window64(s, offset + w * WORD_BITS);
+        let read = |s: &[u64]| {
+            if ALIGNED {
+                s[offset / WORD_BITS + w]
+            } else {
+                window64(s, offset + w * WORD_BITS)
+            }
+        };
         match *self {
             KernelRow::Xnor(x, s) => !(x[w] ^ read(s)),
-            KernelRow::Plain(x) => x[w],
             KernelRow::Broadcast(s) => read(s),
-            KernelRow::BroadcastXnor(a, b) => !(read(a) ^ read(b)),
         }
     }
 
-    /// Panics unless every image-independent operand holds `scalar_words`
-    /// words.
+    /// Panics unless the row's image-independent operand holds
+    /// `scalar_words` words.
     fn check(&self, scalar_words: usize) {
-        let scalar = match *self {
-            KernelRow::Xnor(_, s) | KernelRow::Broadcast(s) => s.len(),
-            KernelRow::Plain(_) => usize::MAX,
-            KernelRow::BroadcastXnor(a, b) => a.len().min(b.len()),
-        };
-        assert!(scalar >= scalar_words, "kernel row: too few scalar words");
+        let (KernelRow::Xnor(_, s) | KernelRow::Broadcast(s)) = *self;
+        assert!(s.len() >= scalar_words, "kernel row: too few scalar words");
     }
 }
 
@@ -1049,7 +1028,7 @@ mod tests {
                 .zip(&weights)
                 .map(|(s, w)| KernelRow::Xnor(s.words(), w.words()))
                 .collect();
-            rows.push(KernelRow::Plain(streams[0].words()));
+            rows.push(KernelRow::Broadcast(streams[0].words()));
             let mut counts = Vec::new();
             column_counts_into(&rows, 0, len, &mut counts);
             assert_eq!(counts, naive_counts(&rows, len), "len {len}");
@@ -1061,7 +1040,7 @@ mod tests {
         // >255 rows exercises multi-byte-group extraction.
         let len = 70usize;
         let s = BitStream::ones(len);
-        let rows: Vec<KernelRow<'_>> = (0..300).map(|_| KernelRow::Plain(s.words())).collect();
+        let rows: Vec<KernelRow<'_>> = (0..300).map(|_| KernelRow::Broadcast(s.words())).collect();
         let mut counts = Vec::new();
         column_counts_into(&rows, 0, len, &mut counts);
         assert!(counts.iter().all(|&c| c == 300));

@@ -229,7 +229,7 @@ proptest! {
         rows_any in 1usize..=820,
         len_pick in 0usize..16,
         len_any in 1usize..=1100,
-        plain_per_mille in 0usize..=1000,
+        broadcast_per_mille in 0usize..=1000,
         offset_pick in 0usize..14,
         offset_any in 0usize..=1100,
         seed in any::<u64>(),
@@ -242,18 +242,17 @@ proptest! {
         // occur. The chunk's absolute offset sits on, one short of and one
         // past a word and a block, so both the word-aligned read and the
         // two-word window of the image-independent operands run. The row
-        // mix covers all four forms: product rows (conv/dense taps), plain
-        // image rows (pooling inputs), broadcast rows (bias, pad) and
-        // broadcast products (padding × weight). Image operands hold the
-        // chunk only; image-independent ones are full-length streams,
-        // sometimes ending exactly at the chunk's end.
+        // mix covers both forms: product rows (dense taps) and broadcast
+        // rows (bias, pad), from all products to all broadcasts. Image
+        // operands hold the chunk only; image-independent ones are
+        // full-length streams, sometimes ending exactly at the chunk's end.
         const ROWS: [usize; 8] = [15, 16, 17, 31, 32, 33, 800, 801];
         const LENS: [usize; 8] = [63, 64, 65, 511, 512, 513, 1024, 1089];
         const OFFSETS: [usize; 7] = [0, 1, 63, 64, 65, 511, 513];
         let n = ROWS.get(rows_pick).copied().unwrap_or(rows_any);
         let len = LENS.get(len_pick).copied().unwrap_or(len_any);
         let offset = OFFSETS.get(offset_pick).copied().unwrap_or(offset_any);
-        let plain_rows = n * plain_per_mille / 1000;
+        let broadcast_rows = n * broadcast_per_mille / 1000;
         let mut rng = SplitMix64::new(seed);
         let mut forms = SplitMix64::new(!seed);
         let full = offset + len + [0, 1, 64, 200][(forms.next_u64() % 4) as usize];
@@ -262,13 +261,11 @@ proptest! {
             BitStream::from_words(words, len)
         };
         // (form, first operand, second operand) per row: 0 = Xnor(image,
-        // full), 1 = Plain(image), 2 = Broadcast(full), 3 =
-        // BroadcastXnor(full, full).
+        // full), 1 = Broadcast(full).
         let operands: Vec<(u64, BitStream, BitStream)> = (0..n)
             .map(|i| {
-                let form =
-                    if i < plain_rows { 1 } else { [0, 2, 3][(forms.next_u64() % 3) as usize] };
-                let first = stream(if form < 2 { len } else { full });
+                let form = if i < broadcast_rows { 1 } else { forms.next_u64() % 2 };
+                let first = stream(if form == 0 { len } else { full });
                 (form, first, stream(full))
             })
             .collect();
@@ -276,9 +273,7 @@ proptest! {
             .iter()
             .map(|(form, a, b)| match form {
                 0 => KernelRow::Xnor(a.words(), b.words()),
-                1 => KernelRow::Plain(a.words()),
-                2 => KernelRow::Broadcast(a.words()),
-                _ => KernelRow::BroadcastXnor(a.words(), b.words()),
+                _ => KernelRow::Broadcast(a.words()),
             })
             .collect();
         let mut got = Vec::new();
@@ -290,9 +285,7 @@ proptest! {
             .iter()
             .map(|(form, a, b)| match form {
                 0 => a.xnor(&at(b)).unwrap(),
-                1 => a.clone(),
-                2 => at(a),
-                _ => at(a).xnor(&at(b)).unwrap(),
+                _ => at(a),
             })
             .collect();
         let want = column_counts(&materialised).unwrap();

@@ -103,7 +103,9 @@ fn classes_at<const W: usize>(group: &Group, pos: usize) -> OffsetClasses<W> {
 
 /// Per-lane reference counts over the whole chunk via the word-parallel
 /// single-image kernel, with each row in its scalar form and the scalar
-/// operands sliced at the lane's offset.
+/// operands sliced at the lane's offset. The slices are counted at offset
+/// 0, where a `Broadcast` row contributes exactly its operand's bits, so
+/// lane-only rows use that form too.
 fn reference_counts<const W: usize>(
     rows: &[Row<W>],
     group: &Group,
@@ -125,8 +127,8 @@ fn reference_counts<const W: usize>(
                 .zip(&sliced[class])
                 .map(|(row, (s, u))| match row.form {
                     0 => KernelRow::Xnor(row.a[g].words(), s.words()),
-                    1 => KernelRow::Plain(row.a[g].words()),
-                    2 => KernelRow::Plain(s.words()),
+                    1 => KernelRow::Broadcast(row.a[g].words()),
+                    2 => KernelRow::Broadcast(s.words()),
                     _ => KernelRow::Xnor(s.words(), u.words()),
                 })
                 .collect();

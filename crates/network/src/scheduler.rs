@@ -74,15 +74,18 @@ use crate::streaming::{LaneJob, LaneSource, PolicyBook, StreamingEngine, Streami
 ///
 /// Measured break-even (the `calibrate` bench in `crates/bench`: trained
 /// tiny net, N=512, one thread, one-shot full-length schedule — re-run it
-/// when retuning for a new host; numbers below from the reference
-/// container, see ROADMAP; medians of three runs against the scalar core
-/// that counts with the slab compressor and steps its FSMs a word at a
-/// time): the AQFP lane path is ~1.45× the scalar core at 8 lanes (~2.7×
-/// at 16, ~4.7× at 32, ~7.4× at 64, ~9× at 256), so every group the
-/// scheduler can form is still worth batching. On CMOS 8 lanes is
-/// break-even or just below (0.92–1.0×), and the lane path pulls clearly
-/// ahead from 16 lanes (~1.9×, climbing to ~5.5× at 64 and ~6.1× at 256
-/// with full stripes).
+/// when retuning for a new host; medians of six `--quick` runs on a
+/// 2-vCPU x86-64 host, against the scalar core whose conv and pool layers
+/// run with their positions in the lanes): the AQFP lane path is ~0.5× the
+/// scalar core at 8 lanes, ~1.1× at 16, ~1.6× at 32, ~2.6× at 64 and
+/// ~3.4× at 256; on CMOS ~0.44× at 8, ~0.73× at 16, ~1.4× at 32, ~2.4× at
+/// 64 and ~2.9× at 256. Single runs swing by up to 2× on such a host. On
+/// the paper's SNN (N = 256) the crossover sits higher: lanes read
+/// 0.11–0.17× the scalar core at 8 lanes and 0.84–1.27× at 64 on AQFP,
+/// 0.24–0.30× and 1.74–1.83× on CMOS (ROADMAP item 3). The values below
+/// predate the spatial scalar core and are kept for now: raising them
+/// past the tiny net's group sizes would make its lane-group benchmarks
+/// run the scalar core.
 pub fn lane_min(platform: Platform) -> usize {
     match platform {
         Platform::Aqfp => 8,
@@ -103,8 +106,8 @@ pub fn lane_min(platform: Platform) -> usize {
 /// auto-vectorised `[u64; W]` plane ops amortise pack/broadcast overhead
 /// further with every doubling — W=4 is the widest supported stripe and
 /// measures fastest per image on both platforms at full occupancy
-/// (AQFP ~9× scalar, CMOS ~6.1× scalar at 256 lanes), so both pick
-/// it. The 128-lane row trails 64 slightly on both platforms (a W=2
+/// (AQFP ~3.4×, CMOS ~2.9× the spatial scalar core at 256 lanes), so
+/// both pick it. The 128-lane row trails 64 slightly on both platforms (a W=2
 /// stripe pays two words per op over lanes a single full word already
 /// covers), which is why the scheduler drops to the narrowest covering
 /// width as a group drains instead of staying wide.
