@@ -6,8 +6,8 @@
 //! to full N with the exit policy disabled (pure chunking overhead — also
 //! the bit-identity configuration), and streaming with the margin policy
 //! (the early-exit payoff). Two more rungs time one lane-group step of
-//! the paper's SNN, at one offset class and at two, and two time one lone
-//! SNN image through the scalar core on each platform.
+//! the paper's SNN, at one offset class and at two, and four time one lone
+//! SNN or DNN image through the scalar core on each platform.
 //! `BENCH_JSON=BENCH_streaming.json cargo bench --bench streaming`
 //! refreshes the committed baseline.
 
@@ -165,18 +165,25 @@ fn bench_streaming_inference(c: &mut Criterion) {
             )
         });
     }
-    // One lone SNN image through the scalar core (`run_one_shot`, N = 256),
-    // the path every lone served request takes, on each platform. The
-    // plan and state are built outside the timed region. CI gates
-    // snn_lone/aqfp normalised by snn_cmos_uniform_step/64, a lane-path
-    // rung the scalar core does not share.
-    for (name, platform) in [("aqfp", Platform::Aqfp), ("cmos", Platform::Cmos)] {
-        let plan = ExecPlan::new(&snn, SNN_LEN, platform);
-        let mut state = plan.new_state();
-        let image = &digits[0].0;
-        group.bench_function(BenchmarkId::new("snn_lone", name), |b| {
-            b.iter(|| black_box(plan.run_one_shot(&mut state, image, SEED)))
-        });
+    // One lone SNN or DNN image through the scalar core (`run_one_shot`,
+    // N = 256), the path every lone served request takes, on each
+    // platform. The plan and state are built outside the timed region.
+    // The DNN's 7×7 valid conv has one position and runs as a dense layer.
+    // CI gates snn_lone/aqfp normalised by snn_cmos_uniform_step/64, a
+    // lane-path rung the scalar core does not share; the DNN rungs are
+    // ungated.
+    let spec = NetworkSpec::dnn();
+    let mut model = build_model(&spec, ActivationStyle::AqfpFeature, 2019);
+    let dnn = CompiledNetwork::from_model(&spec, &mut model, 8);
+    for (rung, net) in [("snn_lone", &snn), ("dnn_lone", &dnn)] {
+        for (name, platform) in [("aqfp", Platform::Aqfp), ("cmos", Platform::Cmos)] {
+            let plan = ExecPlan::new(net, SNN_LEN, platform);
+            let mut state = plan.new_state();
+            let image = &digits[0].0;
+            group.bench_function(BenchmarkId::new(rung, name), |b| {
+                b.iter(|| black_box(plan.run_one_shot(&mut state, image, SEED)))
+            });
+        }
     }
     group.finish();
 }

@@ -36,12 +36,12 @@
 //! Both cores run the same lane kernel and FSM sweeps
 //! (`run_rows_resume_into`). [`ExecPlan::advance_batch`] puts up to
 //! `64·W` **images** in the lanes. [`ExecPlan::advance`] runs a lone
-//! image's conv and AQFP pool layers with one output channel's
-//! **positions** in the lanes, at the narrowest stripe width covering
-//! them, and unpacks the outputs to per-neuron streams; its dense, output
-//! and CMOS mux-pool layers, and convs with too few positions to fill
-//! the lanes, run one neuron at a time. Each neuron sees the same counts
-//! and FSM steps either way.
+//! image's conv and pool layers with one output channel's **positions**
+//! in the lanes, at the narrowest stripe width covering them, and unpacks
+//! the outputs to per-neuron streams; its dense and output layers run one
+//! neuron at a time. A `Valid` conv whose kernel covers its whole input
+//! has one position and is planned as the dense layer it equals. Each
+//! neuron sees the same counts and FSM steps either way.
 //!
 //! # Seed discipline
 //!
@@ -70,7 +70,7 @@
 use std::sync::Arc;
 
 use aqfp_sc_bitstream::{
-    column_counts_into, mux_add, pack_lanes_into, unpack_lanes_into, Bipolar, BitStream,
+    column_counts_into, pack_lanes_into, unpack_lanes_into, Bipolar, BitStream,
     BitsAsWords, KernelRow, LanePopcount, LaneRow, OffsetClasses, SplitMix64, Sng, Stripe,
     ThermalRng, MAX_KERNEL_ROWS, MAX_LANES, WORD_BITS,
 };
@@ -120,6 +120,8 @@ pub(crate) enum CachedLayer {
     Pool {
         k: usize,
     },
+    /// Also a `Valid` conv whose kernel covers its whole input: one
+    /// position, so the same rows as a dense layer over the flattened map.
     Dense {
         in_f: usize,
         out_f: usize,
@@ -204,69 +206,57 @@ impl ExecPlan {
         assert!(stream_len > 0, "stream length must be at least 1 cycle");
         let bits = net.bits();
         let seed = net.stream_seed();
+        let shapes = net.spec().shapes();
         let mut layers = Vec::with_capacity(net.layers().len());
         let mut cached_streams = 0usize;
-        let gen_stream = |tag: u64, layer: u64, row: u64, col: u64, level: u64| {
-            let key = derive(seed, [tag ^ layer, row, col]);
-            generate_stream(platform, bits, key, level, stream_len)
+        // One stream per weight, keyed by its (row, column) in the layer's
+        // `[rows][fan_in]` matrix, and one per bias.
+        let gen_streams = |li: usize, fan_in: usize, w_levels: &[u64], b_levels: &[u64]| {
+            let stream = |tag: u64, row: usize, col: usize, level: u64| {
+                let key = derive(seed, [tag ^ li as u64, row as u64, col as u64]);
+                generate_stream(platform, bits, key, level, stream_len)
+            };
+            let w: Vec<BitStream> = w_levels
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| stream(TAG_WEIGHT, i / fan_in, i % fan_in, l))
+                .collect();
+            let b: Vec<BitStream> =
+                b_levels.iter().enumerate().map(|(i, &l)| stream(TAG_BIAS, i, 0, l)).collect();
+            (w, b)
         };
         for (li, layer) in net.layers().iter().enumerate() {
-            let li64 = li as u64;
             match layer {
                 CompiledLayer::Conv { k, in_c, out_c, padding, w_levels, b_levels } => {
                     let m = in_c * k * k;
-                    let w: Vec<BitStream> = w_levels
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &l)| {
-                            gen_stream(TAG_WEIGHT, li64, (i / m) as u64, (i % m) as u64, l)
-                        })
-                        .collect();
-                    let b: Vec<BitStream> = b_levels
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &l)| gen_stream(TAG_BIAS, li64, i as u64, 0, l))
-                        .collect();
+                    let (w, b) = gen_streams(li, m, w_levels, b_levels);
                     cached_streams += w.len() + b.len();
-                    layers.push(CachedLayer::Conv {
-                        k: *k,
-                        in_c: *in_c,
-                        out_c: *out_c,
-                        padding: *padding,
-                        w,
-                        b,
+                    let (_, h, w_dim) = shapes[li];
+                    // A `Valid` conv whose kernel covers its whole input has
+                    // one position, whose tap `(ic, ky, kx)` reads input
+                    // `(ic·k + ky)·k + kx`, its row `j`: it is a dense layer
+                    // over the flattened input with the conv's own streams.
+                    layers.push(if *padding == Padding::Valid && h == *k && w_dim == *k {
+                        CachedLayer::Dense { in_f: m, out_f: *out_c, w, b }
+                    } else {
+                        CachedLayer::Conv {
+                            k: *k,
+                            in_c: *in_c,
+                            out_c: *out_c,
+                            padding: *padding,
+                            w,
+                            b,
+                        }
                     });
                 }
                 CompiledLayer::Pool { k } => layers.push(CachedLayer::Pool { k: *k }),
                 CompiledLayer::Dense { in_f, out_f, w_levels, b_levels } => {
-                    let w: Vec<BitStream> = w_levels
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &l)| {
-                            gen_stream(TAG_WEIGHT, li64, (i / in_f) as u64, (i % in_f) as u64, l)
-                        })
-                        .collect();
-                    let b: Vec<BitStream> = b_levels
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &l)| gen_stream(TAG_BIAS, li64, i as u64, 0, l))
-                        .collect();
+                    let (w, b) = gen_streams(li, *in_f, w_levels, b_levels);
                     cached_streams += w.len() + b.len();
                     layers.push(CachedLayer::Dense { in_f: *in_f, out_f: *out_f, w, b });
                 }
                 CompiledLayer::Output { in_f, classes, w_levels, b_levels } => {
-                    let w: Vec<BitStream> = w_levels
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &l)| {
-                            gen_stream(TAG_WEIGHT, li64, (i / in_f) as u64, (i % in_f) as u64, l)
-                        })
-                        .collect();
-                    let b: Vec<BitStream> = b_levels
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &l)| gen_stream(TAG_BIAS, li64, i as u64, 0, l))
-                        .collect();
+                    let (w, b) = gen_streams(li, *in_f, w_levels, b_levels);
                     // Majority-chain wiring order: a chain link's influence
                     // decays ~2x per later link, so products of
                     // high-magnitude weights go to the END of the chain
@@ -297,7 +287,7 @@ impl ExecPlan {
             stream_len,
             model_fp: net.fingerprint(),
             layers,
-            shapes: net.spec().shapes(),
+            shapes,
             neutral: BitStream::alternating(stream_len),
             cached_streams,
             net,
@@ -451,6 +441,11 @@ impl ExecPlan {
     /// Splitting N cycles across any sequence of `advance` calls is
     /// bit-identical to one N-cycle call.
     ///
+    /// Each layer kind has one path: conv and pool layers put one output
+    /// channel's positions in the lanes at the narrowest stripe width
+    /// covering them; dense layers (one-position convs among them) and
+    /// the output head count one neuron at a time.
+    ///
     /// # Panics
     ///
     /// Panics when `state` was never bound via [`ExecPlan::begin`], or was
@@ -491,16 +486,13 @@ impl ExecPlan {
         {
             let streams: &[BitStream] = if first { pixel_chunks } else { act_a };
             let (layer_in_c, h, w_dim) = self.shapes[li];
+            let chunk = LayerChunk { li, streams, offset, clen, lstate };
             let mut produced = true;
             match layer {
                 CachedLayer::Conv { k, out_c, padding, .. } => {
                     let (oh, ow) = conv_out_dims(h, w_dim, *k, *padding);
                     act_b.resize_with(out_c * oh * ow, || BitStream::zeros(0));
-                    let chunk = LayerChunk { li, streams, offset, clen, lstate };
                     match (oh * ow).div_ceil(WORD_BITS) {
-                        _ if !spatial_pays(oh * ow, layer_in_c * k * k) => {
-                            self.conv_per_neuron(chunk, counts, act_b)
-                        }
                         1 => self.conv_spatial(chunk, &mut spatial.w1, act_b),
                         2 => self.conv_spatial(chunk, &mut spatial.w2, act_b),
                         _ => self.conv_spatial(chunk, &mut spatial.w4, act_b),
@@ -509,65 +501,15 @@ impl ExecPlan {
                 CachedLayer::Pool { k } => {
                     let (oh, ow) = (h / k, w_dim / k);
                     act_b.resize_with(layer_in_c * oh * ow, || BitStream::zeros(0));
-                    match platform {
-                        Platform::Aqfp => {
-                            let chunk = LayerChunk { li, streams, offset, clen, lstate };
-                            match (oh * ow).div_ceil(WORD_BITS) {
-                                1 => self.pool_spatial(chunk, &mut spatial.w1, act_b),
-                                2 => self.pool_spatial(chunk, &mut spatial.w2, act_b),
-                                _ => self.pool_spatial(chunk, &mut spatial.w4, act_b),
-                            }
-                        }
-                        Platform::Cmos => {
-                            let LayerState::PoolMux { rngs } = lstate else {
-                                unreachable!("pool state matches platform")
-                            };
-                            let mut window_refs: Vec<&BitStream> = Vec::with_capacity(k * k);
-                            let mut idx = 0usize;
-                            for (c, canonical) in rngs.iter_mut().enumerate() {
-                                // All windows of a channel share one
-                                // selector sequence, so each window
-                                // advances a clone and the canonical cursor
-                                // steps once per chunk.
-                                let mut advanced: Option<StdRng> = None;
-                                for oy in 0..oh {
-                                    for ox in 0..ow {
-                                        let mut rng = canonical.clone();
-                                        window_refs.clear();
-                                        window_refs.extend((0..k * k).map(|i| {
-                                            &streams[(c * h + oy * k + i / k) * w_dim
-                                                + ox * k
-                                                + i % k]
-                                        }));
-                                        act_b[idx] = mux_add(&window_refs, &mut rng)
-                                            .expect("well-formed window");
-                                        advanced = Some(rng);
-                                        idx += 1;
-                                    }
-                                }
-                                if let Some(rng) = advanced {
-                                    *canonical = rng;
-                                }
-                            }
-                        }
+                    match (oh * ow).div_ceil(WORD_BITS) {
+                        1 => self.pool_spatial(chunk, &mut spatial.w1, act_b),
+                        2 => self.pool_spatial(chunk, &mut spatial.w2, act_b),
+                        _ => self.pool_spatial(chunk, &mut spatial.w4, act_b),
                     }
                 }
-                CachedLayer::Dense { in_f, out_f, w, b } => {
+                CachedLayer::Dense { out_f, .. } => {
                     act_b.resize_with(*out_f, || BitStream::zeros(0));
-                    let pad_row = sorter_pads(platform, in_f + 1);
-                    let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
-                    for o in 0..*out_f {
-                        rows.clear();
-                        for (x, ws) in streams.iter().zip(&w[o * in_f..(o + 1) * in_f]) {
-                            rows.push(KernelRow::Xnor(x.words(), ws.words()));
-                        }
-                        rows.push(KernelRow::Broadcast(b[o].words()));
-                        if pad_row {
-                            rows.push(KernelRow::Broadcast(neutral));
-                        }
-                        column_counts_into(&rows, offset, clen, counts);
-                        neuron_chunk_into(in_f + 1, lstate, o, counts, &mut act_b[o]);
-                    }
+                    self.dense_chunk(chunk, counts, act_b);
                 }
                 CachedLayer::Output { in_f, classes, order, w, b } => {
                     produced = false;
@@ -883,14 +825,14 @@ impl ExecPlan {
                         }
                         Platform::Cmos => {
                             // Every window of a channel sees the same
-                            // per-image selector sequence (each would clone
-                            // the canonical cursor, which steps once per
-                            // chunk), so draw it once per channel and expand
-                            // it into per-cycle lane masks: mask[j][t] has
-                            // lane g set when image g's selector at cycle t
-                            // picks window element j — `mux_add` for all
-                            // lanes becomes k·k masked ORs over the packed
-                            // element streams, with no per-image unpacking.
+                            // per-image selector sequence, which steps once
+                            // per chunk, so draw it once per channel and
+                            // expand it into per-cycle lane masks:
+                            // mask[j][t] has lane g set when image g's
+                            // selector at cycle t picks window element j —
+                            // the mux for all lanes becomes k·k masked ORs
+                            // over the packed element streams, with no
+                            // per-image unpacking.
                             let kk = k * k;
                             if masks.len() < kk {
                                 masks.resize_with(kk, Vec::new);
@@ -1051,21 +993,8 @@ impl ExecPlan {
     }
 }
 
-/// Whether [`ExecPlan::advance`] runs a conv layer with `positions`
-/// output positions per channel and `m` taps per neuron in the spatial
-/// orientation. A lane group costs about one stripe op per row per cycle
-/// however few of its lanes are live. Timing one conv both ways at
-/// N = 256 puts a per-neuron position at about `(m + 20) / 32` of that:
-/// its word ops cover 64 cycles each but the counts still need
-/// transposing, and its FSM steps once per cycle. So lanes pay off from
-/// about 10 positions on a 9-tap conv and about 32 on a wide one; the
-/// DNN's 7×7 valid conv, one position of 1 568 taps, runs per neuron.
-fn spatial_pays(positions: usize, m: usize) -> bool {
-    positions * (m + 20) >= 32 * m
-}
-
 /// One layer's chunk of a lone image, as [`ExecPlan::advance`] hands it
-/// to a conv or AQFP pool layer: the layer's input streams (chunk-local),
+/// to a conv, pool or dense layer: the layer's input streams (chunk-local),
 /// the chunk's absolute offset and length, and the layer's cross-chunk
 /// state.
 struct LayerChunk<'a> {
@@ -1170,67 +1099,41 @@ impl ExecPlan {
         }
     }
 
-    /// A conv layer's chunk for one image one neuron at a time, for layers
-    /// with too few positions per channel to fill the lanes
-    /// ([`spatial_pays`]): each neuron counts its `in_c·k·k` taps, bias
-    /// and pad row over the chunk's cycles, 64 cycles per word op
-    /// ([`column_counts_into`]), then steps its FSM over the counts into
-    /// `out`.
-    fn conv_per_neuron(
-        &self,
-        chunk: LayerChunk<'_>,
-        counts: &mut Vec<u32>,
-        out: &mut [BitStream],
-    ) {
+    /// A dense layer's chunk for one image one neuron at a time (a
+    /// one-position conv is planned as one): each output neuron counts its
+    /// `in_f` XNOR products, bias and pad row over the chunk's cycles, 64
+    /// cycles per word op ([`column_counts_into`]), then steps its FSM over
+    /// the counts into `out`.
+    fn dense_chunk(&self, chunk: LayerChunk<'_>, counts: &mut Vec<u32>, out: &mut [BitStream]) {
         let LayerChunk { li, streams, offset, clen, lstate } = chunk;
-        let CachedLayer::Conv { k, in_c, out_c, padding, w, b } = &self.layers[li] else {
-            unreachable!("conv_per_neuron runs conv layers")
+        let CachedLayer::Dense { in_f, out_f, w, b } = &self.layers[li] else {
+            unreachable!("dense_chunk runs dense layers")
         };
-        let (_, h, w_dim) = self.shapes[li];
-        let (oh, ow) = conv_out_dims(h, w_dim, *k, *padding);
-        let pad = match padding {
-            Padding::Valid => 0isize,
-            Padding::Same => (k / 2) as isize,
-        };
-        let (m, positions) = (in_c * k * k, oh * ow);
-        let pad_row = sorter_pads(self.platform, m + 1);
+        let pad_row = sorter_pads(self.platform, in_f + 1);
         let neutral = self.neutral.words();
-        // A tap outside the image reads the neutral pad as a chunk-local
-        // image operand; only `Same`-padded layers have such taps.
-        let pad_chunk =
-            if pad > 0 { self.neutral.slice(offset, clen) } else { BitStream::zeros(0) };
-        let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(m + 2);
-        for oc in 0..*out_c {
-            let ws = &w[oc * m..(oc + 1) * m];
-            for p in 0..positions {
-                rows.clear();
-                let taps = (0..*in_c).flat_map(|ic| (0..k * k).map(move |t| (ic, t / k, t % k)));
-                for ((ic, ky, kx), wj) in taps.zip(ws) {
-                    let iy = (p / ow + ky) as isize - pad;
-                    let ix = (p % ow + kx) as isize - pad;
-                    let x = if iy < 0 || ix < 0 || iy >= h as isize || ix >= w_dim as isize {
-                        &pad_chunk
-                    } else {
-                        &streams[(ic * h + iy as usize) * w_dim + ix as usize]
-                    };
-                    rows.push(KernelRow::Xnor(x.words(), wj.words()));
-                }
-                rows.push(KernelRow::Broadcast(b[oc].words()));
-                if pad_row {
-                    rows.push(KernelRow::Broadcast(neutral));
-                }
-                column_counts_into(&rows, offset, clen, counts);
-                let idx = oc * positions + p;
-                neuron_chunk_into(m + 1, lstate, idx, counts, &mut out[idx]);
+        let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
+        for o in 0..*out_f {
+            rows.clear();
+            for (x, ws) in streams.iter().zip(&w[o * in_f..(o + 1) * in_f]) {
+                rows.push(KernelRow::Xnor(x.words(), ws.words()));
             }
+            rows.push(KernelRow::Broadcast(b[o].words()));
+            if pad_row {
+                rows.push(KernelRow::Broadcast(neutral));
+            }
+            column_counts_into(&rows, offset, clen, counts);
+            neuron_chunk_into(in_f + 1, lstate, o, counts, &mut out[o]);
         }
     }
 
-    /// An AQFP pool layer's chunk for one image with one channel's output
+    /// A pool layer's chunk for one image with one channel's output
     /// positions in the lanes: per group of up to `64·W` positions, the
     /// `k·k` window planes (lane `p` of plane `i` is element `i` of
-    /// position `p`'s window) run through the conserving sorter's lane
-    /// sweep and unpack into `out`.
+    /// position `p`'s window) are packed once. AQFP runs them through the
+    /// conserving sorter's lane sweep. CMOS draws the channel's selector
+    /// picks for the chunk once, since every window of a channel shares
+    /// that one sequence, and cycle `t` of every lane is plane `pick[t]`
+    /// at `t`. Either way the group unpacks into `out`.
     fn pool_spatial<const W: usize>(
         &self,
         chunk: LayerChunk<'_>,
@@ -1241,15 +1144,17 @@ impl ExecPlan {
         let CachedLayer::Pool { k } = self.layers[li] else {
             unreachable!("pool_spatial runs pool layers")
         };
-        let LayerState::PoolSorter { r } = lstate else {
-            unreachable!("pool state matches platform")
-        };
         let (channels, h, w_dim) = self.shapes[li];
         let (ow, positions) = (w_dim / k, (h / k) * (w_dim / k));
         let kk = k * k;
         let pool = AveragePooling::new(kk);
         let (planes, fired, classes) = arena.spatial(kk, offset, clen);
+        let mut picks: Vec<usize> = Vec::new();
         for c in 0..channels {
+            if let LayerState::PoolMux { rngs } = lstate {
+                picks.clear();
+                picks.extend((0..clen).map(|_| rngs[c].gen_range(0..kk)));
+            }
             for base in (0..positions).step_by(WORD_BITS * W) {
                 let lanes = (positions - base).min(WORD_BITS * W);
                 for (i, plane) in planes.iter_mut().enumerate() {
@@ -1258,9 +1163,21 @@ impl ExecPlan {
                     });
                     pack_lanes_into(members, clen, plane).expect("positions within the stripe");
                 }
-                let rows: Vec<LaneRow<'_, W>> = planes.iter().map(|x| LaneRow::Lanes(x)).collect();
                 let first = c * positions + base;
-                pool.run_rows_resume_into(&rows, classes, clen, &mut r[first..first + lanes], fired);
+                match &mut *lstate {
+                    LayerState::PoolSorter { r } => {
+                        let rows: Vec<LaneRow<'_, W>> =
+                            planes.iter().map(|x| LaneRow::Lanes(x)).collect();
+                        let r = &mut r[first..first + lanes];
+                        pool.run_rows_resume_into(&rows, classes, clen, r, fired);
+                    }
+                    LayerState::PoolMux { .. } => {
+                        for (t, (f, &pick)) in fired.iter_mut().zip(&picks).enumerate() {
+                            *f = planes[pick][t];
+                        }
+                    }
+                    _ => unreachable!("pool state matches layer kind"),
+                }
                 unpack_lanes_into(fired, clen, &mut out[first..first + lanes])
                     .expect("positions within the stripe");
             }
@@ -1276,8 +1193,9 @@ impl ExecPlan {
 /// cached streams at its lanes' class offsets. Every buffer grows to its
 /// high-water mark and is then reused, so a steady-state chunk driver
 /// allocates nothing per chunk. The spatial orientation of
-/// [`ExecPlan::advance`] uses the same buffers for a lone image: packed
-/// input planes, one lane group's fired stripes, and a one-class table.
+/// [`ExecPlan::advance`] uses the same buffers for a lone image's conv
+/// and pool layers on either platform: packed input or window planes,
+/// one lane group's fired stripes, and a one-class table.
 pub struct BatchArena<const W: usize = 1> {
     /// Lane-packed activations the layer under evaluation reads.
     cur: Vec<Vec<Stripe<W>>>,
@@ -1372,8 +1290,8 @@ pub struct ExecState {
     act_a: Vec<BitStream>,
     /// See [`ExecState::act_a`].
     act_b: Vec<BitStream>,
-    /// Lane scratch of the spatial orientation (conv and AQFP pool
-    /// layers): packed input planes, one channel's fired stripes and the
+    /// Lane scratch of the spatial orientation (conv and pool layers):
+    /// packed input planes, one channel's fired stripes and the
     /// one-class offset table, at each layer's stripe width.
     spatial: StripeArenas,
 }
@@ -1697,62 +1615,134 @@ fn generate_stream(
 mod tests {
     use super::*;
     use crate::arch::{build_model, ActivationStyle, LayerSpec, NetworkSpec};
+    use aqfp_sc_bitstream::mux_add;
     use aqfp_sc_core::baseline::btanh_states;
 
-    /// The AQFP pool layer one window at a time, sharing nothing with the
-    /// lane sweeps: each window's `k·k` chunk-local streams count
+    /// A conv layer one neuron at a time, sharing none of the lane sweeps:
+    /// each neuron counts its `in_c·k·k` taps, bias and pad row
+    /// word-parallel at the chunk's offset and steps its FSM over the
+    /// counts. The geometry comes from the compiled layer, so it also
+    /// checks a conv the plan stores as a dense layer.
+    fn conv_per_neuron(plan: &ExecPlan, chunk: LayerChunk<'_>, out: &mut [BitStream]) {
+        let LayerChunk { li, streams, offset, clen, lstate } = chunk;
+        let CompiledLayer::Conv { k, in_c, out_c, padding, .. } = plan.network().layers()[li]
+        else {
+            panic!("layer {li} is not a conv")
+        };
+        let (CachedLayer::Conv { w, b, .. } | CachedLayer::Dense { w, b, .. }) = &plan.layers[li]
+        else {
+            panic!("layer {li} has no weights")
+        };
+        let (_, h, w_dim) = plan.shapes[li];
+        let (oh, ow) = conv_out_dims(h, w_dim, k, padding);
+        let pad = if padding == Padding::Same { (k / 2) as isize } else { 0 };
+        let (m, positions) = (in_c * k * k, oh * ow);
+        let pad_row = sorter_pads(plan.platform, m + 1);
+        let neutral = plan.neutral.words();
+        let pad_chunk = plan.neutral.slice(offset, clen);
+        let mut counts = Vec::new();
+        for oc in 0..out_c {
+            for p in 0..positions {
+                let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(m + 2);
+                for j in 0..m {
+                    let (ic, ky, kx) = (j / (k * k), j / k % k, j % k);
+                    let iy = (p / ow + ky) as isize - pad;
+                    let ix = (p % ow + kx) as isize - pad;
+                    let x = if iy < 0 || ix < 0 || iy >= h as isize || ix >= w_dim as isize {
+                        &pad_chunk
+                    } else {
+                        &streams[(ic * h + iy as usize) * w_dim + ix as usize]
+                    };
+                    rows.push(KernelRow::Xnor(x.words(), w[oc * m + j].words()));
+                }
+                rows.push(KernelRow::Broadcast(b[oc].words()));
+                if pad_row {
+                    rows.push(KernelRow::Broadcast(neutral));
+                }
+                column_counts_into(&rows, offset, clen, &mut counts);
+                let idx = oc * positions + p;
+                neuron_chunk_into(m + 1, lstate, idx, &counts, &mut out[idx]);
+            }
+        }
+    }
+
+    /// The pool layer one window at a time, sharing nothing with the lane
+    /// sweeps. AQFP: each window's `k·k` chunk-local streams count
     /// word-parallel (read at offset 0) and step the sorter over the
-    /// counts.
+    /// counts. CMOS: each window clones its channel's selector and muxes
+    /// its streams with [`mux_add`]; the channel's selector then steps on
+    /// as one clone did.
     fn pool_per_window(plan: &ExecPlan, chunk: LayerChunk<'_>, out: &mut [BitStream]) {
         let LayerChunk { li, streams, clen, lstate, .. } = chunk;
         let CachedLayer::Pool { k } = plan.layers[li] else { panic!("layer {li} is not a pool") };
-        let LayerState::PoolSorter { r } = lstate else { panic!("not an AQFP pool state") };
         let (channels, h, w_dim) = plan.shapes[li];
         let (ow, positions) = (w_dim / k, (h / k) * (w_dim / k));
         let mut counts = Vec::new();
         for c in 0..channels {
+            let mut advanced = None;
             for p in 0..positions {
-                let rows: Vec<KernelRow<'_>> = (0..k * k)
+                let window: Vec<&BitStream> = (0..k * k)
                     .map(|i| {
                         let y = (p / ow) * k + i / k;
                         let x = (p % ow) * k + i % k;
-                        KernelRow::Broadcast(streams[(c * h + y) * w_dim + x].words())
+                        &streams[(c * h + y) * w_dim + x]
                     })
                     .collect();
-                column_counts_into(&rows, 0, clen, &mut counts);
                 let idx = c * positions + p;
-                let pool = AveragePooling::new(k * k);
-                pool.run_counts_resume_into(&counts, &mut r[idx], &mut out[idx]);
+                match &mut *lstate {
+                    LayerState::PoolSorter { r } => {
+                        let rows: Vec<KernelRow<'_>> =
+                            window.iter().map(|s| KernelRow::Broadcast(s.words())).collect();
+                        column_counts_into(&rows, 0, clen, &mut counts);
+                        let pool = AveragePooling::new(k * k);
+                        pool.run_counts_resume_into(&counts, &mut r[idx], &mut out[idx]);
+                    }
+                    LayerState::PoolMux { rngs } => {
+                        let mut rng = rngs[c].clone();
+                        out[idx] = mux_add(&window, &mut rng).expect("well-formed window");
+                        advanced = Some(rng);
+                    }
+                    _ => panic!("not a pool state"),
+                }
+            }
+            if let (Some(rng), LayerState::PoolMux { rngs }) = (advanced, &mut *lstate) {
+                rngs[c] = rng;
             }
         }
     }
 
     #[test]
     fn spatial_conv_and_pool_match_per_neuron_counts() {
-        // The spatial orientation against per-neuron word-parallel counts
-        // and FSM steps, which share none of the lane sweeps: a `Same` conv
-        // over 100 positions (edge lanes on the neutral pad), a valid conv
-        // over 64 and the AQFP pool, each fed random chunk-local inputs in
-        // 37-cycle chunks so every chunk after the first starts unaligned.
-        // The spatial side runs at W = 1 (two groups for 100 positions,
-        // the second ragged) and at W = 4 (one ragged group).
+        // The spatial orientation and the planned dense chunk against
+        // per-neuron and per-window oracles, which share none of the lane
+        // sweeps: a `Same` conv over 324 positions (edge lanes on the
+        // neutral pad), the pool over 81 (sorter on AQFP, selector mux on
+        // CMOS), a valid conv over 49, and a one-position valid conv the
+        // plan runs as a dense layer, each fed random chunk-local inputs
+        // in 37-cycle chunks so every chunk after the first starts
+        // unaligned. Every neuron layer has an even fan-in + bias, so the
+        // AQFP sorter pads each. The spatial side runs at W = 1 (six conv
+        // groups and two pool groups per channel, the last ragged) and at
+        // W = 4 (two conv groups, one pool group, each ragged).
         let spec = NetworkSpec {
             name: "oracle",
-            input_side: 10,
+            input_side: 18,
             layers: vec![
                 LayerSpec::Conv { k: 3, out_c: 3, padding: Padding::Same },
-                LayerSpec::Conv { k: 3, out_c: 2, padding: Padding::Valid },
                 LayerSpec::AvgPool { k: 2 },
+                LayerSpec::Conv { k: 3, out_c: 1, padding: Padding::Valid },
+                LayerSpec::Conv { k: 7, out_c: 3, padding: Padding::Valid },
                 LayerSpec::Output { classes: 2 },
             ],
         };
         let mut model = build_model(&spec, ActivationStyle::AqfpFeature, 41);
         let compiled = CompiledNetwork::from_model(&spec, &mut model, 8);
         let image =
-            Tensor::from_vec(vec![1, 10, 10], (0..100).map(|p| (p % 7) as f32 / 7.0).collect());
+            Tensor::from_vec(vec![1, 18, 18], (0..324).map(|p| (p % 7) as f32 / 7.0).collect());
         let n = 3 * 37 + 5;
         for platform in [Platform::Aqfp, Platform::Cmos] {
             let plan = ExecPlan::new(&compiled, n, platform);
+            assert!(matches!(plan.layers[3], CachedLayer::Dense { in_f: 49, out_f: 3, .. }));
             let [mut lanes1, mut lanes4, mut oracle] = [(); 3].map(|_| {
                 let mut st = plan.new_state();
                 plan.begin(&mut st, &image, 5);
@@ -1762,10 +1752,7 @@ mod tests {
             let mut counts = Vec::new();
             let mut rng = SplitMix64::new(platform as u64);
             for (li, layer) in plan.layers.iter().enumerate() {
-                let is_conv = matches!(layer, CachedLayer::Conv { .. });
-                let aqfp_pool =
-                    matches!(layer, CachedLayer::Pool { .. }) && platform == Platform::Aqfp;
-                if !is_conv && !aqfp_pool {
+                if matches!(layer, CachedLayer::Output { .. }) {
                     continue;
                 }
                 let (in_c, h, w_dim) = plan.shapes[li];
@@ -1784,14 +1771,22 @@ mod tests {
                     }
                     let at = (li, &streams[..], offset, clen);
                     let [got1, got4, want] = &mut outs;
-                    if is_conv {
-                        plan.conv_spatial(chunk(at, &mut lanes1), &mut w1, got1);
-                        plan.conv_spatial(chunk(at, &mut lanes4), &mut w4, got4);
-                        plan.conv_per_neuron(chunk(at, &mut oracle), &mut counts, want);
-                    } else {
-                        plan.pool_spatial(chunk(at, &mut lanes1), &mut w1, got1);
-                        plan.pool_spatial(chunk(at, &mut lanes4), &mut w4, got4);
-                        pool_per_window(&plan, chunk(at, &mut oracle), want);
+                    match layer {
+                        CachedLayer::Conv { .. } => {
+                            plan.conv_spatial(chunk(at, &mut lanes1), &mut w1, got1);
+                            plan.conv_spatial(chunk(at, &mut lanes4), &mut w4, got4);
+                            conv_per_neuron(&plan, chunk(at, &mut oracle), want);
+                        }
+                        CachedLayer::Pool { .. } => {
+                            plan.pool_spatial(chunk(at, &mut lanes1), &mut w1, got1);
+                            plan.pool_spatial(chunk(at, &mut lanes4), &mut w4, got4);
+                            pool_per_window(&plan, chunk(at, &mut oracle), want);
+                        }
+                        _ => {
+                            plan.dense_chunk(chunk(at, &mut lanes1), &mut counts, got1);
+                            plan.dense_chunk(chunk(at, &mut lanes4), &mut counts, got4);
+                            conv_per_neuron(&plan, chunk(at, &mut oracle), want);
+                        }
                     }
                     for (name, got) in [("W = 1", &*got1), ("W = 4", &*got4)] {
                         let same = got.iter().zip(want.iter()).all(|(g, w)| g == w);

@@ -78,8 +78,9 @@ use crate::streaming::{LaneJob, LaneSource, PolicyBook, StreamingEngine, Streami
 /// 2-vCPU x86-64 host, against the scalar core whose conv and pool layers
 /// run with their positions in the lanes): the AQFP lane path is ~0.5× the
 /// scalar core at 8 lanes, ~1.1× at 16, ~1.6× at 32, ~2.6× at 64 and
-/// ~3.4× at 256; on CMOS ~0.44× at 8, ~0.73× at 16, ~1.4× at 32, ~2.4× at
-/// 64 and ~2.9× at 256. Single runs swing by up to 2× on such a host. On
+/// ~3.4× at 256; on CMOS, whose mux pool also runs in those lanes,
+/// ~0.36× at 8, ~0.69× at 16, ~1.2× at 32, ~1.8× at 64 and ~1.9× at 256.
+/// Single runs swing by up to 2× on such a host. On
 /// the paper's SNN (N = 256) the crossover sits higher: lanes read
 /// 0.11–0.17× the scalar core at 8 lanes and 0.84–1.27× at 64 on AQFP,
 /// 0.24–0.30× and 1.74–1.83× on CMOS (ROADMAP item 3). The values below
@@ -106,7 +107,7 @@ pub fn lane_min(platform: Platform) -> usize {
 /// auto-vectorised `[u64; W]` plane ops amortise pack/broadcast overhead
 /// further with every doubling — W=4 is the widest supported stripe and
 /// measures fastest per image on both platforms at full occupancy
-/// (AQFP ~3.4×, CMOS ~2.9× the spatial scalar core at 256 lanes), so
+/// (AQFP ~3.4×, CMOS ~1.9× the spatial scalar core at 256 lanes), so
 /// both pick it. The 128-lane row trails 64 slightly on both platforms (a W=2
 /// stripe pays two words per op over lanes a single full word already
 /// covers), which is why the scheduler drops to the narrowest covering

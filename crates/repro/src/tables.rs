@@ -131,12 +131,6 @@ fn fe_comparison(m: usize, n: u64) -> CostComparison {
     let cmos = CmosTech::default();
     // Analytic JJ model (same as network cost aggregation).
     let rows = m + 1; // bias row
-    let spec = NetworkSpec {
-        name: "one-block",
-        input_side: 1,
-        layers: vec![],
-    };
-    let _ = spec;
     let sorter = SortingNetwork::bitonic_sorter(if rows.is_multiple_of(2) { rows + 1 } else { rows }, Direction::Ascending);
     let merger = SortingNetwork::bitonic_merger(2 * sorter.wires(), Direction::Descending);
     let jj = 20 * (sorter.op_count() + merger.op_count()) as u64 + 28 * rows as u64;

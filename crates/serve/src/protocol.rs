@@ -337,11 +337,15 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in a single write, so a socket with
+/// Nagle's algorithm on never sends the prefix alone and then holds the
+/// payload until the peer's (possibly delayed) ACK.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME, "frame over MAX_FRAME");
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -502,5 +506,30 @@ mod tests {
         // A length prefix over MAX_FRAME is rejected before allocating.
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
         assert!(read_frame(&mut &huge[..]).is_err());
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"x", &[7u8; 3 * 1024]] {
+            let mut w = Counting { writes: 0, bytes: Vec::new() };
+            write_frame(&mut w, payload).expect("write");
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            let frame = read_frame(&mut &w.bytes[..]).expect("read");
+            assert_eq!(frame.as_deref(), Some(payload));
+        }
     }
 }
