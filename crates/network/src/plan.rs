@@ -8,9 +8,10 @@
 //!
 //! * [`ExecPlan`] — everything that is a property of the *compiled network*
 //!   on a chosen [`Platform`] at a chosen stream length N: the cached
-//!   weight/bias bit-streams (generated once, image-independent), the layer
-//!   topology and shapes, and the absolute-parity neutral padding stream.
-//!   A plan is immutable and shareable across threads.
+//!   weight/bias bit-streams (generated once, image-independent; one
+//!   `[row][words]` slab per layer), the layer topology and shapes, and
+//!   the absolute-parity neutral padding stream. A plan is immutable and
+//!   shareable across threads.
 //! * [`ExecState`] — everything that is a property of one *in-flight
 //!   image*: the per-pixel SNG cursors, the per-neuron feedback / FSM
 //!   state, the running class accumulators, and a reusable scratch arena
@@ -105,17 +106,17 @@ pub(crate) const TAG_PIXEL: u64 = 0x01AE_D1D0_0000_0005;
 pub(crate) const TAG_POOL: u64 = 0x9001_0000_0000_0007;
 pub(crate) const TAG_IMAGE: u64 = 0x1111_A6E5_0000_0009;
 
-/// One compiled layer with its image-independent streams attached.
-pub(crate) enum CachedLayer {
+/// One compiled layer with its weight and bias [`Slab`]s attached.
+enum CachedLayer {
     Conv {
         k: usize,
         in_c: usize,
         out_c: usize,
         padding: Padding,
         /// `[out_c][in_c·k·k]` row-major weight streams.
-        w: Vec<BitStream>,
+        w: Slab,
         /// One bias stream per output channel.
-        b: Vec<BitStream>,
+        b: Slab,
     },
     Pool {
         k: usize,
@@ -125,8 +126,8 @@ pub(crate) enum CachedLayer {
     Dense {
         in_f: usize,
         out_f: usize,
-        w: Vec<BitStream>,
-        b: Vec<BitStream>,
+        w: Slab,
+        b: Slab,
     },
     Output {
         in_f: usize,
@@ -135,17 +136,39 @@ pub(crate) enum CachedLayer {
         /// (products of high-magnitude weights at the chain end).
         order: Vec<Vec<usize>>,
         /// `[classes][in_f]` row-major weight streams (natural order).
-        w: Vec<BitStream>,
-        b: Vec<BitStream>,
+        w: Slab,
+        b: Slab,
     },
+}
+
+/// A layer's weight (or bias) streams as one row-major `[row][words]`
+/// buffer: one allocation and no per-stream header, only the bits.
+struct Slab {
+    words: Vec<u64>,
+    /// Words per row: `N.div_ceil(64)`.
+    stride: usize,
+}
+
+impl Slab {
+    fn row(&self, i: usize) -> &[u64] {
+        &self.words[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn rows(&self, first: usize, n: usize) -> std::slice::ChunksExact<'_, u64> {
+        self.words[first * self.stride..(first + n) * self.stride].chunks_exact(self.stride)
+    }
+
+    fn row_count(&self) -> usize {
+        self.words.len() / self.stride
+    }
 }
 
 /// The immutable, shareable execution plan of a [`CompiledNetwork`] on one
 /// [`Platform`] at stream length N.
 ///
-/// Construction pays the full weight-stream generation cost once. The plan
-/// holds no per-image state — pair it with an [`ExecState`] and drive it
-/// with [`ExecPlan::advance`].
+/// Construction generates every weight/bias stream once, into one
+/// contiguous slab per layer. The plan holds no per-image state — pair
+/// it with an [`ExecState`] and drive it with [`ExecPlan::advance`].
 ///
 /// # Example
 ///
@@ -173,10 +196,9 @@ pub struct ExecPlan {
     /// Content fingerprint of `net`, computed once at construction (the
     /// bind-guard compares it on every `advance`).
     model_fp: ModelFingerprint,
-    pub(crate) layers: Vec<CachedLayer>,
-    pub(crate) shapes: Vec<(usize, usize, usize)>,
+    layers: Vec<CachedLayer>,
+    shapes: Vec<(usize, usize, usize)>,
     neutral: BitStream,
-    cached_streams: usize,
 }
 
 impl ExecPlan {
@@ -208,29 +230,35 @@ impl ExecPlan {
         let seed = net.stream_seed();
         let shapes = net.spec().shapes();
         let mut layers = Vec::with_capacity(net.layers().len());
-        let mut cached_streams = 0usize;
         // One stream per weight, keyed by its (row, column) in the layer's
-        // `[rows][fan_in]` matrix, and one per bias.
-        let gen_streams = |li: usize, fan_in: usize, w_levels: &[u64], b_levels: &[u64]| {
-            let stream = |tag: u64, row: usize, col: usize, level: u64| {
-                let key = derive(seed, [tag ^ li as u64, row as u64, col as u64]);
-                generate_stream(platform, bits, key, level, stream_len)
-            };
-            let w: Vec<BitStream> = w_levels
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| stream(TAG_WEIGHT, i / fan_in, i % fan_in, l))
-                .collect();
-            let b: Vec<BitStream> =
-                b_levels.iter().enumerate().map(|(i, &l)| stream(TAG_BIAS, i, 0, l)).collect();
-            (w, b)
+        // `[rows][fan_in]` matrix, and one per bias, appended as a slab row.
+        let stride = stream_len.div_ceil(WORD_BITS);
+        let mut scratch = BitStream::zeros(0);
+        let mut gen_streams = |li: usize, fan_in: usize, w_levels: &[u64], b_levels: &[u64]| {
+            [(TAG_WEIGHT, fan_in, w_levels), (TAG_BIAS, 1, b_levels)].map(|(tag, cols, levels)| {
+                let mut words = Vec::with_capacity(levels.len() * stride);
+                for (i, &level) in levels.iter().enumerate() {
+                    let key = derive(seed, [tag ^ li as u64, (i / cols) as u64, (i % cols) as u64]);
+                    match platform {
+                        Platform::Aqfp => Sng::new(bits, ThermalRng::with_seed(key))
+                            .generate_level_into(level, stream_len, &mut scratch),
+                        // The CMOS baseline uses pseudo-random generators; a
+                        // whitened SplitMix stream models a well-scrambled LFSR
+                        // bank (a raw shared-polynomial LFSR bank would add
+                        // cross-correlation the baseline papers design away).
+                        Platform::Cmos => Sng::new(bits, SplitMix64::new(key))
+                            .generate_level_into(level, stream_len, &mut scratch),
+                    }
+                    words.extend_from_slice(scratch.words());
+                }
+                Slab { words, stride }
+            })
         };
         for (li, layer) in net.layers().iter().enumerate() {
             match layer {
                 CompiledLayer::Conv { k, in_c, out_c, padding, w_levels, b_levels } => {
                     let m = in_c * k * k;
-                    let (w, b) = gen_streams(li, m, w_levels, b_levels);
-                    cached_streams += w.len() + b.len();
+                    let [w, b] = gen_streams(li, m, w_levels, b_levels);
                     let (_, h, w_dim) = shapes[li];
                     // A `Valid` conv whose kernel covers its whole input has
                     // one position, whose tap `(ic, ky, kx)` reads input
@@ -251,12 +279,11 @@ impl ExecPlan {
                 }
                 CompiledLayer::Pool { k } => layers.push(CachedLayer::Pool { k: *k }),
                 CompiledLayer::Dense { in_f, out_f, w_levels, b_levels } => {
-                    let (w, b) = gen_streams(li, *in_f, w_levels, b_levels);
-                    cached_streams += w.len() + b.len();
+                    let [w, b] = gen_streams(li, *in_f, w_levels, b_levels);
                     layers.push(CachedLayer::Dense { in_f: *in_f, out_f: *out_f, w, b });
                 }
                 CompiledLayer::Output { in_f, classes, w_levels, b_levels } => {
-                    let (w, b) = gen_streams(li, *in_f, w_levels, b_levels);
+                    let [w, b] = gen_streams(li, *in_f, w_levels, b_levels);
                     // Majority-chain wiring order: a chain link's influence
                     // decays ~2x per later link, so products of
                     // high-magnitude weights go to the END of the chain
@@ -271,7 +298,6 @@ impl ExecPlan {
                             idx
                         })
                         .collect();
-                    cached_streams += w.len() + b.len();
                     layers.push(CachedLayer::Output {
                         in_f: *in_f,
                         classes: *classes,
@@ -289,7 +315,6 @@ impl ExecPlan {
             layers,
             shapes,
             neutral: BitStream::alternating(stream_len),
-            cached_streams,
             net,
         }
     }
@@ -317,7 +342,15 @@ impl ExecPlan {
 
     /// Number of weight/bias streams generated and cached at construction.
     pub fn cached_streams(&self) -> usize {
-        self.cached_streams
+        self.layers
+            .iter()
+            .map(|l| match l {
+                CachedLayer::Conv { w, b, .. }
+                | CachedLayer::Dense { w, b, .. }
+                | CachedLayer::Output { w, b, .. } => w.row_count() + b.row_count(),
+                CachedLayer::Pool { .. } => 0,
+            })
+            .sum()
     }
 
     /// Fan-in of the categorization layer (inputs + bias), if present.
@@ -513,54 +546,41 @@ impl ExecPlan {
                 }
                 CachedLayer::Output { in_f, classes, order, w, b } => {
                     produced = false;
+                    // Each class reads its rows a word at a time: no product
+                    // stream is materialised, and bits past the chunk are
+                    // masked before the popcount.
+                    let pad_row = platform == Platform::Aqfp && (in_f + 1).is_multiple_of(2);
                     let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
                     for (cl, class_order) in order.iter().enumerate().take(*classes) {
-                        let wrow = &w[cl * in_f..(cl + 1) * in_f];
                         rows.clear();
-                        match platform {
-                            Platform::Aqfp => {
-                                // Word-level majority chain over the XNOR
-                                // products (in wiring order), the bias, and
-                                // — for even fan-in+1 — the absolute-parity
-                                // neutral pad, as prebuilt row descriptors.
-                                // No product streams are materialised; the
-                                // garbage bits past the chunk are masked
-                                // before the popcount.
-                                for &j in class_order.iter().take(*in_f) {
-                                    rows.push(KernelRow::Xnor(streams[j].words(), wrow[j].words()));
-                                }
-                                rows.push(KernelRow::Broadcast(b[cl].words()));
-                                if (in_f + 1).is_multiple_of(2) {
-                                    rows.push(KernelRow::Broadcast(neutral));
-                                }
-                                let nw = clen.div_ceil(WORD_BITS);
-                                let mut total = 0u64;
-                                for wi in 0..nw {
-                                    // The chain's width is odd: the first
-                                    // input, then one gate per later pair.
-                                    let word = |row: &KernelRow<'_>| row.word(wi, offset);
+                        rows.extend(class_order.iter().take(*in_f).map(|&j| {
+                            KernelRow::Xnor(streams[j].words(), w.row(cl * in_f + j))
+                        }));
+                        rows.push(KernelRow::Broadcast(b.row(cl)));
+                        if pad_row {
+                            rows.push(KernelRow::Broadcast(neutral));
+                        }
+                        for wi in 0..clen.div_ceil(WORD_BITS) {
+                            let valid = (clen - wi * WORD_BITS).min(WORD_BITS);
+                            let mask = u64::MAX >> (WORD_BITS - valid);
+                            let word = |row: &KernelRow<'_>| row.word(wi, offset) & mask;
+                            class_acc[cl] += match platform {
+                                // Majority chain over the products in wiring
+                                // order, the bias and the parity pad: the
+                                // first input, then one gate per later pair.
+                                Platform::Aqfp => {
                                     let mut y = word(&rows[0]);
                                     for pair in rows[1..].chunks_exact(2) {
                                         y = maj_word(y, word(&pair[0]), word(&pair[1]));
                                     }
-                                    let valid = (clen - wi * WORD_BITS).min(WORD_BITS);
-                                    if valid < WORD_BITS {
-                                        y &= (1u64 << valid) - 1;
-                                    }
-                                    total += u64::from(y.count_ones());
+                                    u64::from(y.count_ones())
                                 }
-                                class_acc[cl] += total;
-                            }
-                            Platform::Cmos => {
-                                // APC total = Σ over cycles of the count of
-                                // every product row and the bias row.
-                                for (x, ws) in streams.iter().zip(wrow) {
-                                    rows.push(KernelRow::Xnor(x.words(), ws.words()));
+                                // APC total: the ones of every product row
+                                // and the bias row, in any order.
+                                Platform::Cmos => {
+                                    rows.iter().map(|r| u64::from(word(r).count_ones())).sum()
                                 }
-                                rows.push(KernelRow::Broadcast(b[cl].words()));
-                                column_counts_into(&rows, offset, clen, counts);
-                                class_acc[cl] += counts.iter().map(|&c| u64::from(c)).sum::<u64>();
-                            }
+                            };
                         }
                     }
                 }
@@ -753,7 +773,7 @@ impl ExecPlan {
                                                 || ix < 0
                                                 || iy >= h as isize
                                                 || ix >= w_dim as isize;
-                                            let wj = w[oc * m + j].words();
+                                            let wj = w.row(oc * m + j);
                                             rows.push(if oob {
                                                 // Zero-valued padding row × weight.
                                                 LaneRow::BroadcastXnor(neutral, wj)
@@ -766,7 +786,7 @@ impl ExecPlan {
                                         }
                                     }
                                 }
-                                rows.push(LaneRow::Broadcast(b[oc].words()));
+                                rows.push(LaneRow::Broadcast(b.row(oc)));
                                 if pad_row {
                                     rows.push(LaneRow::Broadcast(neutral));
                                 }
@@ -885,12 +905,12 @@ impl ExecPlan {
                         next.resize_with(*out_f, Vec::new);
                     }
                     let mut rows: Vec<LaneRow<'_, W>> = Vec::with_capacity(in_f + 2);
-                    for o in 0..*out_f {
+                    for (o, out) in next.iter_mut().enumerate().take(*out_f) {
                         rows.clear();
-                        for (x, ws) in cur.iter().zip(&w[o * in_f..(o + 1) * in_f]) {
-                            rows.push(LaneRow::Xnor(x, ws.words()));
+                        for (x, ws) in cur.iter().zip(w.rows(o * in_f, *in_f)) {
+                            rows.push(LaneRow::Xnor(x, ws));
                         }
-                        rows.push(LaneRow::Broadcast(b[o].words()));
+                        rows.push(LaneRow::Broadcast(b.row(o)));
                         if pad_row {
                             rows.push(LaneRow::Broadcast(neutral));
                         }
@@ -904,14 +924,13 @@ impl ExecPlan {
                             classes,
                             clen,
                             r_scratch,
-                            &mut next[o],
+                            out,
                         );
                     }
                 }
                 CachedLayer::Output { in_f, classes: n_classes, order, w, b } => {
                     produced = false;
                     for (cl, class_order) in order.iter().enumerate().take(*n_classes) {
-                        let wrow = &w[cl * in_f..(cl + 1) * in_f];
                         match platform {
                             Platform::Aqfp => {
                                 // Per-cycle lane-parallel majority chain
@@ -931,9 +950,9 @@ impl ExecPlan {
                                 let mut rows: Vec<LaneRow<'_, W>> =
                                     Vec::with_capacity(width);
                                 for &j in class_order.iter().take(*in_f) {
-                                    rows.push(LaneRow::Xnor(&cur[j], wrow[j].words()));
+                                    rows.push(LaneRow::Xnor(&cur[j], w.row(cl * in_f + j)));
                                 }
-                                rows.push(LaneRow::Broadcast(b[cl].words()));
+                                rows.push(LaneRow::Broadcast(b.row(cl)));
                                 if width > in_f + 1 {
                                     rows.push(LaneRow::Broadcast(neutral));
                                 }
@@ -963,9 +982,9 @@ impl ExecPlan {
                                 let mut totals = [0u64; MAX_LANES];
                                 let products = cur
                                     .iter()
-                                    .zip(wrow)
-                                    .map(|(x, ws)| LaneRow::Xnor(x, ws.words()));
-                                for row in products.chain([LaneRow::Broadcast(b[cl].words())]) {
+                                    .zip(w.rows(cl * in_f, *in_f))
+                                    .map(|(x, ws)| LaneRow::Xnor(x, ws));
+                                for row in products.chain([LaneRow::Broadcast(b.row(cl))]) {
                                     let mut lp = LanePopcount::<W>::new();
                                     for t in 0..clen {
                                         lp.add(row.word(t, classes));
@@ -1069,10 +1088,10 @@ impl ExecPlan {
                 rows.extend(
                     planes
                         .iter()
-                        .zip(&w[oc * m..(oc + 1) * m])
-                        .map(|(x, ws)| LaneRow::Xnor(x, ws.words())),
+                        .zip(w.rows(oc * m, m))
+                        .map(|(x, ws)| LaneRow::Xnor(x, ws)),
                 );
-                rows.push(LaneRow::Broadcast(b[oc].words()));
+                rows.push(LaneRow::Broadcast(b.row(oc)));
                 if pad_row {
                     rows.push(LaneRow::Broadcast(neutral));
                 }
@@ -1112,17 +1131,17 @@ impl ExecPlan {
         let pad_row = sorter_pads(self.platform, in_f + 1);
         let neutral = self.neutral.words();
         let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
-        for o in 0..*out_f {
+        for (o, fired) in out.iter_mut().enumerate().take(*out_f) {
             rows.clear();
-            for (x, ws) in streams.iter().zip(&w[o * in_f..(o + 1) * in_f]) {
-                rows.push(KernelRow::Xnor(x.words(), ws.words()));
+            for (x, ws) in streams.iter().zip(w.rows(o * in_f, *in_f)) {
+                rows.push(KernelRow::Xnor(x.words(), ws));
             }
-            rows.push(KernelRow::Broadcast(b[o].words()));
+            rows.push(KernelRow::Broadcast(b.row(o)));
             if pad_row {
                 rows.push(KernelRow::Broadcast(neutral));
             }
             column_counts_into(&rows, offset, clen, counts);
-            neuron_chunk_into(in_f + 1, lstate, o, counts, &mut out[o]);
+            neuron_chunk_into(in_f + 1, lstate, o, counts, fired);
         }
     }
 
@@ -1593,24 +1612,6 @@ pub(crate) fn derive(base: u64, tags: [u64; 3]) -> u64 {
     x
 }
 
-/// One weight/bias stream from its own platform-specific generator.
-fn generate_stream(
-    platform: Platform,
-    bits: u32,
-    key: u64,
-    level: u64,
-    len: usize,
-) -> BitStream {
-    match platform {
-        Platform::Aqfp => Sng::new(bits, ThermalRng::with_seed(key)).generate_level(level, len),
-        // The CMOS baseline uses pseudo-random generators; a whitened
-        // SplitMix stream models a well-scrambled LFSR bank (a raw
-        // shared-polynomial LFSR bank would add cross-correlation the
-        // baseline papers explicitly design away).
-        Platform::Cmos => Sng::new(bits, SplitMix64::new(key)).generate_level(level, len),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1653,9 +1654,9 @@ mod tests {
                     } else {
                         &streams[(ic * h + iy as usize) * w_dim + ix as usize]
                     };
-                    rows.push(KernelRow::Xnor(x.words(), w[oc * m + j].words()));
+                    rows.push(KernelRow::Xnor(x.words(), w.row(oc * m + j)));
                 }
-                rows.push(KernelRow::Broadcast(b[oc].words()));
+                rows.push(KernelRow::Broadcast(b.row(oc)));
                 if pad_row {
                     rows.push(KernelRow::Broadcast(neutral));
                 }
@@ -1711,6 +1712,79 @@ mod tests {
         }
     }
 
+    /// An 18×18 net: a `Same` conv over 324 positions, a pool over 81, a
+    /// valid conv over 49 and a one-position 7×7 valid conv the plan
+    /// stores as a dense layer. Every neuron layer has an even fan-in +
+    /// bias, so the AQFP sorter pads each.
+    fn oracle_net() -> CompiledNetwork {
+        let spec = NetworkSpec {
+            name: "oracle",
+            input_side: 18,
+            layers: vec![
+                LayerSpec::Conv { k: 3, out_c: 3, padding: Padding::Same },
+                LayerSpec::AvgPool { k: 2 },
+                LayerSpec::Conv { k: 3, out_c: 1, padding: Padding::Valid },
+                LayerSpec::Conv { k: 7, out_c: 3, padding: Padding::Valid },
+                LayerSpec::Output { classes: 2 },
+            ],
+        };
+        let mut model = build_model(&spec, ActivationStyle::AqfpFeature, 41);
+        CompiledNetwork::from_model(&spec, &mut model, 8)
+    }
+
+    #[test]
+    fn slab_rows_match_the_per_stream_generator() {
+        // Every cached weight and bias row against its stream generated on
+        // its own: weight (row, col) of layer li from its platform's SNG
+        // keyed derive(seed, [TAG_WEIGHT ^ li, row, col]) over the layer's
+        // `[rows][fan_in]` matrix, bias row from derive(seed, [TAG_BIAS ^
+        // li, row, 0]). N = 116 ends every row in a partial word.
+        let compiled = oracle_net();
+        let (n, bits, seed) = (116, compiled.bits(), compiled.stream_seed());
+        for platform in [Platform::Aqfp, Platform::Cmos] {
+            let plan = ExecPlan::new(&compiled, n, platform);
+            let generate = |tag: u64, li: usize, row: usize, col: usize, level: u64| {
+                let key = derive(seed, [tag ^ li as u64, row as u64, col as u64]);
+                match platform {
+                    Platform::Aqfp => {
+                        Sng::new(bits, ThermalRng::with_seed(key)).generate_level(level, n)
+                    }
+                    Platform::Cmos => Sng::new(bits, SplitMix64::new(key)).generate_level(level, n),
+                }
+            };
+            let mut streams = 0;
+            for (li, layer) in compiled.layers().iter().enumerate() {
+                let (fan_in, w_levels, b_levels) = match layer {
+                    CompiledLayer::Conv { k, in_c, w_levels, b_levels, .. } => {
+                        (in_c * k * k, w_levels, b_levels)
+                    }
+                    CompiledLayer::Dense { in_f, w_levels, b_levels, .. }
+                    | CompiledLayer::Output { in_f, w_levels, b_levels, .. } => {
+                        (*in_f, w_levels, b_levels)
+                    }
+                    CompiledLayer::Pool { .. } => continue,
+                };
+                let (CachedLayer::Conv { w, b, .. }
+                | CachedLayer::Dense { w, b, .. }
+                | CachedLayer::Output { w, b, .. }) = &plan.layers[li]
+                else {
+                    panic!("layer {li} has no weights")
+                };
+                for (i, &level) in w_levels.iter().enumerate() {
+                    let want = generate(TAG_WEIGHT, li, i / fan_in, i % fan_in, level);
+                    assert_eq!(w.row(i), want.words(), "{platform:?} layer {li} weight {i}");
+                }
+                for (o, &level) in b_levels.iter().enumerate() {
+                    let want = generate(TAG_BIAS, li, o, 0, level);
+                    assert_eq!(b.row(o), want.words(), "{platform:?} layer {li} bias {o}");
+                }
+                assert_eq!((w.row_count(), b.row_count()), (w_levels.len(), b_levels.len()));
+                streams += w_levels.len() + b_levels.len();
+            }
+            assert_eq!(plan.cached_streams(), streams);
+        }
+    }
+
     #[test]
     fn spatial_conv_and_pool_match_per_neuron_counts() {
         // The spatial orientation and the planned dense chunk against
@@ -1724,19 +1798,7 @@ mod tests {
         // AQFP sorter pads each. The spatial side runs at W = 1 (six conv
         // groups and two pool groups per channel, the last ragged) and at
         // W = 4 (two conv groups, one pool group, each ragged).
-        let spec = NetworkSpec {
-            name: "oracle",
-            input_side: 18,
-            layers: vec![
-                LayerSpec::Conv { k: 3, out_c: 3, padding: Padding::Same },
-                LayerSpec::AvgPool { k: 2 },
-                LayerSpec::Conv { k: 3, out_c: 1, padding: Padding::Valid },
-                LayerSpec::Conv { k: 7, out_c: 3, padding: Padding::Valid },
-                LayerSpec::Output { classes: 2 },
-            ],
-        };
-        let mut model = build_model(&spec, ActivationStyle::AqfpFeature, 41);
-        let compiled = CompiledNetwork::from_model(&spec, &mut model, 8);
+        let compiled = oracle_net();
         let image =
             Tensor::from_vec(vec![1, 18, 18], (0..324).map(|p| (p % 7) as f32 / 7.0).collect());
         let n = 3 * 37 + 5;
