@@ -41,19 +41,24 @@ pub fn apc_feature_extraction(
     let len = first.len();
     let mut counter = ColumnCounter::new(len);
     counter.add_all(products)?;
-    let mut fsm = Btanh::with_states(products.len(), states);
-    Ok(BitStream::from_bits(counter.counts().into_iter().map(|c| fsm.step(c))))
+    let fsm = Btanh::with_states(products.len(), states);
+    let mut out = BitStream::zeros(0);
+    fsm.run_counts_resume_into(&counter.counts(), &mut fsm.initial_state(), &mut out);
+    Ok(out)
 }
 
-/// The saturating `Btanh` up/down counter FSM of the CMOS baseline neuron,
-/// exposed as a resumable object: one instance per neuron, fed the per-cycle
-/// APC count via [`Btanh::step`]. Because the counter state lives in the
-/// struct, feeding a count sequence chunk by chunk is bit-identical to one
+/// The saturating `Btanh` up/down counter FSM of the CMOS baseline neuron:
+/// the geometry of one layer's counters (`M` APC inputs and the state
+/// count), fed the per-cycle APC count. Like
+/// [`FeatureExtraction`](crate::FeatureExtraction) and
+/// [`AveragePooling`](crate::AveragePooling), it keeps no state of its own:
+/// each neuron's counter is one caller-owned `i64`, started at
+/// [`Btanh::initial_state`] and threaded through the resume entry points,
+/// so feeding a count sequence chunk by chunk is bit-identical to one
 /// whole-sequence pass — which is what lets the streaming engine suspend a
 /// CMOS neuron between chunks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Btanh {
-    state: i64,
     max: i64,
     m: i64,
 }
@@ -65,63 +70,78 @@ impl Btanh {
         Self::with_states(m, btanh_states(m))
     }
 
-    /// FSM for an `m`-input APC neuron with an explicit state count; starts
-    /// at mid-range like the hardware power-on value.
+    /// FSM for an `m`-input APC neuron with an explicit state count.
     pub fn with_states(m: usize, states: u32) -> Self {
-        let max = states.max(2) as i64 - 1;
-        Btanh { state: max / 2, max, m: m as i64 }
+        Btanh { max: states.max(2) as i64 - 1, m: m as i64 }
     }
 
-    /// Integrates one cycle's APC count `c` (the counter steps by
-    /// `2·c − M`, saturating) and returns the output bit (counter MSB).
-    pub fn step(&mut self, c: u32) -> bool {
-        self.state = (self.state + 2 * c as i64 - self.m).clamp(0, self.max);
-        self.state > self.max / 2
+    /// The counter's power-on value: mid-range, like the hardware.
+    pub fn initial_state(&self) -> i64 {
+        self.max / 2
     }
 
-    /// Lane-parallel [`Btanh::step`] over a whole chunk, fused with the
+    /// Integrates one cycle's APC count `c` into `state` (the counter
+    /// steps by `2·c − M`, saturating) and returns the output bit (counter
+    /// MSB).
+    #[inline]
+    pub fn step(&self, state: &mut i64, c: u32) -> bool {
+        *state = (*state + 2 * c as i64 - self.m).clamp(0, self.max);
+        *state > self.max / 2
+    }
+
+    /// Steps the counter `state` over a chunk of per-cycle APC `counts`
+    /// into `out` (reusing its allocation), one output word at a time.
+    /// Threading `state` through successive chunks is bit-identical to one
+    /// whole-sequence call.
+    pub fn run_counts_resume_into(&self, counts: &[u32], state: &mut i64, out: &mut BitStream) {
+        // The counter lives in a register across the chunk; each output
+        // word is assembled from 64 steps and stored once.
+        let mut s = *state;
+        out.fill_words_with(counts.len(), |w, n| {
+            let mut word = 0u64;
+            for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
+                word |= u64::from(self.step(&mut s, c)) << i;
+            }
+            word
+        });
+        *state = s;
+    }
+
+    /// Lane-parallel [`Btanh::run_counts_resume_into`], fused with the
     /// lane kernel: counts each cycle's kernel `rows` (the `M` product rows
     /// of the APC neuron) for up to `64·W` images at once
     /// ([`lane_counts_stream`], scalar operands read at each lane's class
     /// offset in `classes`) and folds them straight into the
-    /// saturating-counter recurrence, one FSM per lane in `fsms` (all with
-    /// identical `m` and state count), run for every lane at once in
-    /// bit-sliced ripple-carry arithmetic. Lane `g` of `out[t]` is lane
-    /// `g`'s output bit; lanes at or above `fsms.len()` compute garbage —
-    /// callers must never read them.
+    /// saturating-counter recurrence, run for every lane at once in
+    /// bit-sliced ripple-carry arithmetic.
     ///
-    /// Per lane, this is bit-identical to calling [`Btanh::step`] on that
-    /// lane's counts cycle by cycle (each FSM's counter state is updated
-    /// in place, so chunking resumes exactly), for any stripe width `W`.
+    /// `states` holds each active lane's counter (lane `g` is `states[g]`)
+    /// and is updated in place; lane `g` of `out[t]` is lane `g`'s output
+    /// bit. Lanes at or above `states.len()` compute garbage — callers must
+    /// never read them. Per lane, chunking with `states[g]` threaded
+    /// through is bit-identical to [`Btanh::run_counts_resume_into`] on
+    /// that lane's counts, for any stripe width `W`.
     ///
     /// # Panics
     ///
-    /// Panics when `fsms` is empty or exceeds `64·W` lanes, when the FSMs
-    /// disagree on geometry, or when a row is shorter than `clen`.
+    /// Panics when more than `64·W` lanes are given or a row is shorter
+    /// than `clen`.
     pub fn run_rows_resume_into<const W: usize>(
-        fsms: &mut [&mut Btanh],
+        &self,
         rows: &[LaneRow<'_, W>],
         classes: &OffsetClasses<W>,
         clen: usize,
+        states: &mut [i64],
         out: &mut [Stripe<W>],
     ) {
-        assert!(
-            !fsms.is_empty() && fsms.len() <= WORD_BITS * W,
-            "run_rows: too many lane FSMs for stripe"
-        );
+        assert!(states.len() <= WORD_BITS * W, "run_rows: too many lanes for stripe");
         assert!(out.len() >= clen, "run_rows: output buffer too short");
-        let (m, max) = (fsms[0].m, fsms[0].max);
-        assert!(
-            fsms.iter().all(|f| f.m == m && f.max == max),
-            "run_rows: mixed FSM geometries in one lane group"
-        );
-        let (m, max) = (m as u64, max as u64);
+        let (m, max) = (self.m as u64, self.max as u64);
         // state ≤ max and 2·count ≤ 2M, so `state + 2c` fits in
         // bits(max + 2M).
         let width = lanes::bit_width(max + 2 * m).min(lanes::PLANES);
-        let mut states: Vec<i64> = fsms.iter().map(|f| f.state).collect();
         let mut sp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
-        lanes::pack_states(&states, &mut sp, width);
+        lanes::pack_states(states, &mut sp, width);
         // Monomorphise the sweep on the plane width so the plane loops
         // fully unroll and the counter planes stay in registers across the
         // chunk.
@@ -138,10 +158,7 @@ impl Btanh {
                 btanh_sweep::<W, { lanes::PLANES }>(rows, classes, clen, m, max, &mut sp, out)
             }
         }
-        lanes::unpack_states(&sp, &mut states, width);
-        for (f, s) in fsms.iter_mut().zip(states) {
-            f.state = s;
-        }
+        lanes::unpack_states(&sp, states, width);
     }
 }
 
@@ -374,25 +391,25 @@ mod tests {
             .map(|g| (0..clen).map(|t| ((t * 5 + g * 7) % 10) as u32).collect())
             .collect();
         let rows = lanes::count_rows::<W>(&counts, m, clen);
-        let mut fsms: Vec<Btanh> = (0..lanes_n).map(|_| Btanh::new(m)).collect();
+        let fsm = Btanh::new(m);
+        let mut states = vec![fsm.initial_state(); lanes_n];
         let mut out = vec![Stripe::<W>::ZERO; clen];
         let mut pos = 0usize;
         while pos < clen {
             let c = 37.min(clen - pos);
             let chunk: Vec<LaneRow<'_, W>> =
                 rows.iter().map(|row| LaneRow::Lanes(&row[pos..pos + c])).collect();
-            let mut refs: Vec<&mut Btanh> = fsms.iter_mut().collect();
             let classes = OffsetClasses::from_offsets([0]);
-            Btanh::run_rows_resume_into(&mut refs, &chunk, &classes, c, &mut out[pos..pos + c]);
+            fsm.run_rows_resume_into(&chunk, &classes, c, &mut states, &mut out[pos..pos + c]);
             pos += c;
         }
         for (g, cs) in counts.iter().enumerate() {
-            let mut scalar = Btanh::new(m);
+            let mut scalar = fsm.initial_state();
             for (t, &c) in cs.iter().enumerate() {
-                let want = scalar.step(c);
+                let want = fsm.step(&mut scalar, c);
                 assert_eq!(out[t].get(g) == 1, want, "lane {g} cycle {t}");
             }
-            assert_eq!(fsms[g].state, scalar.state, "final counter, lane {g}");
+            assert_eq!(states[g], scalar, "final counter, lane {g}");
         }
     }
 
@@ -434,19 +451,21 @@ mod tests {
 
     #[test]
     fn btanh_fsm_is_chunk_resumable() {
-        // One FSM fed counts in chunks that end one short of, on, and one
-        // past a 64-cycle word (and past two words), from a counter pushed
-        // off its power-on value, against the saturating up/down counter
-        // written out one cycle at a time.
+        // One counter fed counts in chunks that end one short of, on, and
+        // one past a 64-cycle word (and past two words), from a counter
+        // pushed off its power-on value, against the saturating up/down
+        // counter written out one cycle at a time.
         let m = 9usize;
         let max = i64::from(btanh_states(m)) - 1;
+        let fsm = Btanh::new(m);
+        assert_eq!(fsm.initial_state(), max / 2);
         for clen in [63usize, 64, 65, 129] {
             let counts: Vec<u32> =
                 (0..3 * clen + 17).map(|i| ((i * 13) % (m + 2)) as u32).collect();
-            let mut fsm = Btanh::new(m);
+            let mut counter = fsm.initial_state();
             let mut state = max / 2;
             for _ in 0..3 {
-                fsm.step(m as u32);
+                fsm.step(&mut counter, m as u32);
                 state = (state + m as i64).clamp(0, max);
             }
             let mut want = Vec::new();
@@ -456,10 +475,46 @@ mod tests {
             }
             let mut got = Vec::new();
             for chunk in counts.chunks(clen) {
-                got.extend(chunk.iter().map(|&c| fsm.step(c)));
+                got.extend(chunk.iter().map(|&c| fsm.step(&mut counter, c)));
             }
             assert_eq!(got, want, "chunk {clen}");
-            assert_eq!(fsm.state, state, "final counter, chunk {clen}");
+            assert_eq!(counter, state, "final counter, chunk {clen}");
+        }
+    }
+
+    #[test]
+    fn btanh_word_runner_matches_the_recurrence() {
+        // The word-at-a-time runner, fed chunks that end one short of, on,
+        // and one past a 64-cycle word (and past two words) from a counter
+        // pushed off its power-on value — every chunk after the first
+        // resumes the counter the runner stored — against the saturating
+        // up/down counter written out one cycle at a time.
+        let m = 9usize;
+        let max = i64::from(btanh_states(m)) - 1;
+        let fsm = Btanh::new(m);
+        for clen in [63usize, 64, 65, 129] {
+            let counts: Vec<u32> =
+                (0..3 * clen + 17).map(|i| ((i * 13) % (m + 2)) as u32).collect();
+            let mut counter = fsm.initial_state();
+            let mut state = max / 2;
+            for _ in 0..3 {
+                fsm.step(&mut counter, m as u32);
+                state = (state + m as i64).clamp(0, max);
+            }
+            let mut want = Vec::new();
+            for &c in &counts {
+                state = (state + 2 * i64::from(c) - m as i64).clamp(0, max);
+                want.push(state > max / 2);
+            }
+            let mut got = Vec::new();
+            let mut out = BitStream::zeros(0);
+            for chunk in counts.chunks(clen) {
+                fsm.run_counts_resume_into(chunk, &mut counter, &mut out);
+                assert_eq!(out.len(), chunk.len());
+                got.extend(out.iter());
+            }
+            assert_eq!(got, want, "chunk {clen}");
+            assert_eq!(counter, state, "final counter, chunk {clen}");
         }
     }
 

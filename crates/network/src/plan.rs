@@ -9,12 +9,16 @@
 //! * [`ExecPlan`] — everything that is a property of the *compiled network*
 //!   on a chosen [`Platform`] at a chosen stream length N: the cached
 //!   weight/bias bit-streams (generated once, image-independent; one
-//!   `[row][words]` slab per layer), the layer topology and shapes, and
-//!   the absolute-parity neutral padding stream. A plan is immutable and
+//!   `[row][words]` slab per layer), the layer topology and shapes, each
+//!   layer's FSM (sorter FE, `Btanh` counter or sorter pool, chosen from
+//!   the platform and the fan-in), and the absolute-parity neutral padding
+//!   stream. It keeps no copy of the network. A plan is immutable and
 //!   shareable across threads.
 //! * [`ExecState`] — everything that is a property of one *in-flight
-//!   image*: the per-pixel SNG cursors, the per-neuron feedback / FSM
-//!   state, the running class accumulators, and a reusable scratch arena
+//!   image*: the per-pixel SNG cursors, one `i64` FSM register per neuron
+//!   or sorter-pool window (sorter feedback or `Btanh` counter, on either
+//!   platform), the CMOS pool selectors, the running class accumulators,
+//!   and a reusable scratch arena
 //!   (pixel chunk buffers, counts buffer, the lane scratch of the spatial
 //!   orientation) so the chunk bookkeeping that used to allocate per
 //!   chunk reuses persistent buffers, including the ping-pong activation
@@ -68,8 +72,6 @@
 //! with 0. Restarting the pattern per chunk would drift every odd-offset
 //! count by one.
 
-use std::sync::Arc;
-
 use aqfp_sc_bitstream::{
     column_counts_into, pack_lanes_into, unpack_lanes_into, Bipolar, BitStream,
     BitsAsWords, KernelRow, LanePopcount, LaneRow, OffsetClasses, SplitMix64, Sng, Stripe,
@@ -117,9 +119,13 @@ enum CachedLayer {
         w: Slab,
         /// One bias stream per output channel.
         b: Slab,
+        fsm: Fsm,
     },
     Pool {
         k: usize,
+        /// The conserving sorter on AQFP; `None` for the CMOS mux, whose
+        /// state is one selector RNG per channel.
+        fsm: Option<Fsm>,
     },
     /// Also a `Valid` conv whose kernel covers its whole input: one
     /// position, so the same rows as a dense layer over the flattened map.
@@ -128,6 +134,7 @@ enum CachedLayer {
         out_f: usize,
         w: Slab,
         b: Slab,
+        fsm: Fsm,
     },
     Output {
         in_f: usize,
@@ -190,11 +197,12 @@ impl Slab {
 /// assert_eq!(plan.scores(&state).len(), 10);
 /// ```
 pub struct ExecPlan {
-    net: Arc<CompiledNetwork>,
     platform: Platform,
     stream_len: usize,
-    /// Content fingerprint of `net`, computed once at construction (the
-    /// bind-guard compares it on every `advance`).
+    /// Comparator bits of the pixel SNGs.
+    bits: u32,
+    /// Content fingerprint of the network, computed once at construction
+    /// (the bind-guard compares it on every `advance`).
     model_fp: ModelFingerprint,
     layers: Vec<CachedLayer>,
     shapes: Vec<(usize, usize, usize)>,
@@ -203,28 +211,17 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Builds a plan for `net` at stream length `stream_len` on `platform`,
-    /// generating and caching every weight/bias stream. The network is
-    /// cloned into shared ownership — see [`ExecPlan::from_arc`] to reuse
-    /// an existing [`Arc`] (e.g. one model compiled once and planned on
-    /// both platforms).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stream_len` is 0.
-    pub fn new(net: &CompiledNetwork, stream_len: usize, platform: Platform) -> Self {
-        Self::from_arc(Arc::new(net.clone()), stream_len, platform)
-    }
-
-    /// Builds a plan over a shared network without cloning it. Plans own
-    /// their network, carry no borrows, and are `Send + Sync`, so a
-    /// [`ModelRegistry`](crate::ModelRegistry) can hand out
-    /// `Arc<ExecPlan>` handles and hot-swap models under live traffic.
+    /// generating and caching every weight/bias stream. The plan keeps no
+    /// copy of the network — only the streams, the shapes, the comparator
+    /// bits and the fingerprint — and carries no borrows, so it is
+    /// `Send + Sync` and a [`ModelRegistry`](crate::ModelRegistry) can hand
+    /// out `Arc<ExecPlan>` handles and hot-swap models under live traffic.
     ///
     /// # Panics
     ///
     /// Panics when `stream_len` is 0: a zero-length stream has no cycles
     /// to score, so every inference would fail in [`ExecPlan::scores`].
-    pub fn from_arc(net: Arc<CompiledNetwork>, stream_len: usize, platform: Platform) -> Self {
+    pub fn new(net: &CompiledNetwork, stream_len: usize, platform: Platform) -> Self {
         assert!(stream_len > 0, "stream length must be at least 1 cycle");
         let bits = net.bits();
         let seed = net.stream_seed();
@@ -259,13 +256,14 @@ impl ExecPlan {
                 CompiledLayer::Conv { k, in_c, out_c, padding, w_levels, b_levels } => {
                     let m = in_c * k * k;
                     let [w, b] = gen_streams(li, m, w_levels, b_levels);
+                    let fsm = Fsm::neuron(platform, m + 1);
                     let (_, h, w_dim) = shapes[li];
                     // A `Valid` conv whose kernel covers its whole input has
                     // one position, whose tap `(ic, ky, kx)` reads input
                     // `(ic·k + ky)·k + kx`, its row `j`: it is a dense layer
                     // over the flattened input with the conv's own streams.
                     layers.push(if *padding == Padding::Valid && h == *k && w_dim == *k {
-                        CachedLayer::Dense { in_f: m, out_f: *out_c, w, b }
+                        CachedLayer::Dense { in_f: m, out_f: *out_c, w, b, fsm }
                     } else {
                         CachedLayer::Conv {
                             k: *k,
@@ -274,13 +272,18 @@ impl ExecPlan {
                             padding: *padding,
                             w,
                             b,
+                            fsm,
                         }
                     });
                 }
-                CompiledLayer::Pool { k } => layers.push(CachedLayer::Pool { k: *k }),
+                CompiledLayer::Pool { k } => layers.push(CachedLayer::Pool {
+                    k: *k,
+                    fsm: (platform == Platform::Aqfp).then(|| Fsm::Pool(AveragePooling::new(k * k))),
+                }),
                 CompiledLayer::Dense { in_f, out_f, w_levels, b_levels } => {
                     let [w, b] = gen_streams(li, *in_f, w_levels, b_levels);
-                    layers.push(CachedLayer::Dense { in_f: *in_f, out_f: *out_f, w, b });
+                    let fsm = Fsm::neuron(platform, in_f + 1);
+                    layers.push(CachedLayer::Dense { in_f: *in_f, out_f: *out_f, w, b, fsm });
                 }
                 CompiledLayer::Output { in_f, classes, w_levels, b_levels } => {
                     let [w, b] = gen_streams(li, *in_f, w_levels, b_levels);
@@ -311,23 +314,17 @@ impl ExecPlan {
         ExecPlan {
             platform,
             stream_len,
+            bits,
             model_fp: net.fingerprint(),
             layers,
             shapes,
             neutral: BitStream::alternating(stream_len),
-            net,
         }
     }
 
-    /// The compiled network this plan executes.
-    pub fn network(&self) -> &CompiledNetwork {
-        &self.net
-    }
-
-    /// Shared handle to the compiled network (e.g. to build a second plan
-    /// — another platform or stream length — without cloning the weights).
-    pub fn network_arc(&self) -> Arc<CompiledNetwork> {
-        Arc::clone(&self.net)
+    /// Side of the square single-channel image the plan takes.
+    pub fn input_side(&self) -> usize {
+        self.shapes[0].1
     }
 
     /// The platform this plan simulates.
@@ -396,16 +393,17 @@ impl ExecPlan {
     }
 
     /// (Re)binds `state` to `image` under `image_seed`: pixel cursors rewound
-    /// to cycle 0, per-neuron feedback/FSM state cleared, class accumulators
+    /// to cycle 0, every FSM register at its layer FSM's initial value
+    /// (0, or the `Btanh` counter's mid-range on CMOS), class accumulators
     /// zeroed. Arena allocations from previous images are kept.
     ///
     /// # Panics
     ///
     /// Panics when the image shape does not match the compiled spec.
     pub fn begin(&self, state: &mut ExecState, image: &Tensor, image_seed: u64) {
-        let side = self.net.spec().input_side;
+        let side = self.input_side();
         assert_eq!(image.shape(), &[1, side, side], "image shape mismatch");
-        let bits = self.net.bits();
+        let bits = self.bits;
         let scale = (1u64 << bits) as f64;
         let platform = self.platform;
         state.bound = Some(self.fingerprint());
@@ -439,23 +437,19 @@ impl ExecPlan {
         {
             let (layer_in_c, h, w_dim) = self.shapes[li];
             match layer {
-                CachedLayer::Conv { k, in_c, out_c, padding, .. } => {
+                CachedLayer::Conv { k, out_c, padding, fsm, .. } => {
                     let (oh, ow) = conv_out_dims(h, w_dim, *k, *padding);
-                    reset_neuron_slot(platform, slot, in_c * k * k + 1, out_c * oh * ow);
+                    reset_fsm_slot(slot, fsm, out_c * oh * ow);
                 }
-                CachedLayer::Pool { k } => {
-                    let (oh, ow) = (h / k, w_dim / k);
-                    reset_pool_slot(
-                        platform,
-                        slot,
-                        layer_in_c,
-                        oh * ow,
-                        |c| derive(image_seed, [TAG_POOL ^ li as u64, c as u64, 0]),
-                    );
+                CachedLayer::Pool { k, fsm: Some(fsm) } => {
+                    reset_fsm_slot(slot, fsm, layer_in_c * (h / k) * (w_dim / k));
                 }
-                CachedLayer::Dense { in_f, out_f, .. } => {
-                    reset_neuron_slot(platform, slot, in_f + 1, *out_f);
+                CachedLayer::Pool { fsm: None, .. } => {
+                    let seeds = (0..layer_in_c)
+                        .map(|c| derive(image_seed, [TAG_POOL ^ li as u64, c as u64, 0]));
+                    reset_mux_slot(slot, seeds);
                 }
+                CachedLayer::Dense { out_f, fsm, .. } => reset_fsm_slot(slot, fsm, *out_f),
                 CachedLayer::Output { classes: c, .. } => {
                     classes = *c;
                     *slot = LayerState::Output;
@@ -531,7 +525,7 @@ impl ExecPlan {
                         _ => self.conv_spatial(chunk, &mut spatial.w4, act_b),
                     }
                 }
-                CachedLayer::Pool { k } => {
+                CachedLayer::Pool { k, .. } => {
                     let (oh, ow) = (h / k, w_dim / k);
                     act_b.resize_with(layer_in_c * oh * ow, || BitStream::zeros(0));
                     match (oh * ow).div_ceil(WORD_BITS) {
@@ -636,9 +630,10 @@ impl ExecPlan {
     /// of at most `max_cycles` cycles using the batch-transposed (lane)
     /// kernels: the same packed cycle slot of every image goes into one
     /// [`Stripe`] (lane `g` in bit `g % 64` of stripe element `g / 64`) and
-    /// the per-image FSM state (sorter feedback, `Btanh`, selector RNGs)
-    /// stays scalar. The stripe width `W ∈ {1, 2, 4}` is picked from the
-    /// group size — bit-identity across widths makes the choice invisible.
+    /// the per-image FSM state (sorter feedback or `Btanh` counter
+    /// registers, selector RNGs) stays scalar. The stripe width
+    /// `W ∈ {1, 2, 4}` is picked from the group size — bit-identity across
+    /// widths makes the choice invisible.
     /// Bit-identical to advancing each state with [`ExecPlan::advance`]
     /// over the same cycles.
     ///
@@ -743,7 +738,7 @@ impl ExecPlan {
             let (layer_in_c, h, w_dim) = self.shapes[li];
             let mut produced = true;
             match layer {
-                CachedLayer::Conv { k, in_c, out_c, padding, w, b } => {
+                CachedLayer::Conv { k, in_c, out_c, padding, w, b, fsm } => {
                     let (oh, ow) = conv_out_dims(h, w_dim, *k, *padding);
                     let pad = match padding {
                         Padding::Valid => 0isize,
@@ -753,7 +748,7 @@ impl ExecPlan {
                     // The sorter pads even fan-ins with the 0101… neutral
                     // stream; fold it in as one more kernel row so the lane
                     // FSM sees finished counts.
-                    let pad_row = sorter_pads(platform, m + 1);
+                    let pad_row = fsm.pads();
                     if next.len() < out_c * oh * ow {
                         next.resize_with(out_c * oh * ow, Vec::new);
                     }
@@ -790,12 +785,11 @@ impl ExecPlan {
                                 if pad_row {
                                     rows.push(LaneRow::Broadcast(neutral));
                                 }
-                                lane_neuron_chunk(
-                                    platform,
+                                lane_fsm_chunk(
+                                    fsm,
                                     states,
                                     li,
                                     idx,
-                                    m + 1,
                                     &rows,
                                     classes,
                                     clen,
@@ -807,13 +801,13 @@ impl ExecPlan {
                         }
                     }
                 }
-                CachedLayer::Pool { k } => {
+                CachedLayer::Pool { k, fsm } => {
                     let (oh, ow) = (h / k, w_dim / k);
                     if next.len() < layer_in_c * oh * ow {
                         next.resize_with(layer_in_c * oh * ow, Vec::new);
                     }
-                    match platform {
-                        Platform::Aqfp => {
+                    match fsm {
+                        Some(fsm) => {
                             let mut rows: Vec<LaneRow<'_, W>> = Vec::with_capacity(k * k);
                             let mut idx = 0usize;
                             for c in 0..layer_in_c {
@@ -827,11 +821,11 @@ impl ExecPlan {
                                                     + i % k],
                                             ));
                                         }
-                                        lane_pool_chunk(
+                                        lane_fsm_chunk(
+                                            fsm,
                                             states,
                                             li,
                                             idx,
-                                            k * k,
                                             &rows,
                                             classes,
                                             clen,
@@ -843,7 +837,7 @@ impl ExecPlan {
                                 }
                             }
                         }
-                        Platform::Cmos => {
+                        None => {
                             // Every window of a channel sees the same
                             // per-image selector sequence, which steps once
                             // per chunk, so draw it once per channel and
@@ -899,8 +893,8 @@ impl ExecPlan {
                         }
                     }
                 }
-                CachedLayer::Dense { in_f, out_f, w, b } => {
-                    let pad_row = sorter_pads(platform, in_f + 1);
+                CachedLayer::Dense { in_f, out_f, w, b, fsm } => {
+                    let pad_row = fsm.pads();
                     if next.len() < *out_f {
                         next.resize_with(*out_f, Vec::new);
                     }
@@ -914,12 +908,11 @@ impl ExecPlan {
                         if pad_row {
                             rows.push(LaneRow::Broadcast(neutral));
                         }
-                        lane_neuron_chunk(
-                            platform,
+                        lane_fsm_chunk(
+                            fsm,
                             states,
                             li,
                             o,
-                            in_f + 1,
                             &rows,
                             classes,
                             clen,
@@ -1042,7 +1035,7 @@ impl ExecPlan {
         out: &mut [BitStream],
     ) {
         let LayerChunk { li, streams, offset, clen, lstate } = chunk;
-        let CachedLayer::Conv { k, in_c, out_c, padding, w, b } = &self.layers[li] else {
+        let CachedLayer::Conv { k, in_c, out_c, padding, w, b, fsm } = &self.layers[li] else {
             unreachable!("conv_spatial runs conv layers")
         };
         let (_, h, w_dim) = self.shapes[li];
@@ -1052,8 +1045,9 @@ impl ExecPlan {
             Padding::Same => (k / 2) as isize,
         };
         let (m, positions) = (in_c * k * k, oh * ow);
-        let pad_row = sorter_pads(self.platform, m + 1);
+        let pad_row = fsm.pads();
         let neutral = self.neutral.words();
+        let r = lstate.registers();
         let (planes, fired, classes) = arena.spatial(m, offset, clen);
         for base in (0..positions).step_by(WORD_BITS * W) {
             let lanes = (positions - base).min(WORD_BITS * W);
@@ -1096,22 +1090,7 @@ impl ExecPlan {
                     rows.push(LaneRow::Broadcast(neutral));
                 }
                 let first = oc * positions + base;
-                match &mut *lstate {
-                    LayerState::Feature { r } => FeatureExtraction::new(m + 1)
-                        .run_rows_resume_into(
-                            &rows,
-                            classes,
-                            clen,
-                            &mut r[first..first + lanes],
-                            fired,
-                        ),
-                    LayerState::Fsm { fsm } => {
-                        let mut fsms: Vec<&mut Btanh> =
-                            fsm[first..first + lanes].iter_mut().collect();
-                        Btanh::run_rows_resume_into(&mut fsms, &rows, classes, clen, fired);
-                    }
-                    _ => unreachable!("neuron state matches layer kind"),
-                }
+                fsm.run_rows_resume_into(&rows, classes, clen, &mut r[first..first + lanes], fired);
                 unpack_lanes_into(fired, clen, &mut out[first..first + lanes])
                     .expect("positions within the stripe");
             }
@@ -1125,11 +1104,12 @@ impl ExecPlan {
     /// the counts into `out`.
     fn dense_chunk(&self, chunk: LayerChunk<'_>, counts: &mut Vec<u32>, out: &mut [BitStream]) {
         let LayerChunk { li, streams, offset, clen, lstate } = chunk;
-        let CachedLayer::Dense { in_f, out_f, w, b } = &self.layers[li] else {
+        let CachedLayer::Dense { in_f, out_f, w, b, fsm } = &self.layers[li] else {
             unreachable!("dense_chunk runs dense layers")
         };
-        let pad_row = sorter_pads(self.platform, in_f + 1);
+        let pad_row = fsm.pads();
         let neutral = self.neutral.words();
+        let r = lstate.registers();
         let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
         for (o, fired) in out.iter_mut().enumerate().take(*out_f) {
             rows.clear();
@@ -1141,7 +1121,7 @@ impl ExecPlan {
                 rows.push(KernelRow::Broadcast(neutral));
             }
             column_counts_into(&rows, offset, clen, counts);
-            neuron_chunk_into(in_f + 1, lstate, o, counts, fired);
+            fsm.run_counts_resume_into(counts, &mut r[o], fired);
         }
     }
 
@@ -1160,13 +1140,13 @@ impl ExecPlan {
         out: &mut [BitStream],
     ) {
         let LayerChunk { li, streams, offset, clen, lstate } = chunk;
-        let CachedLayer::Pool { k } = self.layers[li] else {
+        let CachedLayer::Pool { k, fsm } = &self.layers[li] else {
             unreachable!("pool_spatial runs pool layers")
         };
+        let k = *k;
         let (channels, h, w_dim) = self.shapes[li];
         let (ow, positions) = (w_dim / k, (h / k) * (w_dim / k));
         let kk = k * k;
-        let pool = AveragePooling::new(kk);
         let (planes, fired, classes) = arena.spatial(kk, offset, clen);
         let mut picks: Vec<usize> = Vec::new();
         for c in 0..channels {
@@ -1183,19 +1163,18 @@ impl ExecPlan {
                     pack_lanes_into(members, clen, plane).expect("positions within the stripe");
                 }
                 let first = c * positions + base;
-                match &mut *lstate {
-                    LayerState::PoolSorter { r } => {
+                match fsm {
+                    Some(fsm) => {
                         let rows: Vec<LaneRow<'_, W>> =
                             planes.iter().map(|x| LaneRow::Lanes(x)).collect();
-                        let r = &mut r[first..first + lanes];
-                        pool.run_rows_resume_into(&rows, classes, clen, r, fired);
+                        let r = &mut lstate.registers()[first..first + lanes];
+                        fsm.run_rows_resume_into(&rows, classes, clen, r, fired);
                     }
-                    LayerState::PoolMux { .. } => {
+                    None => {
                         for (t, (f, &pick)) in fired.iter_mut().zip(&picks).enumerate() {
                             *f = planes[pick][t];
                         }
                     }
-                    _ => unreachable!("pool state matches layer kind"),
                 }
                 unpack_lanes_into(fired, clen, &mut out[first..first + lanes])
                     .expect("positions within the stripe");
@@ -1223,7 +1202,7 @@ pub struct BatchArena<const W: usize = 1> {
     /// Per-cycle lane masks of the CMOS mux pool: `masks[j][t]` has lane
     /// `g` set when image `g`'s selector picks window element `j`.
     masks: Vec<Vec<Stripe<W>>>,
-    /// Gathered per-lane FSM residuals for the lane-parallel runners.
+    /// Gathered per-lane FSM registers for the lane-parallel runners.
     r_scratch: Vec<i64>,
     /// The group's lanes split by absolute cycle offset.
     classes: OffsetClasses<W>,
@@ -1352,43 +1331,70 @@ fn conv_out_dims(h: usize, w: usize, k: usize, padding: Padding) -> (usize, usiz
     }
 }
 
-/// Whether a `rows`-input neuron on `platform` needs the `0101…` neutral
-/// pad as one more counted row: the AQFP sorter pads even fan-ins to an
-/// odd width (the CMOS APC counts its rows as they are).
-fn sorter_pads(platform: Platform, rows: usize) -> bool {
-    platform == Platform::Aqfp && FeatureExtraction::new(rows).width() != rows
+/// The FSM every neuron (or sorter-pool window) of one layer steps, each
+/// resuming from its own `i64` register in the layer's
+/// [`LayerState::Registers`]: the only place the plan tells the three FSMs
+/// apart.
+enum Fsm {
+    /// AQFP conv/dense: sorter feature extraction (feedback occupancy).
+    Feature(FeatureExtraction),
+    /// CMOS conv/dense: the `Btanh` saturating up/down counter.
+    Counter(Btanh),
+    /// AQFP pooling: the conserving sorter (feedback occupancy).
+    Pool(AveragePooling),
 }
 
-/// One neuron's chunk output from the per-cycle column `counts` of its
-/// `rows` inputs (the AQFP sorter's neutral pad already counted, read at
-/// the ABSOLUTE cycle so odd chunk offsets keep the 0101… phase), resuming
-/// the neuron's cross-chunk state at slot `idx` and writing into `out`
-/// (reusing its allocation).
-fn neuron_chunk_into(
-    rows: usize,
-    lstate: &mut LayerState,
-    idx: usize,
-    counts: &[u32],
-    out: &mut BitStream,
-) {
-    match lstate {
-        LayerState::Feature { r } => {
-            FeatureExtraction::new(rows).run_counts_resume_into(counts, &mut r[idx], out);
+impl Fsm {
+    /// The FSM of a `rows`-input conv or dense neuron on `platform`.
+    fn neuron(platform: Platform, rows: usize) -> Self {
+        match platform {
+            Platform::Aqfp => Fsm::Feature(FeatureExtraction::new(rows)),
+            Platform::Cmos => Fsm::Counter(Btanh::new(rows)),
         }
-        LayerState::Fsm { fsm } => {
-            // The counter steps on a register copy, one output word at a
-            // time, and is stored back once per chunk.
-            let mut f = fsm[idx].clone();
-            out.fill_words_with(counts.len(), |w, n| {
-                let mut word = 0u64;
-                for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
-                    word |= u64::from(f.step(c)) << i;
-                }
-                word
-            });
-            fsm[idx] = f;
+    }
+
+    /// Whether the neuron counts the `0101…` neutral pad as one more row:
+    /// the AQFP sorter pads even fan-ins to an odd width (the CMOS APC
+    /// counts its rows as they are).
+    fn pads(&self) -> bool {
+        matches!(self, Fsm::Feature(fe) if fe.width() != fe.inputs())
+    }
+
+    /// A fresh image's register: no feedback for the sorters, the
+    /// counter's mid-range power-on value for `Btanh`.
+    fn initial_state(&self) -> i64 {
+        match self {
+            Fsm::Counter(fsm) => fsm.initial_state(),
+            Fsm::Feature(_) | Fsm::Pool(_) => 0,
         }
-        _ => unreachable!("neuron state matches layer kind"),
+    }
+
+    /// One neuron's chunk from its per-cycle column `counts` (any neutral
+    /// pad already counted, at the ABSOLUTE cycle), resuming register `r`
+    /// and writing into `out` (reusing its allocation).
+    fn run_counts_resume_into(&self, counts: &[u32], r: &mut i64, out: &mut BitStream) {
+        match self {
+            Fsm::Feature(fsm) => fsm.run_counts_resume_into(counts, r, out),
+            Fsm::Counter(fsm) => fsm.run_counts_resume_into(counts, r, out),
+            Fsm::Pool(fsm) => fsm.run_counts_resume_into(counts, r, out),
+        }
+    }
+
+    /// Up to `64·W` lanes' chunk straight from the kernel row descriptors,
+    /// lane `g` resuming register `r[g]`.
+    fn run_rows_resume_into<const W: usize>(
+        &self,
+        rows: &[LaneRow<'_, W>],
+        classes: &OffsetClasses<W>,
+        clen: usize,
+        r: &mut [i64],
+        out: &mut [Stripe<W>],
+    ) {
+        match self {
+            Fsm::Feature(fsm) => fsm.run_rows_resume_into(rows, classes, clen, r, out),
+            Fsm::Counter(fsm) => fsm.run_rows_resume_into(rows, classes, clen, r, out),
+            Fsm::Pool(fsm) => fsm.run_rows_resume_into(rows, classes, clen, r, out),
+        }
     }
 }
 
@@ -1404,27 +1410,26 @@ fn maj_stripe<const W: usize>(a: Stripe<W>, b: Stripe<W>, c: Stripe<W>) -> Strip
     (a & b) | (a & c) | (b & c)
 }
 
-/// One neuron slot's chunk output for a whole lane group, straight from
-/// the kernel row descriptors: the FSM's one lane entry
-/// (`run_rows_resume_into`) counts the rows with [`lane_counts_stream`] —
-/// per cycle in registers for kernels of at most `TREE_ROWS` rows, through
-/// the 64-cycle slab compressor for wider ones — and folds the counts
-/// straight into the activation recurrence, so no count plane array is
-/// ever materialised. The per-cycle fire-mask words written to `out` ARE
-/// the next layer's lane-packed activation — no per-image transpose, count
-/// extraction or repacking. Bits of `out` above the lane count are
-/// unspecified; nothing downstream reads them. Cross-chunk state lives in
-/// each lane's `ExecState` slot `idx` and is gathered/scattered around the
-/// run.
+/// One neuron or sorter-pool window's chunk output for a whole lane group,
+/// straight from the kernel row descriptors: the layer FSM's one lane
+/// entry (`run_rows_resume_into`) counts the rows with
+/// [`lane_counts_stream`] — per cycle in registers for kernels of at most
+/// `TREE_ROWS` rows, through the 64-cycle slab compressor for wider ones —
+/// and folds the counts straight into the recurrence, so no count plane
+/// array is ever materialised. The per-cycle fire-mask words written to
+/// `out` ARE the next layer's lane-packed activation — no per-image
+/// transpose, count extraction or repacking. Bits of `out` above the lane
+/// count are unspecified; nothing downstream reads them. Each lane's
+/// register `idx` of layer `li` is gathered into `r_scratch` before the
+/// run and scattered back after it.
 ///
 /// [`lane_counts_stream`]: aqfp_sc_bitstream::lane_counts_stream
 #[allow(clippy::too_many_arguments)]
-fn lane_neuron_chunk<const W: usize>(
-    platform: Platform,
+fn lane_fsm_chunk<const W: usize>(
+    fsm: &Fsm,
     states: &mut [&mut ExecState],
     li: usize,
     idx: usize,
-    rows: usize,
     row_descs: &[LaneRow<'_, W>],
     classes: &OffsetClasses<W>,
     clen: usize,
@@ -1433,120 +1438,37 @@ fn lane_neuron_chunk<const W: usize>(
 ) {
     out.clear();
     out.resize(clen, Stripe::ZERO);
-    match platform {
-        Platform::Aqfp => {
-            // Any even-width sorter pad was already folded in as an extra
-            // kernel row, so the counts are final here.
-            let fe = FeatureExtraction::new(rows);
-            r_scratch.clear();
-            r_scratch.extend(states.iter().map(|st| match &st.layers[li] {
-                LayerState::Feature { r } => r[idx],
-                _ => unreachable!("neuron state matches platform"),
-            }));
-            fe.run_rows_resume_into(row_descs, classes, clen, r_scratch, out);
-            for (st, &r) in states.iter_mut().zip(r_scratch.iter()) {
-                match &mut st.layers[li] {
-                    LayerState::Feature { r: rs } => rs[idx] = r,
-                    _ => unreachable!("neuron state matches platform"),
-                }
-            }
-        }
-        Platform::Cmos => {
-            let mut fsms: Vec<&mut Btanh> = states
-                .iter_mut()
-                .map(|st| match &mut st.layers[li] {
-                    LayerState::Fsm { fsm } => &mut fsm[idx],
-                    _ => unreachable!("neuron state matches platform"),
-                })
-                .collect();
-            Btanh::run_rows_resume_into(&mut fsms, row_descs, classes, clen, out);
-        }
-    }
-}
-
-/// AQFP pooling counterpart of [`lane_neuron_chunk`]: one pool window's
-/// chunk output for a whole lane group through
-/// `AveragePooling::run_rows_resume_into` (the same fused count → FSM
-/// sweep, any window size), with the sorter-feedback residual resumed
-/// from each lane's `PoolSorter` slot.
-#[allow(clippy::too_many_arguments)]
-fn lane_pool_chunk<const W: usize>(
-    states: &mut [&mut ExecState],
-    li: usize,
-    idx: usize,
-    window: usize,
-    row_descs: &[LaneRow<'_, W>],
-    classes: &OffsetClasses<W>,
-    clen: usize,
-    r_scratch: &mut Vec<i64>,
-    out: &mut Vec<Stripe<W>>,
-) {
-    out.clear();
-    out.resize(clen, Stripe::ZERO);
-    let ap = AveragePooling::new(window);
     r_scratch.clear();
-    r_scratch.extend(states.iter().map(|st| match &st.layers[li] {
-        LayerState::PoolSorter { r } => r[idx],
-        _ => unreachable!("pool state matches platform"),
-    }));
-    ap.run_rows_resume_into(row_descs, classes, clen, r_scratch, out);
+    r_scratch.extend(states.iter_mut().map(|st| st.layers[li].registers()[idx]));
+    fsm.run_rows_resume_into(row_descs, classes, clen, r_scratch, out);
     for (st, &r) in states.iter_mut().zip(r_scratch.iter()) {
-        match &mut st.layers[li] {
-            LayerState::PoolSorter { r: rs } => rs[idx] = r,
-            _ => unreachable!("pool state matches platform"),
-        }
+        st.layers[li].registers()[idx] = r;
     }
 }
 
-/// Resets a conv/dense layer's state slot in place for a fresh image:
-/// sorter feedback on AQFP, a `Btanh` FSM per neuron on CMOS.
-fn reset_neuron_slot(platform: Platform, slot: &mut LayerState, rows: usize, count: usize) {
-    match (platform, &mut *slot) {
-        (Platform::Aqfp, LayerState::Feature { r }) => {
+/// Resets a conv, dense or sorter-pool layer's slot in place for a fresh
+/// image: `count` registers at the layer FSM's initial value.
+fn reset_fsm_slot(slot: &mut LayerState, fsm: &Fsm, count: usize) {
+    let r0 = fsm.initial_state();
+    match slot {
+        LayerState::Registers(r) => {
             r.clear();
-            r.resize(count, 0);
+            r.resize(count, r0);
         }
-        (Platform::Cmos, LayerState::Fsm { fsm }) => {
-            fsm.clear();
-            fsm.resize(count, Btanh::new(rows));
-        }
-        _ => {
-            *slot = match platform {
-                Platform::Aqfp => LayerState::Feature { r: vec![0; count] },
-                Platform::Cmos => LayerState::Fsm { fsm: vec![Btanh::new(rows); count] },
-            }
-        }
+        _ => *slot = LayerState::Registers(vec![r0; count]),
     }
 }
 
-/// Resets a pooling layer's state slot in place for a fresh image: sorter
-/// feedback per window on AQFP, a reseeded selector RNG per channel on CMOS.
-fn reset_pool_slot(
-    platform: Platform,
-    slot: &mut LayerState,
-    channels: usize,
-    windows_per_channel: usize,
-    seed_of: impl Fn(usize) -> u64,
-) {
-    match (platform, &mut *slot) {
-        (Platform::Aqfp, LayerState::PoolSorter { r }) => {
-            r.clear();
-            r.resize(channels * windows_per_channel, 0);
-        }
-        (Platform::Cmos, LayerState::PoolMux { rngs }) => {
+/// Resets a CMOS pool layer's slot in place for a fresh image: one
+/// selector RNG per channel, seeded from `seeds`.
+fn reset_mux_slot(slot: &mut LayerState, seeds: impl Iterator<Item = u64>) {
+    let fresh = seeds.map(StdRng::seed_from_u64);
+    match slot {
+        LayerState::PoolMux { rngs } => {
             rngs.clear();
-            rngs.extend((0..channels).map(|c| StdRng::seed_from_u64(seed_of(c))));
+            rngs.extend(fresh);
         }
-        _ => {
-            *slot = match platform {
-                Platform::Aqfp => LayerState::PoolSorter {
-                    r: vec![0; channels * windows_per_channel],
-                },
-                Platform::Cmos => LayerState::PoolMux {
-                    rngs: (0..channels).map(|c| StdRng::seed_from_u64(seed_of(c))).collect(),
-                },
-            }
-        }
+        _ => *slot = LayerState::PoolMux { rngs: fresh.collect() },
     }
 }
 
@@ -1572,17 +1494,26 @@ impl PixelCursor {
 
 /// Cross-chunk state of one layer.
 enum LayerState {
-    /// AQFP conv/dense: feature-extraction feedback occupancy per neuron.
-    Feature { r: Vec<i64> },
-    /// CMOS conv/dense: Btanh counter FSM per neuron.
-    Fsm { fsm: Vec<Btanh> },
-    /// AQFP pooling: conserving-sorter feedback occupancy per window.
-    PoolSorter { r: Vec<i64> },
+    /// Conv, dense and AQFP pool layers on either platform: one register
+    /// per neuron or window, resumed by the layer's [`Fsm`] — the sorter's
+    /// feedback occupancy (from 0) on AQFP, the `Btanh` counter (from
+    /// mid-range) on CMOS.
+    Registers(Vec<i64>),
     /// CMOS pooling: one selector RNG cursor per channel.
     PoolMux { rngs: Vec<StdRng> },
     /// The categorization layer is stateless per cycle; its running score
     /// lives in `ExecState::class_acc`.
     Output,
+}
+
+impl LayerState {
+    /// The registers of a layer that runs an [`Fsm`].
+    fn registers(&mut self) -> &mut [i64] {
+        let LayerState::Registers(r) = self else {
+            unreachable!("a layer with an FSM keeps registers")
+        };
+        r
+    }
 }
 
 /// Index of the largest score (first on ties).
@@ -1617,17 +1548,20 @@ mod tests {
     use super::*;
     use crate::arch::{build_model, ActivationStyle, LayerSpec, NetworkSpec};
     use aqfp_sc_bitstream::mux_add;
-    use aqfp_sc_core::baseline::btanh_states;
 
     /// A conv layer one neuron at a time, sharing none of the lane sweeps:
     /// each neuron counts its `in_c·k·k` taps, bias and pad row
     /// word-parallel at the chunk's offset and steps its FSM over the
-    /// counts. The geometry comes from the compiled layer, so it also
-    /// checks a conv the plan stores as a dense layer.
-    fn conv_per_neuron(plan: &ExecPlan, chunk: LayerChunk<'_>, out: &mut [BitStream]) {
+    /// counts. The geometry comes from the compiled layer of `net`, so it
+    /// also checks a conv the plan stores as a dense layer.
+    fn conv_per_neuron(
+        net: &CompiledNetwork,
+        plan: &ExecPlan,
+        chunk: LayerChunk<'_>,
+        out: &mut [BitStream],
+    ) {
         let LayerChunk { li, streams, offset, clen, lstate } = chunk;
-        let CompiledLayer::Conv { k, in_c, out_c, padding, .. } = plan.network().layers()[li]
-        else {
+        let CompiledLayer::Conv { k, in_c, out_c, padding, .. } = net.layers()[li] else {
             panic!("layer {li} is not a conv")
         };
         let (CachedLayer::Conv { w, b, .. } | CachedLayer::Dense { w, b, .. }) = &plan.layers[li]
@@ -1638,7 +1572,8 @@ mod tests {
         let (oh, ow) = conv_out_dims(h, w_dim, k, padding);
         let pad = if padding == Padding::Same { (k / 2) as isize } else { 0 };
         let (m, positions) = (in_c * k * k, oh * ow);
-        let pad_row = sorter_pads(plan.platform, m + 1);
+        let fsm = Fsm::neuron(plan.platform, m + 1);
+        let pad_row = fsm.pads();
         let neutral = plan.neutral.words();
         let pad_chunk = plan.neutral.slice(offset, clen);
         let mut counts = Vec::new();
@@ -1662,7 +1597,7 @@ mod tests {
                 }
                 column_counts_into(&rows, offset, clen, &mut counts);
                 let idx = oc * positions + p;
-                neuron_chunk_into(m + 1, lstate, idx, &counts, &mut out[idx]);
+                fsm.run_counts_resume_into(&counts, &mut lstate.registers()[idx], &mut out[idx]);
             }
         }
     }
@@ -1675,7 +1610,7 @@ mod tests {
     /// as one clone did.
     fn pool_per_window(plan: &ExecPlan, chunk: LayerChunk<'_>, out: &mut [BitStream]) {
         let LayerChunk { li, streams, clen, lstate, .. } = chunk;
-        let CachedLayer::Pool { k } = plan.layers[li] else { panic!("layer {li} is not a pool") };
+        let CachedLayer::Pool { k, .. } = plan.layers[li] else { panic!("layer {li} is not a pool") };
         let (channels, h, w_dim) = plan.shapes[li];
         let (ow, positions) = (w_dim / k, (h / k) * (w_dim / k));
         let mut counts = Vec::new();
@@ -1691,7 +1626,7 @@ mod tests {
                     .collect();
                 let idx = c * positions + p;
                 match &mut *lstate {
-                    LayerState::PoolSorter { r } => {
+                    LayerState::Registers(r) => {
                         let rows: Vec<KernelRow<'_>> =
                             window.iter().map(|s| KernelRow::Broadcast(s.words())).collect();
                         column_counts_into(&rows, 0, clen, &mut counts);
@@ -1837,7 +1772,7 @@ mod tests {
                         CachedLayer::Conv { .. } => {
                             plan.conv_spatial(chunk(at, &mut lanes1), &mut w1, got1);
                             plan.conv_spatial(chunk(at, &mut lanes4), &mut w4, got4);
-                            conv_per_neuron(&plan, chunk(at, &mut oracle), want);
+                            conv_per_neuron(&compiled, &plan, chunk(at, &mut oracle), want);
                         }
                         CachedLayer::Pool { .. } => {
                             plan.pool_spatial(chunk(at, &mut lanes1), &mut w1, got1);
@@ -1847,7 +1782,7 @@ mod tests {
                         _ => {
                             plan.dense_chunk(chunk(at, &mut lanes1), &mut counts, got1);
                             plan.dense_chunk(chunk(at, &mut lanes4), &mut counts, got4);
-                            conv_per_neuron(&plan, chunk(at, &mut oracle), want);
+                            conv_per_neuron(&compiled, &plan, chunk(at, &mut oracle), want);
                         }
                     }
                     for (name, got) in [("W = 1", &*got1), ("W = 4", &*got4)] {
@@ -1856,41 +1791,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn btanh_word_runner_matches_the_recurrence() {
-        // The CMOS neuron's word-at-a-time runner, fed chunks that end one
-        // short of, on, and one past a 64-cycle word (and past two words)
-        // from a counter pushed off its power-on value — every chunk after
-        // the first resumes the counter the runner stored — against the
-        // saturating up/down counter written out one cycle at a time.
-        let m = 9usize;
-        let max = i64::from(btanh_states(m)) - 1;
-        for clen in [63usize, 64, 65, 129] {
-            let counts: Vec<u32> =
-                (0..3 * clen + 17).map(|i| ((i * 13) % (m + 2)) as u32).collect();
-            let mut fsm = Btanh::new(m);
-            let mut state = max / 2;
-            for _ in 0..3 {
-                fsm.step(m as u32);
-                state = (state + m as i64).clamp(0, max);
-            }
-            let mut want = Vec::new();
-            for &c in &counts {
-                state = (state + 2 * i64::from(c) - m as i64).clamp(0, max);
-                want.push(state > max / 2);
-            }
-            let mut lstate = LayerState::Fsm { fsm: vec![Btanh::new(m), fsm] };
-            let mut got = Vec::new();
-            let mut out = BitStream::zeros(0);
-            for chunk in counts.chunks(clen) {
-                neuron_chunk_into(m, &mut lstate, 1, chunk, &mut out);
-                assert_eq!(out.len(), chunk.len());
-                got.extend(out.iter());
-            }
-            assert_eq!(got, want, "chunk {clen}");
         }
     }
 }

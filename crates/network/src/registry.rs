@@ -100,7 +100,7 @@ impl ModelRegistry {
     ///
     /// # Panics
     ///
-    /// Panics when `stream_len` is 0 (see [`ExecPlan::from_arc`]).
+    /// Panics when `stream_len` is 0 (see [`ExecPlan::new`]).
     pub fn install(
         &self,
         name: impl Into<String>,
@@ -117,7 +117,7 @@ impl ModelRegistry {
     ///
     /// # Panics
     ///
-    /// Panics when `stream_len` is 0 (see [`ExecPlan::from_arc`]).
+    /// Panics when `stream_len` is 0 (see [`ExecPlan::new`]).
     pub fn load(
         &self,
         name: impl Into<String>,
@@ -126,7 +126,7 @@ impl ModelRegistry {
         platform: Platform,
     ) -> Result<Arc<ExecPlan>, ArtifactError> {
         let net = CompiledNetwork::load(path)?;
-        let plan = Arc::new(ExecPlan::from_arc(Arc::new(net), stream_len, platform));
+        let plan = Arc::new(ExecPlan::new(&net, stream_len, platform));
         self.insert(name, Arc::clone(&plan));
         Ok(plan)
     }

@@ -344,7 +344,7 @@ fn admit(shared: &Arc<Shared>, req: ClassifyRequest, reply: &Sender<Vec<u8>>) {
 /// checks again against the plan it runs, since a registry hot swap in
 /// between may change the model's input shape.
 fn shape_mismatch(plan: &ExecPlan, image: &Tensor) -> Option<String> {
-    let expected = plan.network().spec().input_side;
+    let expected = plan.input_side();
     let side = image.shape().last().copied().unwrap_or(0);
     (side != expected)
         .then(|| format!("image side {side} does not match model input side {expected}"))

@@ -406,6 +406,29 @@ fn rebinding_a_state_reuses_the_arena_without_leaking_bits() {
             }
         }
     }
+    // One state rebound AQFP → CMOS → AQFP over the same network: every
+    // conv and dense slot keeps its length across the two plans, so only
+    // begin's in-place reset turns the sorter residuals into mid-range
+    // Btanh counters and back.
+    let plans = [Platform::Aqfp, Platform::Cmos].map(|p| ExecPlan::new(compiled, 193, p));
+    let fresh = plans.each_ref().map(|plan| {
+        let mut state = plan.new_state();
+        plan.begin(&mut state, &probe_image(1), 12);
+        plan.advance(&mut state, 193);
+        plan.scores(&state)
+    });
+    let mut reused = plans[0].new_state();
+    for (step, which) in [0, 1, 0].into_iter().enumerate() {
+        let plan = &plans[which];
+        plan.begin(&mut reused, &probe_image(1), 12);
+        while plan.advance(&mut reused, 37) > 0 {}
+        assert_eq!(
+            plan.scores(&reused),
+            fresh[which],
+            "step {step}: {:?} state leaked bits from another platform's plan",
+            plan.platform()
+        );
+    }
 }
 
 #[test]
