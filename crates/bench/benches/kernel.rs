@@ -25,6 +25,15 @@
 //! - `lane_fe_801` — one `FeatureExtraction::run_rows_resume_into` call at
 //!   `Stripe<4>`, the slab compressor feeding the fused FSM sweep.
 //!
+//! Two ungated rungs give the other FSMs of the shared lane driver one
+//! call each at the same stripe width, lane count and N:
+//!
+//! - `lane_btanh_801` — the CMOS dense neuron: `Btanh::run_rows_resume_into`
+//!   over the same 800 XNOR rows and bias;
+//! - `lane_pool_4` — a 2×2 sorter pool window:
+//!   `AveragePooling::run_rows_resume_into` over 4 lane-packed streams,
+//!   the register tree feeding the sweep.
+//!
 //! `BENCH_JSON=BENCH_kernel.json cargo bench --bench kernel` refreshes the
 //! committed baseline.
 
@@ -32,7 +41,8 @@ use aqfp_sc_bitstream::{
     column_counts_into, extract_plane_counts, lane_column_planes, pack_lanes_into, transpose64,
     BitStream, KernelRow, LaneRow, OffsetClasses, SplitMix64, Stripe, MAX_PLANES,
 };
-use aqfp_sc_core::FeatureExtraction;
+use aqfp_sc_core::baseline::Btanh;
+use aqfp_sc_core::{AveragePooling, FeatureExtraction};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -223,20 +233,47 @@ fn bench_kernel_column_counts(c: &mut Criterion) {
         pack_lanes_into(wide_acts.iter().map(|taps| &taps[tap]), WIDE_LEN, lane)
             .expect("group fits the stripe");
     }
+    let mut wide_rows: Vec<LaneRow<'_, STRIPE_W>> = wide_lanes
+        .iter()
+        .zip(&wide_w)
+        .map(|(lane, w)| LaneRow::Xnor(lane, w.words()))
+        .collect();
+    wide_rows.push(LaneRow::Broadcast(wide_bias.words()));
+    let classes = OffsetClasses::from_offsets([0]);
+    let ones = |out: &[Stripe<STRIPE_W>]| -> u64 {
+        out.iter().map(|s| u64::from(s.0[0].count_ones())).sum()
+    };
     group.bench_function("lane_fe_801", |b| {
-        let mut rows: Vec<LaneRow<'_, STRIPE_W>> = wide_lanes
-            .iter()
-            .zip(&wide_w)
-            .map(|(lane, w)| LaneRow::Xnor(lane, w.words()))
-            .collect();
-        rows.push(LaneRow::Broadcast(wide_bias.words()));
-        let classes = OffsetClasses::from_offsets([0]);
         let mut r = vec![0i64; IMAGES * STRIPE_W];
         let mut out = vec![Stripe::<STRIPE_W>::ZERO; WIDE_LEN];
         b.iter(|| {
             r.fill(0);
-            fe.run_rows_resume_into(&rows, &classes, WIDE_LEN, &mut r, &mut out);
-            black_box(out.iter().map(|s| u64::from(s.0[0].count_ones())).sum::<u64>())
+            fe.run_rows_resume_into(&wide_rows, &classes, WIDE_LEN, &mut r, &mut out);
+            black_box(ones(&out))
+        })
+    });
+
+    let btanh = Btanh::new(WIDE_TAPS + 1);
+    group.bench_function("lane_btanh_801", |b| {
+        let mut states = vec![0i64; IMAGES * STRIPE_W];
+        let mut out = vec![Stripe::<STRIPE_W>::ZERO; WIDE_LEN];
+        b.iter(|| {
+            states.fill(btanh.initial_state());
+            btanh.run_rows_resume_into(&wide_rows, &classes, WIDE_LEN, &mut states, &mut out);
+            black_box(ones(&out))
+        })
+    });
+
+    let pool = AveragePooling::new(4);
+    let pool_rows: Vec<LaneRow<'_, STRIPE_W>> =
+        wide_lanes[..4].iter().map(|lane| LaneRow::Lanes(lane)).collect();
+    group.bench_function("lane_pool_4", |b| {
+        let mut r = vec![0i64; IMAGES * STRIPE_W];
+        let mut out = vec![Stripe::<STRIPE_W>::ZERO; WIDE_LEN];
+        b.iter(|| {
+            r.fill(0);
+            pool.run_rows_resume_into(&pool_rows, &classes, WIDE_LEN, &mut r, &mut out);
+            black_box(ones(&out))
         })
     });
 

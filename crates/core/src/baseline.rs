@@ -12,8 +12,7 @@
 //! models plus CMOS gate inventories.
 
 use aqfp_sc_bitstream::{
-    lane_counts_stream, mux_add, BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses,
-    Stripe, WORD_BITS,
+    mux_add, BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses, Stripe,
 };
 use aqfp_sc_circuit::CmosGateCounts;
 
@@ -94,26 +93,17 @@ impl Btanh {
     /// Threading `state` through successive chunks is bit-identical to one
     /// whole-sequence call.
     pub fn run_counts_resume_into(&self, counts: &[u32], state: &mut i64, out: &mut BitStream) {
-        // The counter lives in a register across the chunk; each output
-        // word is assembled from 64 steps and stored once.
-        let mut s = *state;
-        out.fill_words_with(counts.len(), |w, n| {
-            let mut word = 0u64;
-            for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
-                word |= u64::from(self.step(&mut s, c)) << i;
-            }
-            word
-        });
-        *state = s;
+        lanes::run_words(self, counts, state, out);
     }
 
     /// Lane-parallel [`Btanh::run_counts_resume_into`], fused with the
-    /// lane kernel: counts each cycle's kernel `rows` (the `M` product rows
-    /// of the APC neuron) for up to `64·W` images at once
-    /// ([`lane_counts_stream`], scalar operands read at each lane's class
-    /// offset in `classes`) and folds them straight into the
-    /// saturating-counter recurrence, run for every lane at once in
-    /// bit-sliced ripple-carry arithmetic.
+    /// lane kernel through the shared lane driver: counts each cycle's
+    /// kernel `rows` (the `M` product rows of the APC neuron) for up to
+    /// `64·W` images at once
+    /// ([`lane_counts_stream`](aqfp_sc_bitstream::lane_counts_stream),
+    /// scalar operands read at each lane's class offset in `classes`) and
+    /// folds them straight into the saturating-counter recurrence,
+    /// bit-sliced across every lane.
     ///
     /// `states` holds each active lane's counter (lane `g` is `states[g]`)
     /// and is updated in place; lane `g` of `out[t]` is lane `g`'s output
@@ -134,115 +124,36 @@ impl Btanh {
         states: &mut [i64],
         out: &mut [Stripe<W>],
     ) {
-        assert!(states.len() <= WORD_BITS * W, "run_rows: too many lanes for stripe");
-        assert!(out.len() >= clen, "run_rows: output buffer too short");
-        let (m, max) = (self.m as u64, self.max as u64);
-        // state ≤ max and 2·count ≤ 2M, so `state + 2c` fits in
-        // bits(max + 2M).
-        let width = lanes::bit_width(max + 2 * m).min(lanes::PLANES);
-        let mut sp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
-        lanes::pack_states(states, &mut sp, width);
-        // Monomorphise the sweep on the plane width so the plane loops
-        // fully unroll and the counter planes stay in registers across the
-        // chunk.
-        match width {
-            1 => btanh_sweep::<W, 1>(rows, classes, clen, m, max, &mut sp, out),
-            2 => btanh_sweep::<W, 2>(rows, classes, clen, m, max, &mut sp, out),
-            3 => btanh_sweep::<W, 3>(rows, classes, clen, m, max, &mut sp, out),
-            4 => btanh_sweep::<W, 4>(rows, classes, clen, m, max, &mut sp, out),
-            5 => btanh_sweep::<W, 5>(rows, classes, clen, m, max, &mut sp, out),
-            6 => btanh_sweep::<W, 6>(rows, classes, clen, m, max, &mut sp, out),
-            7 => btanh_sweep::<W, 7>(rows, classes, clen, m, max, &mut sp, out),
-            8 => btanh_sweep::<W, 8>(rows, classes, clen, m, max, &mut sp, out),
-            _ => {
-                btanh_sweep::<W, { lanes::PLANES }>(rows, classes, clen, m, max, &mut sp, out)
-            }
-        }
-        lanes::unpack_states(&sp, states, width);
+        lanes::run_lanes(self, rows, classes, clen, states, out);
     }
 }
 
-/// Register-resident Btanh sweep at a compile-time plane width `P ≥` the
-/// dynamic width (extra planes carry zeros through the chains — every
-/// value fits in the dynamic width, so sums, borrows, and the counter
-/// above it stay zero). The per-cycle counts arrive from
-/// [`lane_counts_stream`] and enter shifted up one position (the ×2 of the
-/// up/down step); the kernel's plane count is `bit_width(M) ≤ width − 1`,
-/// so the shifted index always fits in `P`. The M / max+1 / max / mid
-/// constants specialise each plane's chains to their bit values, and the
-/// fully unrolled plane loops keep the counter and difference planes in
-/// registers.
-#[inline(always)]
-fn btanh_sweep<const W: usize, const P: usize>(
-    rows: &[LaneRow<'_, W>],
-    classes: &OffsetClasses<W>,
-    clen: usize,
-    m: u64,
-    max: u64,
-    sp_io: &mut lanes::Planes<W>,
-    out: &mut [Stripe<W>],
-) {
-    let cap = max + 1;
-    let mid = max / 2 + 1;
-    let mut sp = [Stripe::<W>::ZERO; P];
-    sp.copy_from_slice(&sp_io[..P]);
-    let out = &mut out[..clen];
-    lane_counts_stream(rows, classes, clen, |t, counts: &[Stripe<W>]| {
-        // Pass 1, fused add + subtract: U = state + 2c (the count planes
-        // enter shifted up one position) and D = U − M in one sweep.
-        // pos = [U ≥ M] is the complemented final borrow;
-        // state' = clamp(U − M, 0, max) floors underflowing lanes at 0.
-        let mut diff = [Stripe::<W>::ZERO; P];
-        let mut carry = Stripe::ZERO;
-        let mut borrow = Stripe::ZERO;
-        for p in 0..P {
-            let y = sp[p];
-            let sum = if p >= 1 && p - 1 < counts.len() {
-                let x = counts[p - 1];
-                let s = x ^ y ^ carry;
-                carry = (x & y) | (carry & (x ^ y));
-                s
-            } else {
-                let s = y ^ carry;
-                carry &= y;
-                s
-            };
-            if (m >> p) & 1 == 1 {
-                diff[p] = !(sum ^ borrow);
-                borrow |= !sum;
-            } else {
-                diff[p] = sum ^ borrow;
-                borrow &= !sum;
-            }
-        }
-        let pos = !borrow;
-        // Pass 2: floor-mask and the [D ≥ max+1] cap borrow chain.
-        let mut borrow = Stripe::ZERO;
-        for (p, d) in diff.iter_mut().enumerate() {
-            *d &= pos;
-            if (cap >> p) & 1 == 1 {
-                borrow |= !*d;
-            } else {
-                borrow &= !*d;
-            }
-        }
-        let over = !borrow;
-        // Pass 3: select state' and run the output threshold borrow chain
-        // [state' ≥ max/2 + 1] in the same sweep.
-        let mut borrow = Stripe::ZERO;
-        for (p, spl) in sp.iter_mut().enumerate() {
-            let snew = if (max >> p) & 1 == 1 { diff[p] | over } else { diff[p] & !over };
-            *spl = snew;
-            if (mid >> p) & 1 == 1 {
-                borrow |= !snew;
-            } else {
-                borrow &= !snew;
-            }
-        }
-        // Output bit: counter above mid-range (state' > max/2).
-        out[t] = !borrow;
-    });
-    sp_io[..P].copy_from_slice(&sp);
+/// The counter as a lane rule: `U = state + 2c` steps by `2c − M`
+/// saturating in `[0, max]`, and the output is the counter MSB
+/// (`state' > max/2`). The count planes enter shifted up one position (the
+/// ×2 of the up/down step).
+impl lanes::LaneFsm for Btanh {
+    fn planes(&self) -> usize {
+        // `state + 2c ≤ max + 2M` and the cap `max + 1` (for M = 0) fit.
+        let (m, max) = (self.m as u64, self.max as u64);
+        lanes::bit_width((max + 2 * m).max(max + 1))
+    }
+
+    #[inline]
+    fn step(&self, state: &mut i64, count: u32) -> bool {
+        Btanh::step(self, state, count)
+    }
+
+    #[inline(always)]
+    fn lane_step<const W: usize, const P: usize>(
+        &self,
+        state: &mut [Stripe<W>; P],
+        counts: &[Stripe<W>],
+    ) -> Stripe<W> {
+        let max = self.max as u64;
+        lanes::add_sub_clamp(state, counts, 1, self.m as u64, max);
+        lanes::at_least(state, max / 2 + 1)
+    }
 }
 
 /// Default `Btanh` state count for an `M`-input APC neuron (prior work

@@ -1,10 +1,7 @@
 //! Sorter-based feature extraction: inner product + activation for CONV
 //! layers (paper §4.2, Algorithm 1, Fig. 12).
 
-use aqfp_sc_bitstream::{
-    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses, Stripe,
-    WORD_BITS,
-};
+use aqfp_sc_bitstream::{BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses, Stripe};
 use aqfp_sc_circuit::Netlist;
 use aqfp_sc_sorting::{Direction, SortingNetwork};
 use aqfp_sc_synth::{synthesize, SynthOptions, SynthResult};
@@ -124,37 +121,19 @@ impl FeatureExtraction {
     /// reusing its allocation (the plan hot path produces one activation
     /// stream per neuron per chunk).
     pub fn run_counts_resume_into(&self, counts: &[u32], r: &mut i64, out: &mut BitStream) {
-        let threshold = self.threshold() as i64;
-        let cap = self.m as i64;
-        // The residual lives in a register across the chunk; each output
-        // word is assembled from 64 steps and stored once.
-        let mut res = *r;
-        out.fill_words_with(counts.len(), |w, n| {
-            let mut word = 0u64;
-            for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
-                let t = c as i64 + res;
-                word |= u64::from(t >= threshold) << i;
-                // Firing subtracts (M-1)/2 + 1; not firing leaves
-                // T < threshold, so T − threshold < 0 and the clamp lands
-                // at 0 — one formula covers both branches. The upper clamp
-                // is the physical feedback capacity of M wires.
-                res = (t - threshold).clamp(0, cap);
-            }
-            word
-        });
-        *r = res;
+        lanes::run_words(self, counts, r, out);
     }
 
     /// Lane-parallel [`FeatureExtraction::run_counts_resume_into`], fused
-    /// with the lane kernel: counts each cycle's kernel `rows` for up to
-    /// `64·W` images at once ([`lane_counts_stream`] — the register tree
-    /// for narrow kernels, the slab compressor for wide ones) and folds the
-    /// counts straight into the sorter-FE recurrence, run for every lane at
-    /// once in bit-sliced ripple-carry arithmetic instead of `64·W` serial
-    /// scalar FSM steps. Scalar row operands are read at each lane's class
-    /// offset in `classes`. Rows must cover the full sorter width —
-    /// weights, bias, and the `0101…` neutral pad (at each lane's ABSOLUTE
-    /// cycle parity, which the class offsets give) when
+    /// with the lane kernel through the shared lane driver: counts each
+    /// cycle's kernel `rows` for up to `64·W` images at once
+    /// ([`lane_counts_stream`](aqfp_sc_bitstream::lane_counts_stream) — the
+    /// register tree for narrow kernels, the slab compressor for wide ones)
+    /// and folds the counts straight into the sorter-FE recurrence,
+    /// bit-sliced across every lane. Scalar row operands are read at each
+    /// lane's class offset in `classes`. Rows must cover the full sorter
+    /// width — weights, bias, and the `0101…` neutral pad (at each lane's
+    /// ABSOLUTE cycle parity, which the class offsets give) when
     /// [`width()`](FeatureExtraction::width) `!=`
     /// [`inputs()`](FeatureExtraction::inputs).
     ///
@@ -180,31 +159,7 @@ impl FeatureExtraction {
         out: &mut [Stripe<W>],
     ) {
         assert_eq!(rows.len(), self.m, "run_rows: rows must cover the full sorter width");
-        assert!(r.len() <= WORD_BITS * W, "run_rows: too many lanes for stripe");
-        assert!(out.len() >= clen, "run_rows: output buffer too short");
-        let m = self.m as u64;
-        let threshold = self.threshold() as u64;
-        // count ≤ M and r ≤ M, so every intermediate fits in bits(2M).
-        let width = lanes::bit_width(2 * m).min(lanes::PLANES);
-        let mut rp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
-        lanes::pack_states(r, &mut rp, width);
-        // Monomorphise the sweep on the plane width: with `P` a constant
-        // the plane loops fully unroll and the residual / difference planes
-        // live in registers across the whole chunk.
-        match width {
-            1 => fe_sweep::<W, 1>(rows, classes, clen, threshold, m, &mut rp, out),
-            2 => fe_sweep::<W, 2>(rows, classes, clen, threshold, m, &mut rp, out),
-            3 => fe_sweep::<W, 3>(rows, classes, clen, threshold, m, &mut rp, out),
-            4 => fe_sweep::<W, 4>(rows, classes, clen, threshold, m, &mut rp, out),
-            5 => fe_sweep::<W, 5>(rows, classes, clen, threshold, m, &mut rp, out),
-            6 => fe_sweep::<W, 6>(rows, classes, clen, threshold, m, &mut rp, out),
-            7 => fe_sweep::<W, 7>(rows, classes, clen, threshold, m, &mut rp, out),
-            8 => fe_sweep::<W, 8>(rows, classes, clen, threshold, m, &mut rp, out),
-            _ => {
-                fe_sweep::<W, { lanes::PLANES }>(rows, classes, clen, threshold, m, &mut rp, out)
-            }
-        }
-        lanes::unpack_states(&rp, r, width);
+        lanes::run_lanes(self, rows, classes, clen, r, out);
     }
 
     /// The neutral-padding bit contribution at `cycle` (1 on even cycles):
@@ -317,80 +272,32 @@ impl FeatureExtraction {
     }
 }
 
-/// Register-resident sorter-FE sweep at a compile-time plane width `P ≥`
-/// the dynamic width (extra planes carry zeros through the chains, which
-/// cannot disturb the result: every value fits in the dynamic width, so
-/// carries and masked differences above it stay zero). The per-cycle
-/// column counts arrive from [`lane_counts_stream`] (`counts[p]` for
-/// `p < counts.len()`, zero above). The θ / M+1 / M constants specialise
-/// each plane's subtract to its bit value (θ bit 1: `D = ¬(sum ⊕ b)`,
-/// `b' = ¬sum ∨ b`; bit 0: `D = sum ⊕ b`, `b' = ¬sum ∧ b`), and the fully
-/// unrolled plane loops keep the residual and difference planes in
-/// registers across the whole chunk.
-#[inline(always)]
-fn fe_sweep<const W: usize, const P: usize>(
-    rows: &[LaneRow<'_, W>],
-    classes: &OffsetClasses<W>,
-    clen: usize,
-    threshold: u64,
-    m: u64,
-    rp_io: &mut lanes::Planes<W>,
-    out: &mut [Stripe<W>],
-) {
-    let mut rp = [Stripe::<W>::ZERO; P];
-    rp.copy_from_slice(&rp_io[..P]);
-    let out = &mut out[..clen];
-    lane_counts_stream(rows, classes, clen, |t, counts: &[Stripe<W>]| {
-        // Pass 1, fused add + subtract: T = count + r and D = T − θ in one
-        // sweep (the ripple carry and the borrow advance in lockstep).
-        // fire = [T ≥ θ] is the complemented final borrow; lanes that
-        // underflow are the non-firing ones, and their feedback
-        // floor-clips to 0.
-        let mut diff = [Stripe::<W>::ZERO; P];
-        let mut carry = Stripe::ZERO;
-        let mut borrow = Stripe::ZERO;
-        for p in 0..P {
-            let y = rp[p];
-            let sum = if p < counts.len() {
-                let x = counts[p];
-                let s = x ^ y ^ carry;
-                carry = (x & y) | (carry & (x ^ y));
-                s
-            } else {
-                let s = y ^ carry;
-                carry &= y;
-                s
-            };
-            if (threshold >> p) & 1 == 1 {
-                diff[p] = !(sum ^ borrow);
-                borrow |= !sum;
-            } else {
-                diff[p] = sum ^ borrow;
-                borrow &= !sum;
-            }
-        }
-        let fire = !borrow;
-        out[t] = fire;
-        // Pass 2: mask non-firing lanes to 0 and run the [D ≥ M+1] borrow
-        // chain on the masked value (a 0 never overflows, so the cap
-        // cannot be spuriously selected on non-firing lanes).
-        let mut borrow = Stripe::ZERO;
-        for (p, d) in diff.iter_mut().enumerate() {
-            *d &= fire;
-            if ((m + 1) >> p) & 1 == 1 {
-                borrow |= !*d;
-            } else {
-                borrow &= !*d;
-            }
-        }
-        let over = !borrow;
-        // Pass 3: r' = over ? M : D — the upper clamp at the physical
-        // feedback capacity of M wires.
-        for (p, rpl) in rp.iter_mut().enumerate() {
-            *rpl = if (m >> p) & 1 == 1 { diff[p] | over } else { diff[p] & !over };
-        }
-    });
-    rp_io[..P].copy_from_slice(&rp);
+/// Algorithm 1 as a count recurrence: `T = c + r` fires when it reaches
+/// the threshold θ = (M+1)/2, and the feedback keeps
+/// `r' = clamp(T − θ, 0, M)`. Not firing leaves `T < θ`, so the clamp lands
+/// at 0 — one formula covers both branches; the upper clamp is the
+/// physical feedback capacity of M wires.
+impl lanes::LaneFsm for FeatureExtraction {
+    fn planes(&self) -> usize {
+        // count ≤ M and r ≤ M, so every intermediate fits in bits(2M).
+        lanes::bit_width(2 * self.m as u64)
+    }
+
+    #[inline]
+    fn step(&self, r: &mut i64, count: u32) -> bool {
+        let (threshold, t) = (i64::from(self.threshold()), i64::from(count) + *r);
+        *r = (t - threshold).clamp(0, self.m as i64);
+        t >= threshold
+    }
+
+    #[inline(always)]
+    fn lane_step<const W: usize, const P: usize>(
+        &self,
+        r: &mut [Stripe<W>; P],
+        counts: &[Stripe<W>],
+    ) -> Stripe<W> {
+        lanes::add_sub_clamp(r, counts, 0, u64::from(self.threshold()), self.m as u64)
+    }
 }
 
 #[cfg(test)]

@@ -1,24 +1,33 @@
-//! Bit-sliced lane arithmetic for the lane-parallel FSM runners.
+//! The one driver pair behind all three neuron FSMs.
 //!
-//! The batch-transposed execution path counts XNOR columns for up to
-//! `64·W` images at once (`lane_counts_stream`: plane `p` of cycle `t`
-//! holds bit `p` of every lane's count, lane `g` in bit `g % 64` of stripe
-//! element `g / 64`). Running each lane's activation FSM serially on
-//! extracted `u32` counts would throw that parallelism away — the
-//! per-cycle recurrences of [`FeatureExtraction`](crate::FeatureExtraction),
-//! [`AveragePooling`](crate::AveragePooling) and
-//! [`baseline::Btanh`](crate::baseline::Btanh) are all of the form
-//! `t = state + count; fire = t ≥ K; state' = clamp/select(t − K)`, which
-//! this module evaluates for all `64·W` lanes per stripe-op using
-//! ripple-carry bit-plane arithmetic: one [`Stripe<W>`] holds bit `p` of
-//! `64·W` independent integers, and every stripe op is a straight-line
-//! `[u64; W]` loop LLVM auto-vectorises.
+//! Sorter feature extraction ([`FeatureExtraction`](crate::FeatureExtraction),
+//! Algorithm 1), sorter average pooling
+//! ([`AveragePooling`](crate::AveragePooling), Algorithm 2) and the CMOS
+//! baseline's saturating counter ([`baseline::Btanh`](crate::baseline::Btanh))
+//! run the same loop: each cycle they add a column count into one bounded
+//! integer state and emit one bit. Each implements [`LaneFsm`] — its own
+//! rule, written once as a scalar step and as a bit-sliced step — and this
+//! module runs that rule two ways:
 //!
-//! Plane arrays are fixed at [`PLANES`] stripes — wide enough for
-//! `2 · MAX_KERNEL_ROWS` (the largest `count + state` sum any FSM can see)
-//! — and every helper walks only the caller's active width.
+//! - [`run_words`] steps one neuron's state over a chunk of `u32` counts,
+//!   assembling each 64-cycle output word in a register;
+//! - [`run_lanes`] counts each cycle's kernel rows for up to `64·W` images
+//!   at once (`lane_counts_stream`: plane `p` of cycle `t` holds bit `p` of
+//!   every lane's count, lane `g` in bit `g % 64` of stripe element
+//!   `g / 64`) and folds the counts straight into the bit-sliced step,
+//!   which evaluates the recurrence for every lane per stripe op in
+//!   ripple-carry bit-plane arithmetic ([`add_sub`], [`at_least`],
+//!   [`add_sub_clamp`]). It packs the caller's `i64` states into planes,
+//!   monomorphises the sweep on the FSM's plane width — so the plane loops
+//!   fully unroll and the state planes stay in registers across the chunk —
+//!   and unpacks them again.
+//!
+//! Neither driver branches on which FSM it runs. Plane arrays are fixed at
+//! [`PLANES`] stripes — wide enough for `2 · MAX_KERNEL_ROWS` (the largest
+//! `count + state` sum any FSM can see) — and every helper walks only the
+//! caller's active width.
 
-use aqfp_sc_bitstream::{Stripe, WORD_BITS};
+use aqfp_sc_bitstream::{lane_counts_stream, BitStream, LaneRow, OffsetClasses, Stripe, WORD_BITS};
 
 /// Bit planes per lane integer: covers sums up to `2^PLANES − 1`, i.e.
 /// `count + state` for the widest supported kernel (65 535 rows).
@@ -27,64 +36,185 @@ pub(crate) const PLANES: usize = 18;
 /// `64·W` lane-parallel unsigned integers in LSB-first bit-plane form.
 pub(crate) type Planes<const W: usize> = [Stripe<W>; PLANES];
 
-/// `out = a + b` per lane over `width` planes. The caller guarantees the
-/// true sums fit in `width` bits (the final carry is discarded).
+/// One neuron FSM's per-cycle rule: fold the cycle's column count into a
+/// bounded non-negative state and emit one bit.
+pub(crate) trait LaneFsm {
+    /// Bit planes that hold every value [`LaneFsm::lane_step`] forms.
+    fn planes(&self) -> usize;
+
+    /// Folds one cycle's `count` into `state` and returns the output bit.
+    fn step(&self, state: &mut i64, count: u32) -> bool;
+
+    /// [`LaneFsm::step`] for `64·W` lanes at once, on states held in
+    /// `P ≥` [`LaneFsm::planes`] bit planes (the planes above the active
+    /// width carry zeros, which cannot disturb the result). `counts[p]` is
+    /// plane `p` of the cycle's column count (zero at and above
+    /// `counts.len()`). Returns the lanes' output bits.
+    fn lane_step<const W: usize, const P: usize>(
+        &self,
+        state: &mut [Stripe<W>; P],
+        counts: &[Stripe<W>],
+    ) -> Stripe<W>;
+}
+
+/// Steps `state` over a chunk of per-cycle `counts` into `out` (reusing its
+/// allocation). Threading `state` through successive chunks is
+/// bit-identical to one whole-sequence call.
+pub(crate) fn run_words<F: LaneFsm>(fsm: &F, counts: &[u32], state: &mut i64, out: &mut BitStream) {
+    // The state lives in a register across the chunk; each output word is
+    // assembled from 64 steps and stored once.
+    let mut s = *state;
+    out.fill_words_with(counts.len(), |w, n| {
+        let mut word = 0u64;
+        for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
+            word |= u64::from(fsm.step(&mut s, c)) << i;
+        }
+        word
+    });
+    *state = s;
+}
+
+/// Counts each cycle's `rows` for up to `64·W` lanes at once
+/// (`lane_counts_stream`, scalar operands read at each lane's class offset
+/// in `classes`) and folds the counts into [`LaneFsm::lane_step`]. `states`
+/// holds each active lane's state (lane `g` is `states[g]`) and is updated
+/// in place; lane `g` of `out[t]` is lane `g`'s output bit. Lanes at or
+/// above `states.len()` compute garbage. Per lane, chunking with
+/// `states[g]` threaded through is bit-identical to [`run_words`] on that
+/// lane's counts, for any stripe width `W`.
 ///
-/// Reference implementation: the production runners inline this ripple
-/// carry fused with the subtract chains; tests pin the primitive here.
-#[cfg(test)]
-#[inline]
-pub(crate) fn add<const W: usize>(
-    a: &Planes<W>,
-    b: &Planes<W>,
-    width: usize,
-    out: &mut Planes<W>,
+/// # Panics
+///
+/// Panics when more than `64·W` lanes are given, `out` is shorter than
+/// `clen`, or a row is shorter than `clen`.
+pub(crate) fn run_lanes<F: LaneFsm, const W: usize>(
+    fsm: &F,
+    rows: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
+    clen: usize,
+    states: &mut [i64],
+    out: &mut [Stripe<W>],
 ) {
-    let mut carry = Stripe::ZERO;
-    for p in 0..width {
-        let (x, y) = (a[p], b[p]);
-        out[p] = x ^ y ^ carry;
-        carry = (x & y) | (carry & (x ^ y));
+    assert!(states.len() <= WORD_BITS * W, "run_rows: too many lanes for stripe");
+    assert!(out.len() >= clen, "run_rows: output buffer too short");
+    let width = fsm.planes().min(PLANES);
+    let mut planes: Planes<W> = [Stripe::ZERO; PLANES];
+    pack_states(states, &mut planes, width);
+    let (io, out) = (&mut planes, &mut out[..clen]);
+    // Monomorphise the sweep on the plane width: with `P` a constant the
+    // plane loops fully unroll and the state planes live in registers
+    // across the whole chunk.
+    match width {
+        0..=2 => sweep::<F, W, 2>(fsm, rows, classes, clen, io, out),
+        3 => sweep::<F, W, 3>(fsm, rows, classes, clen, io, out),
+        4 => sweep::<F, W, 4>(fsm, rows, classes, clen, io, out),
+        5 => sweep::<F, W, 5>(fsm, rows, classes, clen, io, out),
+        6 => sweep::<F, W, 6>(fsm, rows, classes, clen, io, out),
+        7 => sweep::<F, W, 7>(fsm, rows, classes, clen, io, out),
+        8 => sweep::<F, W, 8>(fsm, rows, classes, clen, io, out),
+        _ => sweep::<F, W, PLANES>(fsm, rows, classes, clen, io, out),
     }
+    unpack_states(&planes, states, width);
 }
 
-/// `out = a − k` per lane over `width` planes (two's complement; lanes that
-/// underflow hold wrapped values). Returns the borrow mask: lane `g` set
-/// means lane `g` had `a < k`. `width` must cover both `a` and `k`.
-///
-/// Reference implementation: the production runners inline this borrow
-/// chain fused with the ripple carry; tests pin the primitive here.
-#[cfg(test)]
-#[inline]
-pub(crate) fn sub_const<const W: usize>(
-    a: &Planes<W>,
+/// The register-resident sweep of [`run_lanes`] at a compile-time plane
+/// width `P ≥` the FSM's width.
+#[inline(always)]
+fn sweep<F: LaneFsm, const W: usize, const P: usize>(
+    fsm: &F,
+    rows: &[LaneRow<'_, W>],
+    classes: &OffsetClasses<W>,
+    clen: usize,
+    io: &mut Planes<W>,
+    out: &mut [Stripe<W>],
+) {
+    let mut state = [Stripe::<W>::ZERO; P];
+    state.copy_from_slice(&io[..P]);
+    lane_counts_stream(rows, classes, clen, |t, counts| out[t] = fsm.lane_step(&mut state, counts));
+    io[..P].copy_from_slice(&state);
+}
+
+/// Fused ripple add and constant subtract over `P` planes:
+/// `T = a + (counts << shift)` and `D = T − k` in one sweep (the carry and
+/// the borrow advance in lockstep). Returns `(T, D, [T ≥ k])`; lanes with
+/// `T < k` hold `D` wrapped. The caller guarantees `T` and `k` fit in `P`
+/// bits. Each plane's subtract specialises on its bit of `k` (bit 1:
+/// `D = ¬(T ⊕ b)`, `b' = ¬T ∨ b`; bit 0: `D = T ⊕ b`, `b' = ¬T ∧ b`).
+#[inline(always)]
+pub(crate) fn add_sub<const W: usize, const P: usize>(
+    a: &[Stripe<W>; P],
+    counts: &[Stripe<W>],
+    shift: usize,
     k: u64,
-    width: usize,
-    out: &mut Planes<W>,
-) -> Stripe<W> {
+) -> ([Stripe<W>; P], [Stripe<W>; P], Stripe<W>) {
+    let mut sum = [Stripe::<W>::ZERO; P];
+    let mut diff = [Stripe::<W>::ZERO; P];
+    let mut carry = Stripe::ZERO;
     let mut borrow = Stripe::ZERO;
-    for p in 0..width {
-        let kbit = Stripe::splat(0u64.wrapping_sub((k >> p) & 1));
-        let x = a[p];
-        out[p] = x ^ kbit ^ borrow;
-        borrow = (!x & (kbit | borrow)) | (kbit & borrow);
+    for p in 0..P {
+        let y = a[p];
+        let s = match p.checked_sub(shift).and_then(|q| counts.get(q)) {
+            Some(&x) => {
+                let s = x ^ y ^ carry;
+                carry = (x & y) | (carry & (x ^ y));
+                s
+            }
+            None => {
+                let s = y ^ carry;
+                carry &= y;
+                s
+            }
+        };
+        sum[p] = s;
+        if (k >> p) & 1 == 1 {
+            diff[p] = !(s ^ borrow);
+            borrow |= !s;
+        } else {
+            diff[p] = s ^ borrow;
+            borrow &= !s;
+        }
     }
-    borrow
+    (sum, diff, !borrow)
 }
 
-/// Mask of lanes where `a ≥ k`, over `width` planes covering both.
-///
-/// Reference implementation: the production runners inline this borrow
-/// chain into their select passes; tests pin the primitive here.
-#[cfg(test)]
-#[inline]
-pub(crate) fn ge_const<const W: usize>(a: &Planes<W>, k: u64, width: usize) -> Stripe<W> {
+/// Mask of lanes where `a ≥ k` (the complemented borrow of `a − k`); `k`
+/// must fit in `P` bits.
+#[inline(always)]
+pub(crate) fn at_least<const W: usize, const P: usize>(a: &[Stripe<W>; P], k: u64) -> Stripe<W> {
     let mut borrow = Stripe::ZERO;
-    for (p, &x) in a.iter().enumerate().take(width) {
-        let kbit = Stripe::splat(0u64.wrapping_sub((k >> p) & 1));
-        borrow = (!x & (kbit | borrow)) | (kbit & borrow);
+    for (p, &x) in a.iter().enumerate() {
+        if (k >> p) & 1 == 1 {
+            borrow |= !x;
+        } else {
+            borrow &= !x;
+        }
     }
     !borrow
+}
+
+/// `a' = clamp(a + (counts << shift) − k, 0, cap)` per lane over `P`
+/// planes, which must hold `a + (counts << shift)` and `cap + 1`. Returns
+/// the mask of lanes where `a + (counts << shift) ≥ k`, the ones that did
+/// not floor at 0.
+#[inline(always)]
+pub(crate) fn add_sub_clamp<const W: usize, const P: usize>(
+    a: &mut [Stripe<W>; P],
+    counts: &[Stripe<W>],
+    shift: usize,
+    k: u64,
+    cap: u64,
+) -> Stripe<W> {
+    let (_, mut diff, ge) = add_sub(a, counts, shift, k);
+    // Floor: mask the wrapped lanes to 0, which never exceeds the cap, so
+    // the cap cannot be spuriously selected on them.
+    for d in &mut diff {
+        *d &= ge;
+    }
+    let over = at_least(&diff, cap + 1);
+    for (p, (x, d)) in a.iter_mut().zip(diff).enumerate() {
+        *x = if (cap >> p) & 1 == 1 { d | over } else { d & !over };
+    }
+    ge
 }
 
 /// Packs per-lane integer states into bit planes (lane `g` → bit `g % 64`
@@ -159,81 +289,78 @@ pub(crate) fn count_rows<const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::Btanh;
+    use crate::{AveragePooling, FeatureExtraction};
 
-    fn from_vals<const W: usize>(vals: &[u64]) -> Planes<W> {
-        let mut p = [Stripe::ZERO; PLANES];
-        for (g, &v) in vals.iter().enumerate() {
-            let (e, bit) = (g / WORD_BITS, g % WORD_BITS);
-            for (pi, plane) in p.iter_mut().enumerate() {
-                plane.0[e] |= ((v >> pi) & 1) << bit;
-            }
-        }
-        p
-    }
-
-    fn to_vals<const W: usize>(p: &Planes<W>, n: usize) -> Vec<u64> {
-        (0..n)
+    /// Runs `fsm` through [`run_lanes`] at W = 2 on 101 ragged lanes of
+    /// distinct count sequences (`rows` kernel rows), in uneven resumed
+    /// chunks, against [`run_words`] per lane: output bits and final state.
+    fn check_lanes_match_words<F: LaneFsm>(fsm: &F, rows: usize, what: &str) {
+        const W: usize = 2;
+        let (lanes_n, clen) = (101usize, 150usize);
+        // Bursts of near-full columns drive the states into their upper
+        // clamps; the stretches between them drain the states again.
+        let counts: Vec<Vec<u32>> = (0..lanes_n)
             .map(|g| {
-                p.iter().enumerate().fold(0u64, |acc, (pi, plane)| {
-                    acc | (plane.get(g) << pi)
-                })
+                (0..clen)
+                    .map(|t| {
+                        let c = if ((t + g) / 24).is_multiple_of(2) {
+                            rows - ((t + g) % 3).min(rows)
+                        } else {
+                            (t * 7 + g * 13) % (rows + 1)
+                        };
+                        c as u32
+                    })
+                    .collect()
             })
-            .collect()
-    }
-
-    #[test]
-    fn add_matches_scalar() {
-        let a: Vec<u64> = (0..64).map(|g| (g * 37 + 5) % 200).collect();
-        let b: Vec<u64> = (0..64).map(|g| (g * 91 + 13) % 180).collect();
-        let (pa, pb) = (from_vals::<1>(&a), from_vals::<1>(&b));
-        let mut out = [Stripe::ZERO; PLANES];
-        add(&pa, &pb, 10, &mut out);
-        let got = to_vals(&out, 64);
-        for g in 0..64 {
-            assert_eq!(got[g], a[g] + b[g], "lane {g}");
+            .collect();
+        let lane_rows = count_rows::<W>(&counts, rows, clen);
+        let classes = OffsetClasses::from_offsets([0]);
+        let mut states = vec![0i64; lanes_n];
+        let mut out = vec![Stripe::<W>::ZERO; clen];
+        for (pos, c) in [(0usize, 1usize), (1, 63), (64, 65), (129, 21)] {
+            let chunk: Vec<LaneRow<'_, W>> =
+                lane_rows.iter().map(|row| LaneRow::Lanes(&row[pos..pos + c])).collect();
+            run_lanes(fsm, &chunk, &classes, c, &mut states, &mut out[pos..pos + c]);
         }
-    }
-
-    #[test]
-    fn add_matches_scalar_wide_stripe() {
-        let a: Vec<u64> = (0..200).map(|g| (g * 37 + 5) % 200).collect();
-        let b: Vec<u64> = (0..200).map(|g| (g * 91 + 13) % 180).collect();
-        let (pa, pb) = (from_vals::<4>(&a), from_vals::<4>(&b));
-        let mut out = [Stripe::ZERO; PLANES];
-        add(&pa, &pb, 10, &mut out);
-        let got = to_vals(&out, 200);
-        for g in 0..200 {
-            assert_eq!(got[g], a[g] + b[g], "lane {g}");
-        }
-    }
-
-    #[test]
-    fn sub_const_matches_scalar_with_borrow_mask() {
-        let a: Vec<u64> = (0..130).map(|g| g * 3).collect();
-        let pa = from_vals::<4>(&a);
-        let mut out = [Stripe::ZERO; PLANES];
-        let k = 100u64;
-        let borrow = sub_const(&pa, k, 10, &mut out);
-        let got = to_vals(&out, 130);
-        for g in 0..130 {
-            let under = a[g] < k;
-            assert_eq!(borrow.get(g) == 1, under, "borrow lane {g}");
-            if !under {
-                assert_eq!(got[g], a[g] - k, "diff lane {g}");
+        for (g, cs) in counts.iter().enumerate() {
+            let (mut state, mut want) = (0i64, BitStream::zeros(0));
+            run_words(fsm, cs, &mut state, &mut want);
+            for (t, bit) in want.iter().enumerate() {
+                assert_eq!(out[t].get(g) == 1, bit, "{what}: lane {g}, cycle {t}");
             }
+            assert_eq!(states[g], state, "{what}: final state, lane {g}");
         }
     }
 
     #[test]
-    fn ge_const_matches_scalar() {
-        let a: Vec<u64> = (0..100).map(|g| g * 5 % 97).collect();
-        let pa = from_vals::<2>(&a);
-        for k in [0u64, 1, 48, 96, 97] {
-            let mask = ge_const(&pa, k, 8);
-            for (g, &v) in a.iter().enumerate() {
-                assert_eq!(mask.get(g) == 1, v >= k, "k={k} lane {g}");
-            }
+    fn every_width_arm_matches_the_word_runner() {
+        // FE fan-ins 1, 3, …, 129 need plane widths 2–8 and then 9, which
+        // runs the PLANES arm; pool windows 1–16 need widths 2–6; Btanh
+        // over the same fan-ins plus 0 needs widths 3–8 and then 9 and 10
+        // (at fan-in 0 for its cap `max + 1`, not for its sums).
+        let fans = [1usize, 3, 5, 9, 17, 33, 65, 129];
+        let mut widths = Vec::new();
+        for &n in &fans {
+            let fe = FeatureExtraction::new(n);
+            check_lanes_match_words(&fe, fe.width(), &format!("FE fan-in {n}"));
+            widths.push(fe.planes());
         }
+        assert_eq!(widths, [2, 3, 4, 5, 6, 7, 8, 9]);
+        widths.clear();
+        for m in [1usize, 4, 9, 16] {
+            let pool = AveragePooling::new(m);
+            check_lanes_match_words(&pool, m, &format!("pool window {m}"));
+            widths.push(pool.planes());
+        }
+        assert_eq!(widths, [2, 4, 5, 6]);
+        widths.clear();
+        for m in [0].into_iter().chain(fans) {
+            let btanh = Btanh::new(m);
+            check_lanes_match_words(&btanh, m, &format!("Btanh fan-in {m}"));
+            widths.push(btanh.planes());
+        }
+        assert_eq!(widths, [3, 3, 4, 5, 6, 7, 8, 9, 10]);
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! Sorter-based average pooling (paper §4.3, Algorithm 2, Fig. 14).
 
-use aqfp_sc_bitstream::{
-    lane_counts_stream, BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses, Stripe,
-    WORD_BITS,
-};
+use aqfp_sc_bitstream::{BitStream, BitstreamError, ColumnCounter, LaneRow, OffsetClasses, Stripe};
 use aqfp_sc_circuit::Netlist;
 use aqfp_sc_sorting::{Direction, SortingNetwork};
 use aqfp_sc_synth::{synthesize, SynthOptions, SynthResult};
@@ -84,30 +81,17 @@ impl AveragePooling {
     /// reusing its allocation (the plan hot path produces one pooled stream
     /// per window per chunk).
     pub fn run_counts_resume_into(&self, counts: &[u32], r: &mut i64, out: &mut BitStream) {
-        let m = self.m as i64;
-        // The residual lives in a register across the chunk; each output
-        // word is assembled from 64 steps and stored once.
-        let mut res = *r;
-        out.fill_words_with(counts.len(), |w, n| {
-            let mut word = 0u64;
-            for (i, &c) in counts[w * WORD_BITS..w * WORD_BITS + n].iter().enumerate() {
-                let t = c as i64 + res;
-                let fire = t >= m;
-                word |= u64::from(fire) << i;
-                res = t - m * i64::from(fire);
-            }
-            word
-        });
-        *r = res;
+        lanes::run_words(self, counts, r, out);
     }
 
     /// Lane-parallel [`AveragePooling::run_counts_resume_into`], fused
-    /// with the lane kernel: counts each cycle's window `rows` for up to
-    /// `64·W` images at once ([`lane_counts_stream`]) and folds the counts
-    /// straight into the conserving recurrence, run for every lane at once
-    /// in bit-sliced ripple-carry arithmetic. Rows are the `M` window
-    /// streams; scalar operands, if any, are read at each lane's class
-    /// offset in `classes`.
+    /// with the lane kernel through the shared lane driver: counts each
+    /// cycle's window `rows` for up to `64·W` images at once
+    /// ([`lane_counts_stream`](aqfp_sc_bitstream::lane_counts_stream)) and
+    /// folds the counts straight into the conserving recurrence,
+    /// bit-sliced across every lane. Rows are the `M` window streams;
+    /// scalar operands, if any, are read at each lane's class offset in
+    /// `classes`.
     ///
     /// `r` holds each active lane's feedback occupancy (updated in place);
     /// lane `g` of `out[t]` is lane `g`'s output bit. Lanes at or above
@@ -129,28 +113,7 @@ impl AveragePooling {
         out: &mut [Stripe<W>],
     ) {
         assert_eq!(rows.len(), self.m, "run_rows: rows must cover the full window");
-        assert!(r.len() <= WORD_BITS * W, "run_rows: too many lanes for stripe");
-        assert!(out.len() >= clen, "run_rows: output buffer too short");
-        let m = self.m as u64;
-        // count ≤ M and r < M, so every intermediate fits in bits(2M).
-        let width = lanes::bit_width(2 * m).min(lanes::PLANES);
-        let mut rp: lanes::Planes<W> = [Stripe::ZERO; lanes::PLANES];
-        lanes::pack_states(r, &mut rp, width);
-        // Monomorphise the sweep on the plane width so the plane loops
-        // fully unroll and the residual planes stay in registers across
-        // the chunk (a pool window is k·k wide, so small widths dominate).
-        match width {
-            1 => pool_sweep::<W, 1>(rows, classes, clen, m, &mut rp, out),
-            2 => pool_sweep::<W, 2>(rows, classes, clen, m, &mut rp, out),
-            3 => pool_sweep::<W, 3>(rows, classes, clen, m, &mut rp, out),
-            4 => pool_sweep::<W, 4>(rows, classes, clen, m, &mut rp, out),
-            5 => pool_sweep::<W, 5>(rows, classes, clen, m, &mut rp, out),
-            6 => pool_sweep::<W, 6>(rows, classes, clen, m, &mut rp, out),
-            7 => pool_sweep::<W, 7>(rows, classes, clen, m, &mut rp, out),
-            8 => pool_sweep::<W, 8>(rows, classes, clen, m, &mut rp, out),
-            _ => pool_sweep::<W, { lanes::PLANES }>(rows, classes, clen, m, &mut rp, out),
-        }
-        lanes::unpack_states(&rp, r, width);
+        lanes::run_lanes(self, rows, classes, clen, r, out);
     }
 
     /// Reference implementation that actually sorts per cycle (Algorithm 2
@@ -230,64 +193,35 @@ impl AveragePooling {
     }
 }
 
-/// Register-resident conserving-pool sweep at a compile-time plane width
-/// `P ≥` the dynamic width (extra planes carry zeros through the chains —
-/// every value fits in the dynamic width, so sums, borrows, and the
-/// residual above it stay zero). The per-cycle window counts arrive from
-/// [`lane_counts_stream`] (`counts[p]` for `p < counts.len()`, zero
-/// above). The M constant specialises each plane's subtract to its bit
-/// value, and the fully unrolled plane loops keep the residual, sum, and
-/// difference planes in registers across the chunk.
-#[inline(always)]
-fn pool_sweep<const W: usize, const P: usize>(
-    rows: &[LaneRow<'_, W>],
-    classes: &OffsetClasses<W>,
-    clen: usize,
-    m: u64,
-    rp_io: &mut lanes::Planes<W>,
-    out: &mut [Stripe<W>],
-) {
-    let mut rp = [Stripe::<W>::ZERO; P];
-    rp.copy_from_slice(&rp_io[..P]);
-    let out = &mut out[..clen];
-    lane_counts_stream(rows, classes, clen, |t, counts: &[Stripe<W>]| {
-        // Fused add + subtract: T = count + r and D = T − M in one sweep
-        // (ripple carry and borrow advance in lockstep). fire = [T ≥ M] is
-        // the complemented final borrow.
-        let mut t_sum = [Stripe::<W>::ZERO; P];
-        let mut diff = [Stripe::<W>::ZERO; P];
-        let mut carry = Stripe::ZERO;
-        let mut borrow = Stripe::ZERO;
-        for p in 0..P {
-            let y = rp[p];
-            let sum = if p < counts.len() {
-                let x = counts[p];
-                let s = x ^ y ^ carry;
-                carry = (x & y) | (carry & (x ^ y));
-                s
-            } else {
-                let s = y ^ carry;
-                carry &= y;
-                s
-            };
-            t_sum[p] = sum;
-            if (m >> p) & 1 == 1 {
-                diff[p] = !(sum ^ borrow);
-                borrow |= !sum;
-            } else {
-                diff[p] = sum ^ borrow;
-                borrow &= !sum;
-            }
+/// Algorithm 2 as a count recurrence: `T = c + r` fires when it reaches
+/// M; firing lanes keep `T − M`, the rest keep `T`, so ones are conserved
+/// (one output 1 per M input 1s).
+impl lanes::LaneFsm for AveragePooling {
+    fn planes(&self) -> usize {
+        // count ≤ M and r < M, so every intermediate fits in bits(2M).
+        lanes::bit_width(2 * self.m as u64)
+    }
+
+    #[inline]
+    fn step(&self, r: &mut i64, count: u32) -> bool {
+        let (m, t) = (self.m as i64, i64::from(count) + *r);
+        let fire = t >= m;
+        *r = t - m * i64::from(fire);
+        fire
+    }
+
+    #[inline(always)]
+    fn lane_step<const W: usize, const P: usize>(
+        &self,
+        r: &mut [Stripe<W>; P],
+        counts: &[Stripe<W>],
+    ) -> Stripe<W> {
+        let (sum, diff, fire) = lanes::add_sub(r, counts, 0, self.m as u64);
+        for (p, x) in r.iter_mut().enumerate() {
+            *x = (diff[p] & fire) | (sum[p] & !fire);
         }
-        let fire = !borrow;
-        out[t] = fire;
-        // Firing lanes keep T − M, the rest keep T — ones are conserved
-        // (one output 1 per M input 1s).
-        for (p, rpl) in rp.iter_mut().enumerate() {
-            *rpl = (diff[p] & fire) | (t_sum[p] & !fire);
-        }
-    });
-    rp_io[..P].copy_from_slice(&rp);
+        fire
+    }
 }
 
 #[cfg(test)]

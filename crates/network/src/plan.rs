@@ -83,6 +83,7 @@ use aqfp_sc_nn::{Padding, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
+use std::ops::{BitAnd, BitOr};
 
 use crate::artifact::ModelFingerprint;
 use crate::compile::{CompiledLayer, CompiledNetwork};
@@ -560,15 +561,8 @@ impl ExecPlan {
                             let word = |row: &KernelRow<'_>| row.word(wi, offset) & mask;
                             class_acc[cl] += match platform {
                                 // Majority chain over the products in wiring
-                                // order, the bias and the parity pad: the
-                                // first input, then one gate per later pair.
-                                Platform::Aqfp => {
-                                    let mut y = word(&rows[0]);
-                                    for pair in rows[1..].chunks_exact(2) {
-                                        y = maj_word(y, word(&pair[0]), word(&pair[1]));
-                                    }
-                                    u64::from(y.count_ones())
-                                }
+                                // order, the bias and the parity pad.
+                                Platform::Aqfp => u64::from(maj_chain(&rows, word).count_ones()),
                                 // APC total: the ones of every product row
                                 // and the bias row, in any order.
                                 Platform::Cmos => {
@@ -951,18 +945,7 @@ impl ExecPlan {
                                 }
                                 let mut lp = LanePopcount::<W>::new();
                                 for t in 0..clen {
-                                    let word = |row: &LaneRow<'_, W>| row.word(t, classes);
-                                    let y = if width == 1 {
-                                        word(&rows[0])
-                                    } else {
-                                        let (a, b, c) = (&rows[0], &rows[1], &rows[2]);
-                                        let mut y = maj_stripe(word(a), word(b), word(c));
-                                        for pair in rows[3..].chunks_exact(2) {
-                                            y = maj_stripe(word(&pair[0]), word(&pair[1]), y);
-                                        }
-                                        y
-                                    };
-                                    lp.add(y);
+                                    lp.add(maj_chain(&rows, |row| row.word(t, classes)));
                                 }
                                 for (g, st) in states.iter_mut().enumerate() {
                                     st.class_acc[cl] += u64::from(lp.total(g));
@@ -1398,16 +1381,21 @@ impl Fsm {
     }
 }
 
-/// Bitwise 3-input majority — one majority gate per bit position.
+/// The AQFP output head's majority chain, bitwise over one cycle word (of
+/// one image, or of a `64·W`-lane stripe): the first input, then one
+/// 3-input majority gate per later pair. Both heads fold it this way; MAJ
+/// is symmetric, so the operand order within a gate cannot change a bit.
 #[inline]
-fn maj_word(a: u64, b: u64, c: u64) -> u64 {
-    (a & b) | (a & c) | (b & c)
-}
-
-/// [`maj_word`] across a whole lane stripe (`64·W` lanes per call).
-#[inline]
-fn maj_stripe<const W: usize>(a: Stripe<W>, b: Stripe<W>, c: Stripe<W>) -> Stripe<W> {
-    (a & b) | (a & c) | (b & c)
+fn maj_chain<R, T>(rows: &[R], word: impl Fn(&R) -> T) -> T
+where
+    T: Copy + BitAnd<Output = T> + BitOr<Output = T>,
+{
+    let mut y = word(&rows[0]);
+    for pair in rows[1..].chunks_exact(2) {
+        let (a, b) = (word(&pair[0]), word(&pair[1]));
+        y = (y & a) | (y & b) | (a & b);
+    }
+    y
 }
 
 /// One neuron or sorter-pool window's chunk output for a whole lane group,

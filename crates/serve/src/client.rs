@@ -14,7 +14,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, ClassifyRequest, ClassifyResponse,
-    Request, Response,
+    Request, Response, MAX_FRAME,
 };
 
 /// One blocking protocol connection.
@@ -31,8 +31,32 @@ impl Client {
     }
 
     /// Sends one request frame without waiting for the response.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a request the wire layout cannot carry with
+    /// [`io::ErrorKind::InvalidInput`], before writing anything: a model
+    /// name over 255 bytes, an image that is not `side × side` pixels for a
+    /// side of at most 65 535, or a payload over [`MAX_FRAME`]. Sent, such a
+    /// request would be misframed, and the server would answer it under
+    /// request id 0, which a pipelining caller cannot match to it.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        write_frame(&mut self.stream, &encode_request(req))
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if let Request::Classify(c) = req {
+            let side = c.image.shape().last().copied().unwrap_or(0);
+            if c.model.len() > usize::from(u8::MAX) {
+                return invalid(format!("model name of {} bytes exceeds 255", c.model.len()));
+            }
+            if side > usize::from(u16::MAX) || c.image.len() != side * side {
+                let shape = c.image.shape();
+                return invalid(format!("image {shape:?} is not side × side, side ≤ 65535"));
+            }
+        }
+        let payload = encode_request(req);
+        if payload.len() > MAX_FRAME {
+            return invalid(format!("request of {} bytes exceeds MAX_FRAME", payload.len()));
+        }
+        write_frame(&mut self.stream, &payload)
     }
 
     /// Receives the next response frame (blocking; responses to pipelined
@@ -98,6 +122,40 @@ pub fn stats_field(json: &str, key: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqfp_sc_nn::Tensor;
+    use std::net::TcpListener;
+
+    #[test]
+    fn send_refuses_unframeable_requests_before_writing() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = Client::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut peer, _) = listener.accept().expect("accept");
+        let classify = |model: &str, shape: Vec<usize>| {
+            Request::Classify(ClassifyRequest {
+                request_id: 7,
+                model: model.to_string(),
+                seed: 1,
+                deadline_us: 0,
+                image: Tensor::zeros(shape),
+            })
+        };
+        let refused = [
+            classify(&"m".repeat(256), vec![1, 4, 4]),
+            classify("m", vec![1, 1, 65_536]),
+            classify("m", vec![1, 2, 3]),
+            classify("m", vec![1, 600, 600]),
+        ];
+        for req in &refused {
+            let err = client.send(req).expect_err("unframeable request sent");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
+        // The longest name and a square image still go out; the peer's
+        // first frame is that request, so nothing was written before it.
+        let ok = classify(&"m".repeat(255), vec![1, 4, 4]);
+        client.send(&ok).expect("frameable request");
+        let frame = read_frame(&mut peer).expect("read").expect("a frame");
+        assert_eq!(frame, encode_request(&ok));
+    }
 
     #[test]
     fn stats_field_reads_scalars_and_rejects_arrays() {
