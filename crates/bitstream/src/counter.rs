@@ -7,7 +7,11 @@ use crate::{BitStream, BitstreamError, WORD_BITS};
 /// *column* of an `M × N` product matrix `SP` (Algorithm 1/2). Extracting
 /// columns bit-by-bit would cost `O(M · N)` per block; this counter instead
 /// keeps `⌈log2(M+1)⌉` carry-save bit planes and adds whole 64-cycle words at
-/// a time, which is what makes full-network SC simulation tractable.
+/// a time.
+///
+/// It is the reference counter of the blocks' whole-stream `run()` models
+/// and of [`column_counts`]; inference counts rows in place with
+/// [`column_counts_into`](crate::column_counts_into) and the lane kernels.
 ///
 /// # Example
 ///
@@ -29,7 +33,6 @@ pub struct ColumnCounter {
     planes: Vec<Vec<u64>>,
     words: usize,
     len: usize,
-    added: usize,
 }
 
 impl ColumnCounter {
@@ -39,7 +42,6 @@ impl ColumnCounter {
             planes: Vec::new(),
             words: len.div_ceil(WORD_BITS),
             len,
-            added: 0,
         }
     }
 
@@ -51,11 +53,6 @@ impl ColumnCounter {
     /// `true` when the configured stream length is zero.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of streams accumulated so far.
-    pub fn streams_added(&self) -> usize {
-        self.added
     }
 
     /// Adds one stream to every column count.
@@ -91,39 +88,12 @@ impl ColumnCounter {
         Ok(())
     }
 
-    /// Adds a raw word slice (used by hot paths that compute product words on
-    /// the fly instead of materialising a [`BitStream`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `words.len()` differs from the counter's word count.
-    pub fn add_words(&mut self, words: &[u64]) {
+    /// Adds one stream's words, whose count the callers have checked.
+    fn add_words(&mut self, words: &[u64]) {
         assert_eq!(words.len(), self.words, "word count mismatch");
         for (w, &word) in words.iter().enumerate() {
             self.carry_save(w, word);
         }
-        self.added += 1;
-    }
-
-    /// Accumulates the XNOR product of two word slices — the bipolar SC
-    /// multiplication `x XNOR w` — without materialising the product stream.
-    ///
-    /// Tail bits beyond [`ColumnCounter::len`] in the last word may be set by
-    /// the negation; they land in cycles the count accessors never read.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either slice's length differs from the counter's word
-    /// count. Like [`ColumnCounter::add_all`], both operands are validated
-    /// up front, before any bit plane is touched, so a failed call never
-    /// leaves the counter half-updated.
-    pub fn add_xnor_words(&mut self, x: &[u64], w: &[u64]) {
-        assert_eq!(x.len(), self.words, "word count mismatch");
-        assert_eq!(w.len(), self.words, "word count mismatch");
-        for (i, (&a, &b)) in x.iter().zip(w).enumerate() {
-            self.carry_save(i, !(a ^ b));
-        }
-        self.added += 1;
     }
 
     /// Carry-save addition of one 64-cycle word into the bit planes.
@@ -142,22 +112,6 @@ impl ColumnCounter {
         }
     }
 
-    /// The count of 1s in the given cycle's column.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cycle >= len`.
-    pub fn count_at(&self, cycle: usize) -> u32 {
-        assert!(cycle < self.len, "cycle {cycle} out of range {}", self.len);
-        let w = cycle / WORD_BITS;
-        let b = cycle % WORD_BITS;
-        let mut count = 0u32;
-        for (k, plane) in self.planes.iter().enumerate() {
-            count |= (((plane[w] >> b) & 1) as u32) << k;
-        }
-        count
-    }
-
     /// All per-cycle counts, cycle 0 first.
     pub fn counts(&self) -> Vec<u32> {
         let mut out = Vec::new();
@@ -165,13 +119,12 @@ impl ColumnCounter {
         out
     }
 
-    /// Writes all per-cycle counts into `out`, reusing its allocation
-    /// (the inference hot path calls this once per neuron).
+    /// Writes all per-cycle counts into `out`, reusing its allocation.
     ///
     /// Counts are extracted 64 cycles at a time with branchless 8×8
     /// bit-matrix transposes ([`crate::extract_plane_counts`]) rather than a
     /// per-set-bit scatter loop.
-    pub fn counts_into(&self, out: &mut Vec<u32>) {
+    fn counts_into(&self, out: &mut Vec<u32>) {
         out.clear();
         out.resize(self.len, 0);
         assert!(self.planes.len() <= 32, "count planes exceed u32 range");
@@ -188,29 +141,6 @@ impl ColumnCounter {
                 &mut out[cyc0..cyc0 + valid],
             );
         }
-    }
-
-    /// Resets the counter to the empty state, keeping its configured length
-    /// and the bit-plane allocations (cheap to reuse across neurons).
-    pub fn clear(&mut self) {
-        for plane in &mut self.planes {
-            plane.fill(0);
-        }
-        self.added = 0;
-    }
-
-    /// Resets the counter to the empty state *and* retargets it to streams
-    /// of `len` bits, reusing the bit-plane allocations. The chunked
-    /// streaming path uses this when the final chunk of a stream is shorter
-    /// than the configured chunk length.
-    pub fn reset(&mut self, len: usize) {
-        self.len = len;
-        self.words = len.div_ceil(WORD_BITS);
-        for plane in &mut self.planes {
-            plane.clear();
-            plane.resize(self.words, 0);
-        }
-        self.added = 0;
     }
 }
 
@@ -268,21 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn count_at_agrees_with_counts() {
-        let mut rng = ThermalRng::with_seed(23);
-        let streams: Vec<BitStream> =
-            (0..13).map(|_| BitStream::from_fn(77, |_| rng.next_bit())).collect();
-        let mut cc = ColumnCounter::new(77);
-        for s in &streams {
-            cc.add(s).unwrap();
-        }
-        let counts = cc.counts();
-        for (i, &c) in counts.iter().enumerate() {
-            assert_eq!(cc.count_at(i), c, "cycle {i}");
-        }
-    }
-
-    #[test]
     fn empty_input_errors() {
         assert_eq!(column_counts(&[]), Err(BitstreamError::Empty));
     }
@@ -301,16 +216,6 @@ mod tests {
             cc.add(&BitStream::ones(130)).unwrap();
         }
         assert!(cc.counts().iter().all(|&c| c == 7));
-        assert_eq!(cc.streams_added(), 7);
-    }
-
-    #[test]
-    fn clear_resets_counts() {
-        let mut cc = ColumnCounter::new(8);
-        cc.add(&BitStream::ones(8)).unwrap();
-        cc.clear();
-        assert_eq!(cc.streams_added(), 0);
-        assert!(cc.counts().iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -335,7 +240,6 @@ mod tests {
         let mut batched = ColumnCounter::new(150);
         batched.add_all(&streams).unwrap();
         assert_eq!(one_by_one.counts(), batched.counts());
-        assert_eq!(batched.streams_added(), 9);
     }
 
     #[test]
@@ -343,41 +247,6 @@ mod tests {
         let streams = vec![BitStream::ones(20), BitStream::ones(21)];
         let mut cc = ColumnCounter::new(20);
         assert!(cc.add_all(&streams).is_err());
-        assert_eq!(cc.streams_added(), 0);
-        assert!(cc.counts().iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn add_xnor_words_matches_materialised_product() {
-        let mut rng = ThermalRng::with_seed(41);
-        let x = BitStream::from_fn(130, |_| rng.next_bit());
-        let w = BitStream::from_fn(130, |_| rng.next_bit());
-        let mut fused = ColumnCounter::new(130);
-        fused.add_xnor_words(x.words(), w.words());
-        let mut reference = ColumnCounter::new(130);
-        reference.add(&x.xnor(&w).unwrap()).unwrap();
-        assert_eq!(fused.counts(), reference.counts());
-    }
-
-    #[test]
-    #[should_panic(expected = "word count mismatch")]
-    fn add_xnor_words_rejects_short_operand_before_mutation() {
-        let mut cc = ColumnCounter::new(130);
-        let x = BitStream::ones(130);
-        let w = BitStream::ones(64);
-        cc.add_xnor_words(x.words(), w.words());
-    }
-
-    #[test]
-    fn add_xnor_words_failed_call_leaves_counter_untouched() {
-        let mut cc = ColumnCounter::new(130);
-        let x = BitStream::ones(130);
-        let w = BitStream::ones(64);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cc.add_xnor_words(x.words(), w.words());
-        }));
-        assert!(result.is_err());
-        assert_eq!(cc.streams_added(), 0);
         assert!(cc.counts().iter().all(|&c| c == 0));
     }
 
@@ -389,39 +258,5 @@ mod tests {
         cc.counts_into(&mut buf);
         assert_eq!(buf.len(), 70);
         assert!(buf.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn reset_retargets_length_and_counts_correctly() {
-        let mut cc = ColumnCounter::new(128);
-        cc.add(&BitStream::ones(128)).unwrap();
-        // Shrink to an odd tail length (shorter final chunk) …
-        cc.reset(37);
-        assert_eq!(cc.len(), 37);
-        assert_eq!(cc.streams_added(), 0);
-        cc.add(&BitStream::from_fn(37, |i| i % 2 == 0)).unwrap();
-        let counts = cc.counts();
-        assert_eq!(counts.len(), 37);
-        for (i, &c) in counts.iter().enumerate() {
-            assert_eq!(c, u32::from(i % 2 == 0), "cycle {i}");
-        }
-        // … and grow back.
-        cc.reset(130);
-        cc.add(&BitStream::ones(130)).unwrap();
-        assert!(cc.counts().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn clear_then_reuse_counts_correctly() {
-        let mut cc = ColumnCounter::new(90);
-        for _ in 0..5 {
-            cc.add(&BitStream::ones(90)).unwrap();
-        }
-        cc.clear();
-        cc.add(&BitStream::from_fn(90, |i| i % 2 == 0)).unwrap();
-        let counts = cc.counts();
-        for (i, &c) in counts.iter().enumerate() {
-            assert_eq!(c, u32::from(i % 2 == 0), "cycle {i}");
-        }
     }
 }

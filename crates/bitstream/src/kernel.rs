@@ -449,15 +449,14 @@ impl<const W: usize> OffsetClasses<W> {
 pub enum LaneRow<'a, const W: usize> {
     /// Lane-packed activations XNORed with a scalar weight stream: lane
     /// `g`'s bit at cycle `t` is `!(lanes[t] ^ w[off_g + t])` (weight bit
-    /// 1 keeps the lane, 0 inverts it).
+    /// 1 keeps the lane, 0 inverts it). A conv tap outside the image
+    /// passes the neutral pad as its lanes: the plane whose cycle `t` is
+    /// `Broadcast(neutral).word(t, classes)`.
     Xnor(&'a [Stripe<W>], &'a [u64]),
     /// Lane-packed bits contributing themselves.
     Lanes(&'a [Stripe<W>]),
     /// A scalar stream broadcast to every lane (e.g. a bias stream).
     Broadcast(&'a [u64]),
-    /// XNOR of two scalar streams broadcast to every lane (e.g. a padding
-    /// neutral stream times a weight stream).
-    BroadcastXnor(&'a [u64], &'a [u64]),
 }
 
 #[inline]
@@ -485,7 +484,7 @@ impl<'r, const W: usize> LaneRow<'r, W> {
     fn lanes(&self) -> Option<&'r [Stripe<W>]> {
         match *self {
             LaneRow::Xnor(lanes, _) | LaneRow::Lanes(lanes) => Some(lanes),
-            LaneRow::Broadcast(_) | LaneRow::BroadcastXnor(..) => None,
+            LaneRow::Broadcast(_) => None,
         }
     }
 
@@ -498,7 +497,6 @@ impl<'r, const W: usize> LaneRow<'r, W> {
             LaneRow::Xnor(_, w) => !read(w),
             LaneRow::Lanes(_) => 0,
             LaneRow::Broadcast(s) => read(s),
-            LaneRow::BroadcastXnor(a, b) => !(read(a) ^ read(b)),
         }
     }
 
@@ -508,13 +506,9 @@ impl<'r, const W: usize> LaneRow<'r, W> {
         if let Some(lanes) = self.lanes() {
             assert!(lanes.len() >= clen, "lane row: too few lane words");
         }
-        let covers = |s: &[u64]| s.len() >= scalar_words;
-        let ok = match *self {
-            LaneRow::Xnor(_, s) | LaneRow::Broadcast(s) => covers(s),
-            LaneRow::Lanes(_) => true,
-            LaneRow::BroadcastXnor(a, b) => covers(a) && covers(b),
-        };
-        assert!(ok, "lane row: too few scalar words");
+        if let LaneRow::Xnor(_, s) | LaneRow::Broadcast(s) = *self {
+            assert!(s.len() >= scalar_words, "lane row: too few scalar words");
+        }
     }
 }
 
@@ -1138,15 +1132,18 @@ mod tests {
         for (j, a) in acts.iter().enumerate() {
             pack_lanes_into(a, clen, &mut lanes[j]).unwrap();
         }
+        let classes = OffsetClasses::from_offsets([0]);
+        let pad: Vec<Stripe<1>> = (0..clen)
+            .map(|t| LaneRow::Broadcast(neutral.words()).word(t, &classes))
+            .collect();
         let rows = [
             LaneRow::Xnor(&lanes[0], w[0].words()),
             LaneRow::Xnor(&lanes[1], w[1].words()),
             LaneRow::Xnor(&lanes[2], w[2].words()),
             LaneRow::Broadcast(bias.words()),
-            LaneRow::BroadcastXnor(neutral.words(), w[0].words()),
+            LaneRow::Xnor(&pad, w[0].words()),
         ];
         let mut planes = Vec::new();
-        let classes = OffsetClasses::from_offsets([0]);
         let used = lane_column_planes(&rows, &classes, clen, &mut planes);
         assert!(used <= 3);
 
@@ -1246,11 +1243,14 @@ mod tests {
         let mut lanes: Vec<Stripe<W>> = Vec::new();
         pack_lanes_into(&acts, clen, &mut lanes).unwrap();
         let classes = OffsetClasses::from_offsets(offsets.iter().copied());
+        let u_plane: Vec<Stripe<W>> = (0..clen)
+            .map(|t| LaneRow::Broadcast(u.words()).word(t, &classes))
+            .collect();
         let rows = [
             LaneRow::Xnor(&lanes, w.words()),
             LaneRow::Lanes(&lanes),
             LaneRow::Broadcast(w.words()),
-            LaneRow::BroadcastXnor(w.words(), u.words()),
+            LaneRow::Xnor(&u_plane, w.words()),
         ];
         let mut planes = Vec::new();
         let used = lane_column_planes(&rows, &classes, clen, &mut planes);

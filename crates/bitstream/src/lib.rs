@@ -15,8 +15,9 @@
 //! * [`Sng`] — the comparator-based stochastic number generator (binary →
 //!   stochastic conversion, paper §4.1).
 //! * [`ColumnCounter`] — bit-sliced "vertical" counters that turn a set of
-//!   streams into per-cycle column popcounts; this is the workhorse behind
-//!   the sorter-based blocks of the paper (Algorithms 1 and 2).
+//!   streams into per-cycle column popcounts: the reference counter of the
+//!   sorter-based blocks of the paper (Algorithms 1 and 2); inference
+//!   counts rows in place with [`column_counts_into`] and the lane kernels.
 //! * [`scc`] / [`pearson_correlation`] — stream correlation metrics used to
 //!   validate the shared RNG matrix (paper Fig. 8).
 //!

@@ -75,36 +75,6 @@ impl BitStream {
         Self::from_bits((0..len).map(f))
     }
 
-    /// Refills this stream in place as a fresh `len`-bit stream built from
-    /// `f(cycle)`, reusing the word allocation (the chunked streaming path
-    /// regenerates per-chunk buffers thousands of times per image).
-    pub fn fill_from_fn<F: FnMut(usize) -> bool>(&mut self, len: usize, f: F) {
-        self.fill_from_bits((0..len).map(f));
-    }
-
-    /// Refills this stream in place from an iterator of bits (cycle 0
-    /// first), reusing the word allocation — the in-place counterpart of
-    /// [`BitStream::from_bits`].
-    pub fn fill_from_bits<I: IntoIterator<Item = bool>>(&mut self, bits: I) {
-        self.words.clear();
-        let mut len = 0usize;
-        let mut cur = 0u64;
-        for b in bits {
-            if b {
-                cur |= 1u64 << (len % WORD_BITS);
-            }
-            len += 1;
-            if len.is_multiple_of(WORD_BITS) {
-                self.words.push(cur);
-                cur = 0;
-            }
-        }
-        if !len.is_multiple_of(WORD_BITS) {
-            self.words.push(cur);
-        }
-        self.len = len;
-    }
-
     /// Refills this stream in place as a `len`-bit stream built one word at
     /// a time: `f(word_index, valid_bits)` must return the packed word for
     /// cycles `word_index * 64 ..`, of which only the low `valid_bits` bits
@@ -124,25 +94,6 @@ impl BitStream {
         }
     }
 
-    /// Refills this stream in place from packed words (the in-place
-    /// counterpart of [`BitStream::from_words`]). Extra bits in the final
-    /// word beyond `len` are cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` holds fewer than `len` bits.
-    pub fn fill_from_words(&mut self, words: &[u64], len: usize) {
-        assert!(
-            words.len() * WORD_BITS >= len,
-            "{} words cannot hold {len} bits",
-            words.len()
-        );
-        self.words.clear();
-        self.words.extend_from_slice(&words[..Self::words_for(len)]);
-        self.len = len;
-        self.mask_tail();
-    }
-
     /// Copies the `len` bits starting at cycle `start` into a new stream
     /// (cycle `start` of `self` becomes cycle 0 of the slice).
     ///
@@ -150,30 +101,17 @@ impl BitStream {
     ///
     /// Panics when `start + len` exceeds the stream length.
     pub fn slice(&self, start: usize, len: usize) -> BitStream {
-        let mut out = BitStream::zeros(0);
-        self.slice_into(start, len, &mut out);
-        out
-    }
-
-    /// [`BitStream::slice`] into an existing stream, reusing its allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `start + len` exceeds the stream length.
-    pub fn slice_into(&self, start: usize, len: usize, out: &mut BitStream) {
         assert!(
             start.checked_add(len).is_some_and(|end| end <= self.len),
             "slice {start}..{} out of range for length {}",
             start + len,
             self.len
         );
-        let words = Self::words_for(len);
-        out.words.clear();
-        out.words.resize(words, 0);
-        out.len = len;
+        let mut out = BitStream::zeros(len);
         let first = start / WORD_BITS;
         let shift = start % WORD_BITS;
         if shift == 0 {
+            let words = out.words.len();
             out.words.copy_from_slice(&self.words[first..first + words]);
         } else {
             for (i, w) in out.words.iter_mut().enumerate() {
@@ -186,6 +124,7 @@ impl BitStream {
             }
         }
         out.mask_tail();
+        out
     }
 
     /// Builds a stream directly from packed words.
@@ -612,14 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_into_reuses_allocation() {
-        let s = BitStream::from_fn(130, |i| i % 3 == 0);
-        let mut out = BitStream::ones(500);
-        s.slice_into(65, 40, &mut out);
-        assert_eq!(out, s.slice(65, 40));
-    }
-
-    #[test]
     fn alternating_slices_keep_absolute_parity() {
         // The neutral 0101… stream sliced at an odd offset must start with 0
         // — restarting the pattern per chunk is exactly the count-drift bug
@@ -629,15 +560,6 @@ mod tests {
         assert_eq!(odd.get(0), Some(false));
         let even = neutral.slice(38, 10);
         assert_eq!(even.get(0), Some(true));
-    }
-
-    #[test]
-    fn fill_from_fn_matches_from_fn_and_resizes() {
-        let mut buf = BitStream::ones(7);
-        for len in [0usize, 5, 64, 129] {
-            buf.fill_from_fn(len, |i| i % 4 == 1);
-            assert_eq!(buf, BitStream::from_fn(len, |i| i % 4 == 1), "len {len}");
-        }
     }
 
     #[test]
@@ -661,21 +583,6 @@ mod tests {
         let mut buf = BitStream::zeros(0);
         buf.fill_words_with(5, |_, _| u64::MAX);
         assert_eq!(buf.count_ones(), 5);
-    }
-
-    #[test]
-    fn fill_from_words_matches_from_words() {
-        let mut buf = BitStream::ones(3);
-        buf.fill_from_words(&[u64::MAX, u64::MAX], 70);
-        assert_eq!(buf, BitStream::from_words(vec![u64::MAX, u64::MAX], 70));
-        assert_eq!(buf.count_ones(), 70);
-    }
-
-    #[test]
-    fn fill_from_bits_matches_from_bits() {
-        let mut buf = BitStream::ones(100);
-        buf.fill_from_bits((0..130).map(|i| i % 7 == 2));
-        assert_eq!(buf, BitStream::from_fn(130, |i| i % 7 == 2));
     }
 
     #[test]

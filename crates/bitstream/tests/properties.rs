@@ -414,17 +414,27 @@ fn check_class_rows<const W: usize>(
             p
         })
         .collect();
+    let table = OffsetClasses::from_offsets(offsets.iter().copied());
+    // Form 3 is an out-of-bounds conv tap: `u` as a lane plane at each
+    // lane's class offset, XNORed with the weight `s`.
+    let u_planes: Vec<Vec<Stripe<W>>> = scalars
+        .iter()
+        .map(|(_, u)| {
+            (0..clen)
+                .map(|t| LaneRow::Broadcast(u.words()).word(t, &table))
+                .collect()
+        })
+        .collect();
     let rows: Vec<LaneRow<'_, W>> = forms
         .iter()
-        .zip(packed.iter().zip(&scalars))
-        .map(|(&form, (lane, (s, u)))| match form {
+        .zip(packed.iter().zip(scalars.iter().zip(&u_planes)))
+        .map(|(&form, (lane, ((s, _), u_plane)))| match form {
             0 => LaneRow::Xnor(lane, s.words()),
             1 => LaneRow::Lanes(lane),
             2 => LaneRow::Broadcast(s.words()),
-            _ => LaneRow::BroadcastXnor(s.words(), u.words()),
+            _ => LaneRow::Xnor(u_plane, s.words()),
         })
         .collect();
-    let table = OffsetClasses::from_offsets(offsets.iter().copied());
     let mut planes = Vec::new();
     let used = lane_column_planes(&rows, &table, clen, &mut planes);
     for (g, &off) in offsets.iter().enumerate() {

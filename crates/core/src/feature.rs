@@ -95,7 +95,9 @@ impl FeatureExtraction {
         if self.m != self.inputs {
             counter.add(&BitStream::alternating(len))?;
         }
-        Ok(self.run_counts_resume(&counter.counts(), &mut 0))
+        let mut out = BitStream::zeros(0);
+        self.run_counts_resume_into(&counter.counts(), &mut 0, &mut out);
+        Ok(out)
     }
 
     /// Runs the block on precomputed per-cycle column counts (the network
@@ -111,15 +113,9 @@ impl FeatureExtraction {
     /// Counts must already include the neutral-padding stream when
     /// `width() != inputs()` — [`FeatureExtraction::pad_count_at`] helps
     /// (index it by the ABSOLUTE cycle when resuming mid-stream).
-    pub fn run_counts_resume(&self, counts: &[u32], r: &mut i64) -> BitStream {
-        let mut out = BitStream::zeros(0);
-        self.run_counts_resume_into(counts, r, &mut out);
-        out
-    }
-
-    /// [`FeatureExtraction::run_counts_resume`] into an existing stream,
-    /// reusing its allocation (the plan hot path produces one activation
-    /// stream per neuron per chunk).
+    ///
+    /// Writes into `out`, reusing its allocation (the plan produces one
+    /// activation stream per neuron per chunk).
     pub fn run_counts_resume_into(&self, counts: &[u32], r: &mut i64, out: &mut BitStream) {
         lanes::run_words(self, counts, r, out);
     }
@@ -401,7 +397,8 @@ mod tests {
         // here against a direct scalar recursion.
         let fe = FeatureExtraction::new(9);
         let counts: Vec<u32> = (0..200).map(|i| ((i * 7) % 10) as u32).collect();
-        let so = fe.run_counts_resume(&counts, &mut 0);
+        let mut so = BitStream::zeros(0);
+        fe.run_counts_resume_into(&counts, &mut 0, &mut so);
         let mut r = 0i64;
         let mut total = 0i64;
         for &c in &counts {
@@ -428,8 +425,10 @@ mod tests {
         for (i, c) in padded.iter_mut().enumerate() {
             *c += fe.pad_count_at(i);
         }
-        let whole = fe.run_counts_resume(&padded, &mut 0);
+        let mut whole = BitStream::zeros(0);
+        fe.run_counts_resume_into(&padded, &mut 0, &mut whole);
         // Chunked with ABSOLUTE parity: bit-identical, odd 37-cycle chunks.
+        let mut out = BitStream::zeros(0);
         let mut r = 0i64;
         let mut bits = Vec::new();
         let mut offset = 0usize;
@@ -439,7 +438,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, &c)| c + fe.pad_count_at(offset + i))
                 .collect();
-            bits.extend(fe.run_counts_resume(&local, &mut r).iter());
+            fe.run_counts_resume_into(&local, &mut r, &mut out);
+            bits.extend(out.iter());
             offset += chunk.len();
         }
         assert_eq!(BitStream::from_bits(bits), whole);
@@ -452,7 +452,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, &c)| c + fe.pad_count_at(i))
                 .collect();
-            bad.extend(fe.run_counts_resume(&local, &mut r_bad).iter());
+            fe.run_counts_resume_into(&local, &mut r_bad, &mut out);
+            bad.extend(out.iter());
         }
         assert_ne!(BitStream::from_bits(bad), whole, "drift went undetected");
     }
@@ -532,7 +533,8 @@ mod tests {
         }
         for (g, cs) in counts.iter().enumerate() {
             let mut rr = 0i64;
-            let want = fe.run_counts_resume(cs, &mut rr);
+            let mut want = BitStream::zeros(0);
+            fe.run_counts_resume_into(cs, &mut rr, &mut want);
             for (t, w) in want.iter().enumerate() {
                 assert_eq!(out[t].get(g) == 1, w, "lane {g} cycle {t}");
             }

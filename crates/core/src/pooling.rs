@@ -61,7 +61,9 @@ impl AveragePooling {
         }
         let mut counter = ColumnCounter::new(first.len());
         counter.add_all(streams)?;
-        Ok(self.run_counts_resume(&counter.counts(), &mut 0))
+        let mut out = BitStream::zeros(0);
+        self.run_counts_resume_into(&counter.counts(), &mut 0, &mut out);
+        Ok(out)
     }
 
     /// Runs the block on precomputed per-cycle column counts — the single
@@ -71,15 +73,9 @@ impl AveragePooling {
     /// for a whole-stream (non-resumed) run. Splitting a count sequence
     /// into chunks and threading `r` through is bit-identical to one
     /// whole-sequence call.
-    pub fn run_counts_resume(&self, counts: &[u32], r: &mut i64) -> BitStream {
-        let mut out = BitStream::zeros(0);
-        self.run_counts_resume_into(counts, r, &mut out);
-        out
-    }
-
-    /// [`AveragePooling::run_counts_resume`] into an existing stream,
-    /// reusing its allocation (the plan hot path produces one pooled stream
-    /// per window per chunk).
+    ///
+    /// Writes into `out`, reusing its allocation (the plan produces one
+    /// pooled stream per window per chunk).
     pub fn run_counts_resume_into(&self, counts: &[u32], r: &mut i64, out: &mut BitStream) {
         lanes::run_words(self, counts, r, out);
     }
@@ -273,7 +269,8 @@ mod tests {
         }
         for (g, cs) in counts.iter().enumerate() {
             let mut rr = 0i64;
-            let want = pool.run_counts_resume(cs, &mut rr);
+            let mut want = BitStream::zeros(0);
+            pool.run_counts_resume_into(cs, &mut rr, &mut want);
             for (t, w) in want.iter().enumerate() {
                 assert_eq!(out[t].get(g) == 1, w, "lane {g} cycle {t}");
             }

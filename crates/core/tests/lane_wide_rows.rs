@@ -1,6 +1,6 @@
 //! Wide-kernel lane counting against the scalar reference: kernels of
 //! 17..=1024 rows (the slab-compressor path of `lane_counts_stream`) mixed
-//! from all four `LaneRow` forms, over ragged lane groups at every stripe
+//! from all three `LaneRow` forms, over ragged lane groups at every stripe
 //! width whose lanes sit at random absolute offsets (1..=9 offset
 //! classes, so both the one-class and the multi-class gathers run), with
 //! chunk lengths that end mid-word and after several 64-cycle blocks. The
@@ -22,15 +22,14 @@ use proptest::prelude::*;
 /// One kernel row: its `LaneRow` form plus the operands behind it, kept
 /// both per lane (for the scalar reference) and lane-packed.
 struct Row<const W: usize> {
-    /// Which of the four `LaneRow` forms this row takes (0..4).
+    /// Which of the three `LaneRow` forms this row takes (0..3).
     form: usize,
     /// Lane operand, one stream per lane, and its packed stripes.
     a: Vec<BitStream>,
     a_lanes: Vec<Stripe<W>>,
-    /// Full-length scalar operands (weight / bias / neutral forms), read
-    /// at each lane's offset.
+    /// Full-length scalar operand (weight / bias form), read at each
+    /// lane's offset.
     s: BitStream,
-    u: BitStream,
 }
 
 /// A ragged lane group split into offset classes: lane `g` sits at
@@ -67,7 +66,7 @@ fn random_rows<const W: usize>(
 ) -> Vec<Row<W>> {
     (0..n)
         .map(|_| {
-            let form = (rng.next_u64() % 4) as usize;
+            let form = (rng.next_u64() % 3) as usize;
             let (a, a_lanes) = if form < 2 {
                 let a: Vec<BitStream> = (0..lanes).map(|_| random_stream(rng, clen)).collect();
                 let mut packed = Vec::new();
@@ -77,8 +76,7 @@ fn random_rows<const W: usize>(
                 (Vec::new(), Vec::new())
             };
             let s = random_stream(rng, bit_len);
-            let u = random_stream(rng, bit_len);
-            Row { form, a, a_lanes, s, u }
+            Row { form, a, a_lanes, s }
         })
         .collect()
 }
@@ -91,8 +89,7 @@ fn chunk_rows<const W: usize>(rows: &[Row<W>], pos: usize, c: usize) -> Vec<Lane
         .map(|row| match row.form {
             0 => LaneRow::Xnor(&row.a_lanes[pos..pos + c], row.s.words()),
             1 => LaneRow::Lanes(&row.a_lanes[pos..pos + c]),
-            2 => LaneRow::Broadcast(row.s.words()),
-            _ => LaneRow::BroadcastXnor(row.s.words(), row.u.words()),
+            _ => LaneRow::Broadcast(row.s.words()),
         })
         .collect()
 }
@@ -112,10 +109,10 @@ fn reference_counts<const W: usize>(
     group: &Group,
     clen: usize,
 ) -> Vec<Vec<u32>> {
-    let sliced: Vec<Vec<(BitStream, BitStream)>> = group
+    let sliced: Vec<Vec<BitStream>> = group
         .distinct
         .iter()
-        .map(|&o| rows.iter().map(|r| (r.s.slice(o, clen), r.u.slice(o, clen))).collect())
+        .map(|&o| rows.iter().map(|r| r.s.slice(o, clen)).collect())
         .collect();
     group
         .offsets
@@ -126,11 +123,10 @@ fn reference_counts<const W: usize>(
             let krows: Vec<KernelRow<'_>> = rows
                 .iter()
                 .zip(&sliced[class])
-                .map(|(row, (s, u))| match row.form {
+                .map(|(row, s)| match row.form {
                     0 => KernelRow::Xnor(row.a[g].words(), s.words()),
                     1 => KernelRow::Broadcast(row.a[g].words()),
-                    2 => KernelRow::Broadcast(s.words()),
-                    _ => KernelRow::Xnor(s.words(), u.words()),
+                    _ => KernelRow::Broadcast(s.words()),
                 })
                 .collect();
             let mut counts = Vec::new();
@@ -214,10 +210,12 @@ fn check<const W: usize>(
     }
     for g in 0..lanes {
         let mut r = 0i64;
-        let fe_bits = fe.run_counts_resume(&fe_want[g], &mut r);
+        let mut fe_bits = BitStream::zeros(0);
+        fe.run_counts_resume_into(&fe_want[g], &mut r, &mut fe_bits);
         prop_assert_eq!(fe_r[g], r, "FE feedback, lane {}", g);
         let mut r = 0i64;
-        let pool_bits = pool.run_counts_resume(&want[g], &mut r);
+        let mut pool_bits = BitStream::zeros(0);
+        pool.run_counts_resume_into(&want[g], &mut r, &mut pool_bits);
         prop_assert_eq!(pool_r[g], r, "pool residual, lane {}", g);
         let mut scalar = btanh.initial_state();
         for t in 0..clen {

@@ -66,7 +66,8 @@ proptest! {
     ) {
         let m = 11usize;
         let fe = FeatureExtraction::new(m);
-        let so = fe.run_counts_resume(&counts, &mut 0);
+        let mut so = BitStream::zeros(0);
+        fe.run_counts_resume_into(&counts, &mut 0, &mut so);
         let thr = m.div_ceil(2) as i64;
         let mut r = 0i64;
         let mut fires = 0usize;
@@ -87,9 +88,12 @@ proptest! {
         // Adding ones to the input can never remove output ones.
         let m = 9usize;
         let fe = FeatureExtraction::new(m);
-        let base = fe.run_counts_resume(&counts, &mut 0).count_ones();
+        let mut out = BitStream::zeros(0);
+        fe.run_counts_resume_into(&counts, &mut 0, &mut out);
+        let base = out.count_ones();
         let boosted: Vec<u32> = counts.iter().map(|&c| (c + 1).min(m as u32)).collect();
-        let more = fe.run_counts_resume(&boosted, &mut 0).count_ones();
+        fe.run_counts_resume_into(&boosted, &mut 0, &mut out);
+        let more = out.count_ones();
         prop_assert!(more >= base);
     }
 

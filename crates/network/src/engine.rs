@@ -26,9 +26,11 @@ use crate::streaming::StreamingEngine;
 ///
 /// Construction pays the full weight-stream generation cost once (the
 /// engine owns an [`ExecPlan`]); every subsequent image only generates its
-/// pixel streams and runs the word-level column-count pipeline as a single
-/// full-length chunk. [`scores_batch`] / [`classify_batch`] share the
-/// batch among `threads` scoped workers.
+/// pixel streams and runs one full-length chunk: in lane groups of up to
+/// `64 ·` [`stripe_width`](crate::stripe_width) images, or alone through
+/// [`ExecPlan::advance`] where a group would hold fewer than
+/// [`lane_min`](crate::lane_min). [`scores_batch`] / [`classify_batch`]
+/// share the batch among `threads` scoped workers.
 ///
 /// [`scores_batch`]: InferenceEngine::scores_batch
 /// [`classify_batch`]: InferenceEngine::classify_batch

@@ -74,7 +74,7 @@ pub use compile::{CompiledLayer, CompiledNetwork};
 pub use cost::{network_cost, NetworkCost, PlatformCost};
 pub use engine::InferenceEngine;
 pub use eval::{run_table9, Table9Config, Table9Row};
-pub use plan::{BatchArena, ExecPlan, ExecState, PlanFingerprint, Platform, StripeArenas};
+pub use plan::{ExecPlan, ExecState, PlanFingerprint, Platform, StripeArenas};
 pub use registry::{ModelRegistry, RegistryError};
 pub use scheduler::{lane_min, stripe_width, GroupStats};
 pub use streaming::{

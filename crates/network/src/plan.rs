@@ -39,14 +39,21 @@
 //! # Two lane orientations
 //!
 //! Both cores run the same lane kernel and FSM sweeps
-//! (`run_rows_resume_into`). [`ExecPlan::advance_batch`] puts up to
-//! `64·W` **images** in the lanes. [`ExecPlan::advance`] runs a lone
+//! (`run_rows_resume_into`). [`ExecPlan::advance_batch_striped`] puts up
+//! to `64·W` **images** in the lanes. [`ExecPlan::advance`] runs a lone
 //! image's conv and pool layers with one output channel's **positions**
 //! in the lanes, at the narrowest stripe width covering them, and unpacks
 //! the outputs to per-neuron streams; its dense and output layers run one
 //! neuron at a time. A `Valid` conv whose kernel covers its whole input
 //! has one position and is planned as the dense layer it equals. Each
 //! neuron sees the same counts and FSM steps either way.
+//!
+//! A `Same` conv's tap that falls outside the image reads the `0101…`
+//! neutral pad in its lane, at that lane's absolute cycle, under the one
+//! rule `LaneRow::Broadcast(neutral).word(t, classes)`: a lane group
+//! builds the pad plane once per chunk at each class's offset, and a lone
+//! image masks the same words into the out-of-bounds lanes of its tap
+//! planes.
 //!
 //! # Seed discipline
 //!
@@ -625,11 +632,11 @@ impl ExecPlan {
     /// kernels: the same packed cycle slot of every image goes into one
     /// [`Stripe`] (lane `g` in bit `g % 64` of stripe element `g / 64`) and
     /// the per-image FSM state (sorter feedback or `Btanh` counter
-    /// registers, selector RNGs) stays scalar. The stripe width
-    /// `W ∈ {1, 2, 4}` is picked from the group size — bit-identity across
-    /// widths makes the choice invisible.
-    /// Bit-identical to advancing each state with [`ExecPlan::advance`]
-    /// over the same cycles.
+    /// registers, selector RNGs) stays scalar. The narrowest stripe width
+    /// `W ∈ {1, 2, 4}` covering the group runs the chunk, so a draining
+    /// group keeps its vector lanes full; bit-identity across widths makes
+    /// the choice invisible. Bit-identical to advancing each state with
+    /// [`ExecPlan::advance`] over the same cycles.
     ///
     /// The states may sit at **different** absolute cycle offsets (a
     /// retire-and-refill streaming group mixes half-done survivors with
@@ -645,26 +652,19 @@ impl ExecPlan {
     /// Chunks are clamped to the *smallest* remaining budget across the
     /// states and to [`MAX_KERNEL_ROWS`] cycles (the lane popcount
     /// capacity), so callers should loop
-    /// `while plan.advance_batch(&mut states, n) > 0 {}`. Returns the
-    /// number of cycles consumed (0 once any state has finished — retire
-    /// finished states from the group to keep the rest advancing).
+    /// `while plan.advance_batch_striped(&mut states, n, &mut arenas) > 0 {}`.
+    /// Returns the number of cycles consumed (0 once any state has
+    /// finished — retire finished states from the group to keep the rest
+    /// advancing). Takes `&mut ExecState` references so a scheduler can
+    /// advance lanes that live inside its own bookkeeping structures. The
+    /// [`StripeArenas`] keep each width's lane buffers alive across
+    /// chunks, so a steady-state streaming loop allocates nothing per
+    /// chunk.
     ///
     /// # Panics
     ///
     /// Panics when `states` is empty or holds more than [`MAX_LANES`]
     /// states, or when any state is not bound to this plan.
-    pub fn advance_batch(&self, states: &mut [ExecState], max_cycles: usize) -> usize {
-        let mut arenas = StripeArenas::default();
-        let mut refs: Vec<&mut ExecState> = states.iter_mut().collect();
-        self.advance_batch_striped(&mut refs, max_cycles, &mut arenas)
-    }
-
-    /// [`ExecPlan::advance_batch`] with caller-owned scratch and automatic
-    /// stripe-width selection: the narrowest `W ∈ {1, 2, 4}` covering the
-    /// group runs the chunk, so a draining group keeps its vector lanes
-    /// full. The [`StripeArenas`] keep each width's lane buffers alive
-    /// across chunks, so a steady-state streaming driver allocates nothing
-    /// per chunk.
     pub fn advance_batch_striped(
         &self,
         states: &mut [&mut ExecState],
@@ -678,27 +678,22 @@ impl ExecPlan {
         }
     }
 
-    /// [`ExecPlan::advance_batch`] at one fixed stripe width with
-    /// caller-owned scratch: the [`BatchArena`] keeps the lane-packed
-    /// buffers alive across chunks, so a steady-state streaming driver
-    /// allocates nothing per chunk. Takes `&mut ExecState` references so a
-    /// scheduler can advance lanes that live inside its own bookkeeping
-    /// structures. `W = 1` is the zero-regression 64-lane baseline.
-    pub fn advance_batch_in<const W: usize>(
+    /// [`ExecPlan::advance_batch_striped`] at one fixed stripe width `W`.
+    fn advance_batch_in<const W: usize>(
         &self,
         states: &mut [&mut ExecState],
         max_cycles: usize,
         arena: &mut BatchArena<W>,
     ) -> usize {
         assert!(
-            !states.is_empty() && states.len() <= WORD_BITS * W && states.len() <= MAX_LANES,
-            "advance_batch takes 1..=64*W states"
+            !states.is_empty() && states.len() <= WORD_BITS * W,
+            "advance_batch_striped takes 1..=64*W states"
         );
         let fp = self.fingerprint();
         for st in states.iter() {
             assert_eq!(st.bound.as_ref(), Some(&fp), "state is not bound to this plan");
         }
-        let BatchArena { cur, next, masks, r_scratch, classes } = arena;
+        let BatchArena { cur, next, masks, r_scratch, classes, pad_plane } = arena;
         let remaining = states.iter().map(|s| self.stream_len - s.cycles).min().unwrap();
         let clen = max_cycles.min(remaining).min(MAX_KERNEL_ROWS);
         if clen == 0 {
@@ -712,6 +707,11 @@ impl ExecPlan {
         let n = states.len();
         let platform = self.platform;
         let neutral = self.neutral.words();
+        // Out-of-bounds conv taps carry the neutral pad at each lane's own
+        // class offset: one lane plane per chunk, read like any input.
+        pad_plane.clear();
+        pad_plane.extend((0..clen).map(|t| LaneRow::Broadcast(neutral).word(t, classes)));
+        let pad_plane = &*pad_plane;
         // Generate this chunk of every image's pixel streams, then pack
         // them into lane layout: cur[p][t] holds packed cycle slot t of
         // pixel stream p across all images (image g in bit g).
@@ -762,15 +762,12 @@ impl ExecPlan {
                                                 || ix < 0
                                                 || iy >= h as isize
                                                 || ix >= w_dim as isize;
-                                            let wj = w.row(oc * m + j);
-                                            rows.push(if oob {
-                                                // Zero-valued padding row × weight.
-                                                LaneRow::BroadcastXnor(neutral, wj)
+                                            let x = if oob {
+                                                pad_plane
                                             } else {
-                                                let x = &cur
-                                                    [(ic * h + iy as usize) * w_dim + ix as usize];
-                                                LaneRow::Xnor(x, wj)
-                                            });
+                                                &cur[(ic * h + iy as usize) * w_dim + ix as usize]
+                                            };
+                                            rows.push(LaneRow::Xnor(x, w.row(oc * m + j)));
                                             j += 1;
                                         }
                                     }
@@ -1051,11 +1048,11 @@ impl ExecPlan {
                 pack_lanes_into(members, clen, plane).expect("positions within the stripe");
                 if !outside.is_zero() {
                     // Out-of-bounds lanes hold the neutral pad at the
-                    // chunk's absolute cycles in place of their stand-in.
-                    for (c, s) in plane.iter_mut().enumerate() {
-                        let t = offset + c;
-                        let bit = (neutral[t / WORD_BITS] >> (t % WORD_BITS)) & 1;
-                        *s = (*s & !outside) | (Stripe::splat(bit.wrapping_neg()) & outside);
+                    // chunk's absolute cycles in place of their stand-in,
+                    // as a lane group's pad plane does at each class offset.
+                    for (t, s) in plane.iter_mut().enumerate() {
+                        let pad = LaneRow::Broadcast(neutral).word(t, classes);
+                        *s = (*s & !outside) | (pad & outside);
                     }
                 }
             }
@@ -1166,18 +1163,19 @@ impl ExecPlan {
     }
 }
 
-/// Reusable scratch for the batch-transposed path
-/// ([`ExecPlan::advance_batch_in`]) at stripe width `W`: the lane-packed
-/// activation ping-pong arenas, the CMOS mux-pool selector masks, gathered
-/// per-lane FSM residuals, and the group's offset-class table. Weight,
-/// bias and neutral streams are never copied: every row reads the plan's
-/// cached streams at its lanes' class offsets. Every buffer grows to its
-/// high-water mark and is then reused, so a steady-state chunk driver
-/// allocates nothing per chunk. The spatial orientation of
-/// [`ExecPlan::advance`] uses the same buffers for a lone image's conv
-/// and pool layers on either platform: packed input or window planes,
-/// one lane group's fired stripes, and a one-class table.
-pub struct BatchArena<const W: usize = 1> {
+/// Reusable scratch for a group advance at stripe width `W`: the
+/// lane-packed activation ping-pong arenas, the CMOS mux-pool selector
+/// masks, gathered per-lane FSM residuals, the group's offset-class table
+/// and its neutral pad plane. Weight, bias and neutral streams are never
+/// copied: every row reads the plan's cached streams at its lanes' class
+/// offsets. Every buffer grows to its high-water mark and is then reused,
+/// so a steady-state chunk loop allocates nothing per chunk. The
+/// spatial orientation of [`ExecPlan::advance`] uses the same buffers for
+/// a lone image's conv and pool layers on either platform: packed input
+/// or window planes, one lane group's fired stripes, and a one-class
+/// table.
+#[derive(Default)]
+struct BatchArena<const W: usize> {
     /// Lane-packed activations the layer under evaluation reads.
     cur: Vec<Vec<Stripe<W>>>,
     /// Lane-packed activations the layer under evaluation writes.
@@ -1189,18 +1187,9 @@ pub struct BatchArena<const W: usize = 1> {
     r_scratch: Vec<i64>,
     /// The group's lanes split by absolute cycle offset.
     classes: OffsetClasses<W>,
-}
-
-impl<const W: usize> Default for BatchArena<W> {
-    fn default() -> Self {
-        Self {
-            cur: Vec::new(),
-            next: Vec::new(),
-            masks: Vec::new(),
-            r_scratch: Vec::new(),
-            classes: OffsetClasses::default(),
-        }
-    }
+    /// The `0101…` neutral pad over the chunk: lane `g` at cycle `t` holds
+    /// the pad's bit at `g`'s class offset plus `t`.
+    pad_plane: Vec<Stripe<W>>,
 }
 
 impl<const W: usize> BatchArena<W> {
@@ -1225,9 +1214,9 @@ impl<const W: usize> BatchArena<W> {
     }
 }
 
-/// One [`BatchArena`] per supported stripe width, so a driver that picks
-/// the narrowest width covering each chunk's live lane count
-/// ([`ExecPlan::advance_batch_striped`]) keeps every width's high-water
+/// The lane scratch of one group advance per supported stripe width, so
+/// [`ExecPlan::advance_batch_striped`], which picks the narrowest width
+/// covering each chunk's live lane count, keeps every width's high-water
 /// buffers alive across chunks. Idle widths cost only empty `Vec`s.
 #[derive(Default)]
 pub struct StripeArenas {

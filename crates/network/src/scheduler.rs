@@ -31,14 +31,13 @@
 //! the stripe dense instead of dragging finished images to full N.
 //! Refilled lanes start at absolute cycle 0 while survivors sit
 //! mid-stream;
-//! [`ExecPlan::advance_batch_in`](crate::ExecPlan::advance_batch_in)
+//! [`ExecPlan::advance_batch_striped`](crate::ExecPlan::advance_batch_striped)
 //! groups the lanes into offset classes and reads every image-independent
 //! stream in place at each class's offset, broadcast to that class's
 //! lanes, which is what makes compaction bit-drift-free. Each group
-//! advance runs at the narrowest stripe width covering the live lane count
-//! ([`ExecPlan::advance_batch_striped`](crate::ExecPlan::advance_batch_striped))
-//! — stripe-width independence of the kernels makes the per-step choice
-//! invisible in the bits.
+//! advance runs at the narrowest stripe width covering the live lane
+//! count — stripe-width independence of the kernels makes the per-step
+//! choice invisible in the bits.
 //!
 //! # Live sources
 //!
@@ -62,6 +61,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use aqfp_sc_bitstream::MAX_STRIPE_WORDS;
 use aqfp_sc_nn::Tensor;
 
 use crate::engine::InferenceEngine;
@@ -96,27 +96,20 @@ pub fn lane_min(platform: Platform) -> usize {
 
 /// Stripe width `W` (64-bit words per [`Stripe`](aqfp_sc_bitstream::Stripe),
 /// i.e. `64·W` lanes per group) the batch-transposed path targets on this
-/// platform — the lane-group capacity the front-ends request. `W = 1` is
-/// the zero-regression 64-lane baseline; the scheduler still drops to the
-/// narrowest width covering the live lanes per step, so a wide target
-/// never penalises a draining group.
+/// platform — the lane-group capacity the front-ends request. The
+/// scheduler still drops to the narrowest width covering the live lanes
+/// per step, so a wide target never penalises a draining group.
 ///
-/// Measured break-even (same `calibrate` bench as [`lane_min`]): on both
-/// platforms the per-chunk cost of a group advance is dominated by work
-/// proportional to the stripe width only while lanes are live, and the
-/// auto-vectorised `[u64; W]` plane ops amortise pack/broadcast overhead
-/// further with every doubling — W=4 is the widest supported stripe and
-/// measures fastest per image on both platforms at full occupancy
-/// (AQFP ~3.4×, CMOS ~1.9× the spatial scalar core at 256 lanes), so
-/// both pick it. The 128-lane row trails 64 slightly on both platforms (a W=2
-/// stripe pays two words per op over lanes a single full word already
-/// covers), which is why the scheduler drops to the narrowest covering
-/// width as a group drains instead of staying wide.
-pub fn stripe_width(platform: Platform) -> usize {
-    match platform {
-        Platform::Aqfp => 4,
-        Platform::Cmos => 4,
-    }
+/// Measured (same `calibrate` bench as [`lane_min`]): the widest
+/// supported stripe, W = 4, measures fastest per image on both platforms
+/// at full occupancy (AQFP ~3.4×, CMOS ~1.9× the spatial scalar core at
+/// 256 lanes), so both pick it. The 128-lane row trails 64 slightly on
+/// both platforms (a W = 2 stripe pays two words per op over lanes a
+/// single full word already covers), which is why the scheduler drops to
+/// the narrowest covering width as a group drains instead of staying
+/// wide.
+pub fn stripe_width(_platform: Platform) -> usize {
+    MAX_STRIPE_WORDS
 }
 
 /// Occupancy accounting of a lane-group run: how full the machine word was

@@ -39,7 +39,7 @@
 //! chunk count per image as the scalar chunk loop of
 //! [`StreamingEngine::classify`] — the scheduler advances each lane to
 //! exactly the cycles the scalar loop would, and the offset classes of
-//! [`ExecPlan::advance_batch`](crate::ExecPlan::advance_batch) — each
+//! [`ExecPlan::advance_batch_striped`](crate::ExecPlan::advance_batch_striped) — each
 //! image-independent stream read at every class's offset and broadcast to
 //! that class's lanes — keep mixed-offset words bit-exact after
 //! compaction.

@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 
 use aqfp_sc_dnn::network::{
-    build_model, ActivationStyle, BatchArena, ChunkSchedule, CompiledNetwork, ExecPlan, ExecState,
+    build_model, ActivationStyle, ChunkSchedule, CompiledNetwork, ExecPlan, ExecState,
     InferenceEngine, LayerSpec, NetworkSpec, Platform, StreamingEngine, StripeArenas,
 };
 use aqfp_sc_dnn::nn::{Padding, Tensor};
@@ -96,7 +96,7 @@ proptest! {
         count in 1usize..6,
         seed in 0u64..1000,
     ) {
-        // advance_batch packs the same cycle of every image into one word;
+        // advance_batch_striped packs the same cycle of every image into one word;
         // it must reproduce the scalar per-image path bit for bit over any
         // chunk partition (odd offsets, short tails) on both platforms.
         let n: usize = partition.iter().sum();
@@ -116,10 +116,12 @@ proptest! {
             for (g, (st, img)) in states.iter_mut().zip(&images).enumerate() {
                 plan.begin(st, img, seed + g as u64);
             }
+            let mut arenas = StripeArenas::default();
+            let mut group: Vec<&mut ExecState> = states.iter_mut().collect();
             for &chunk in &partition {
-                prop_assert_eq!(plan.advance_batch(&mut states, chunk), chunk);
+                prop_assert_eq!(plan.advance_batch_striped(&mut group, chunk, &mut arenas), chunk);
             }
-            prop_assert_eq!(plan.advance_batch(&mut states, 1), 0);
+            prop_assert_eq!(plan.advance_batch_striped(&mut group, 1, &mut arenas), 0);
             let got: Vec<Vec<f64>> = states.iter().map(|st| plan.scores(st)).collect();
             prop_assert_eq!(&got, &want, "{:?}: lane path diverged (N={})", platform, n);
         }
@@ -132,7 +134,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // After retire-and-refill, lanes sharing a machine word sit at
-        // different absolute cycles, so advance_batch must gather each
+        // different absolute cycles, so advance_batch_striped must gather each
         // lane's own weight/bias/neutral window instead of broadcasting
         // one slice. Stagger lanes via the scalar path, drive the mixed
         // group in batch steps until the earliest-finishing lane drains
@@ -155,7 +157,9 @@ proptest! {
                 plan.begin(st, &probe_image(g % 4), seed + g as u64);
                 plan.advance(st, offsets[g].min(n));
             }
-            while plan.advance_batch(&mut states, step) > 0 {}
+            let mut arenas = StripeArenas::default();
+            let mut group: Vec<&mut ExecState> = states.iter_mut().collect();
+            while plan.advance_batch_striped(&mut group, step, &mut arenas) > 0 {}
             for st in states.iter_mut() {
                 plan.advance(st, n);
             }
@@ -206,7 +210,9 @@ fn full_64_lane_group_matches_scalar_on_both_platforms() {
         for (g, (st, img)) in states.iter_mut().zip(&images).enumerate() {
             plan.begin(st, img, 900 + g as u64);
         }
-        while plan.advance_batch(&mut states, n) > 0 {}
+        let mut arenas = StripeArenas::default();
+        let mut group: Vec<&mut ExecState> = states.iter_mut().collect();
+        while plan.advance_batch_striped(&mut group, n, &mut arenas) > 0 {}
         for (g, (st, img)) in states.iter().zip(&images).enumerate() {
             let mut scalar = plan.new_state();
             let want = plan.run_one_shot(&mut scalar, img, 900 + g as u64);
@@ -356,10 +362,9 @@ fn seventeen_offset_classes_in_a_full_w4_group_match_scalar_on_both_platforms() 
         offsets.sort_unstable();
         offsets.dedup();
         assert_eq!(offsets.len(), 17, "one offset class per stagger");
-        let mut arena = BatchArena::<4>::default();
-        let mut group: Vec<&mut ExecState> = states.iter_mut().collect();
-        while plan.advance_batch_in(&mut group, chunk, &mut arena) > 0 {}
         let mut arenas = StripeArenas::default();
+        let mut group: Vec<&mut ExecState> = states.iter_mut().collect();
+        while plan.advance_batch_striped(&mut group, chunk, &mut arenas) > 0 {}
         loop {
             let mut behind: Vec<&mut ExecState> =
                 states.iter_mut().filter(|st| st.cycles() < n).collect();
