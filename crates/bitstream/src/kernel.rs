@@ -467,8 +467,8 @@ fn scalar_bit(words: &[u64], t: usize) -> u64 {
 impl<'r, const W: usize> LaneRow<'r, W> {
     /// The lane stripe this row contributes at chunk cycle `t`: lane `g`
     /// holds the row's bit for lane `g`, its scalar operands read at the
-    /// offset of `g`'s class. The kernels count these words; the output
-    /// heads feed the same words to the majority chain or the APC.
+    /// offset of `g`'s class. The kernels count these words, and a group
+    /// builds its neutral pad plane from them.
     #[inline(always)]
     pub fn word(&self, t: usize, classes: &OffsetClasses<W>) -> Stripe<W> {
         let mut x = self.lanes().map_or(Stripe::ZERO, |lanes| lanes[t]);
@@ -790,51 +790,6 @@ fn fold_slab<const W: usize>(x: &[Stripe<W>; TREE_ROWS], acc: &mut [Stripe<W>]) 
         let s = *plane;
         *plane = s ^ carry;
         carry &= s;
-    }
-}
-
-/// Per-lane popcount accumulator for lane-packed streams: counts, for each
-/// of the `64·W` lanes, how many cycles had that lane's bit set. Carry-save
-/// over up to [`MAX_KERNEL_ROWS`] added stripes.
-pub struct LanePopcount<const W: usize = 1> {
-    planes: [Stripe<W>; MAX_PLANES],
-    added: usize,
-}
-
-impl<const W: usize> Default for LanePopcount<W> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const W: usize> LanePopcount<W> {
-    /// A fresh accumulator with all lane totals at zero.
-    pub fn new() -> Self {
-        Self { planes: [Stripe::ZERO; MAX_PLANES], added: 0 }
-    }
-
-    /// Add one lane stripe (one cycle across `64·W` lanes).
-    #[inline]
-    pub fn add(&mut self, mut carry: Stripe<W>) {
-        assert!(self.added < MAX_KERNEL_ROWS, "LanePopcount: too many words");
-        self.added += 1;
-        let mut p = 0usize;
-        while !carry.is_zero() {
-            let s = self.planes[p];
-            self.planes[p] = s ^ carry;
-            carry &= s;
-            p += 1;
-        }
-    }
-
-    /// Total count for `lane` (0..`64·W`).
-    pub fn total(&self, lane: usize) -> u32 {
-        assert!(lane < WORD_BITS * W);
-        let mut t = 0u32;
-        for (p, plane) in self.planes.iter().enumerate() {
-            t += (plane.get(lane) as u32) << p;
-        }
-        t
     }
 }
 
@@ -1296,37 +1251,5 @@ mod tests {
         let classes = OffsetClasses::<1>::from_offsets([0, 100]);
         let mut planes = Vec::new();
         lane_column_planes(&[LaneRow::Broadcast(stream.words())], &classes, 51, &mut planes);
-    }
-
-    #[test]
-    fn lane_popcount_totals() {
-        let mut lp = LanePopcount::new();
-        let mut rng = SplitMix64::new(42);
-        let words: Vec<u64> = (0..300).map(|_| rng.next_u64()).collect();
-        for &w in &words {
-            lp.add(Stripe([w]));
-        }
-        for lane in [0usize, 1, 31, 63] {
-            let expect: u32 = words.iter().map(|w| ((w >> lane) & 1) as u32).sum();
-            assert_eq!(lp.total(lane), expect, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn lane_popcount_wide_stripe_totals() {
-        let mut lp = LanePopcount::<4>::new();
-        let mut rng = SplitMix64::new(43);
-        let stripes: Vec<Stripe<4>> = (0..300)
-            .map(|_| {
-                Stripe([rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()])
-            })
-            .collect();
-        for &s in &stripes {
-            lp.add(s);
-        }
-        for lane in [0usize, 63, 64, 127, 128, 200, 255] {
-            let expect: u32 = stripes.iter().map(|s| s.get(lane) as u32).sum();
-            assert_eq!(lp.total(lane), expect, "lane {lane}");
-        }
     }
 }

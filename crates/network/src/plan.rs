@@ -43,10 +43,15 @@
 //! to `64·W` **images** in the lanes. [`ExecPlan::advance`] runs a lone
 //! image's conv and pool layers with one output channel's **positions**
 //! in the lanes, at the narrowest stripe width covering them, and unpacks
-//! the outputs to per-neuron streams; its dense and output layers run one
-//! neuron at a time. A `Valid` conv whose kernel covers its whole input
-//! has one position and is planned as the dense layer it equals. Each
-//! neuron sees the same counts and FSM steps either way.
+//! the outputs to per-neuron streams; its dense layers run one neuron at a
+//! time. A `Valid` conv whose kernel covers its whole input has one
+//! position and is planned as the dense layer it equals. Each neuron sees
+//! the same counts and FSM steps either way.
+//!
+//! Both orientations score classes through one output head, which folds
+//! one 64-cycle word of one class for one image at that image's absolute
+//! offset. A lane group first transposes its packed head inputs back into
+//! one word per lane, 64 lanes and 64 cycles at a time.
 //!
 //! A `Same` conv's tap that falls outside the image reads the `0101…`
 //! neutral pad in its lane, at that lane's absolute cycle, under the one
@@ -80,9 +85,9 @@
 //! count by one.
 
 use aqfp_sc_bitstream::{
-    column_counts_into, pack_lanes_into, unpack_lanes_into, Bipolar, BitStream,
-    BitsAsWords, KernelRow, LanePopcount, LaneRow, OffsetClasses, SplitMix64, Sng, Stripe,
-    ThermalRng, MAX_KERNEL_ROWS, MAX_LANES, WORD_BITS,
+    column_counts_into, pack_lanes_into, transpose64, unpack_lanes_into, Bipolar, BitStream,
+    BitsAsWords, KernelRow, LaneRow, OffsetClasses, SplitMix64, Sng, Stripe, ThermalRng,
+    WORD_BITS,
 };
 use aqfp_sc_core::baseline::Btanh;
 use aqfp_sc_core::{AveragePooling, FeatureExtraction};
@@ -90,7 +95,6 @@ use aqfp_sc_nn::{Padding, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::ops::{BitAnd, BitOr};
 
 use crate::artifact::ModelFingerprint;
 use crate::compile::{CompiledLayer, CompiledNetwork};
@@ -478,8 +482,9 @@ impl ExecPlan {
     ///
     /// Each layer kind has one path: conv and pool layers put one output
     /// channel's positions in the lanes at the narrowest stripe width
-    /// covering them; dense layers (one-position convs among them) and
-    /// the output head count one neuron at a time.
+    /// covering them; dense layers (one-position convs among them) count
+    /// one neuron at a time; the output head folds one class word at a
+    /// time, as it does for each lane of a group.
     ///
     /// # Panics
     ///
@@ -498,7 +503,6 @@ impl ExecPlan {
         if clen == 0 {
             return 0;
         }
-        let platform = self.platform;
         let ExecState {
             pixels, layers, class_acc, pixel_chunks, counts, act_a, act_b, spatial, ..
         } = state;
@@ -506,7 +510,6 @@ impl ExecPlan {
         // 0101… neutral pad) reads its cached full-length stream in place
         // at the chunk's offset, exactly as one offset class of the lane
         // kernel does; only the image's own streams are chunk-local.
-        let neutral = self.neutral.words();
         // Generate this chunk of every pixel stream from its cursor, into
         // the state's persistent chunk buffers.
         for (cursor, buf) in pixels.iter_mut().zip(pixel_chunks.iter_mut()) {
@@ -514,8 +517,8 @@ impl ExecPlan {
         }
         // Activations of the layer under evaluation: the first layer reads
         // the pixel buffers directly, later ones the `act_a` arena; each
-        // producing layer writes into `act_b` and the arenas are swapped —
-        // no per-chunk activation allocation.
+        // producing layer writes into `act_b` and the arenas are swapped, so
+        // the activation buffers are reused across chunks.
         let mut first = true;
         for (li, (layer, lstate)) in self.layers.iter().zip(layers.iter_mut()).enumerate()
         {
@@ -546,36 +549,13 @@ impl ExecPlan {
                     act_b.resize_with(*out_f, || BitStream::zeros(0));
                     self.dense_chunk(chunk, counts, act_b);
                 }
-                CachedLayer::Output { in_f, classes, order, w, b } => {
+                CachedLayer::Output { classes, .. } => {
                     produced = false;
-                    // Each class reads its rows a word at a time: no product
-                    // stream is materialised, and bits past the chunk are
-                    // masked before the popcount.
-                    let pad_row = platform == Platform::Aqfp && (in_f + 1).is_multiple_of(2);
-                    let mut rows: Vec<KernelRow<'_>> = Vec::with_capacity(in_f + 2);
-                    for (cl, class_order) in order.iter().enumerate().take(*classes) {
-                        rows.clear();
-                        rows.extend(class_order.iter().take(*in_f).map(|&j| {
-                            KernelRow::Xnor(streams[j].words(), w.row(cl * in_f + j))
-                        }));
-                        rows.push(KernelRow::Broadcast(b.row(cl)));
-                        if pad_row {
-                            rows.push(KernelRow::Broadcast(neutral));
-                        }
+                    for (cl, acc) in class_acc.iter_mut().enumerate().take(*classes) {
                         for wi in 0..clen.div_ceil(WORD_BITS) {
-                            let valid = (clen - wi * WORD_BITS).min(WORD_BITS);
-                            let mask = u64::MAX >> (WORD_BITS - valid);
-                            let word = |row: &KernelRow<'_>| row.word(wi, offset) & mask;
-                            class_acc[cl] += match platform {
-                                // Majority chain over the products in wiring
-                                // order, the bias and the parity pad.
-                                Platform::Aqfp => u64::from(maj_chain(&rows, word).count_ones()),
-                                // APC total: the ones of every product row
-                                // and the bias row, in any order.
-                                Platform::Cmos => {
-                                    rows.iter().map(|r| u64::from(word(r).count_ones())).sum()
-                                }
-                            };
+                            *acc += self.head_word(li, cl, wi, offset, clen, |j| {
+                                streams[j].words()[wi]
+                            });
                         }
                     }
                 }
@@ -627,12 +607,13 @@ impl ExecPlan {
         self.scores(state)
     }
 
-    /// Advances up to [`MAX_LANES`] bound states together through one chunk
-    /// of at most `max_cycles` cycles using the batch-transposed (lane)
-    /// kernels: the same packed cycle slot of every image goes into one
-    /// [`Stripe`] (lane `g` in bit `g % 64` of stripe element `g / 64`) and
-    /// the per-image FSM state (sorter feedback or `Btanh` counter
-    /// registers, selector RNGs) stays scalar. The narrowest stripe width
+    /// Advances up to [`MAX_LANES`](aqfp_sc_bitstream::MAX_LANES) bound
+    /// states together through one chunk of at most `max_cycles` cycles
+    /// using the batch-transposed (lane) kernels: the same packed cycle
+    /// slot of every image goes into one [`Stripe`] (lane `g` in bit
+    /// `g % 64` of stripe element `g / 64`) and the per-image FSM state
+    /// (sorter feedback or `Btanh` counter registers, selector RNGs) stays
+    /// scalar. The narrowest stripe width
     /// `W ∈ {1, 2, 4}` covering the group runs the chunk, so a draining
     /// group keeps its vector lanes full; bit-identity across widths makes
     /// the choice invisible. Bit-identical to advancing each state with
@@ -646,44 +627,49 @@ impl ExecPlan {
     /// cache at each class's offset and broadcast to that class's lanes —
     /// one class, one splat per row and cycle, when the offsets agree. No
     /// weight stream is copied either way, and every image sees exactly
-    /// the bits a scalar run at its offset would. Every state advances by
-    /// the same returned cycle count.
+    /// the bits a scalar run at its offset would. The output head scores
+    /// each lane through the same function that scores a lone image, at
+    /// that lane's own offset. Every state advances by the same returned
+    /// cycle count.
     ///
     /// Chunks are clamped to the *smallest* remaining budget across the
-    /// states and to [`MAX_KERNEL_ROWS`] cycles (the lane popcount
-    /// capacity), so callers should loop
+    /// states, so callers should loop
     /// `while plan.advance_batch_striped(&mut states, n, &mut arenas) > 0 {}`.
     /// Returns the number of cycles consumed (0 once any state has
     /// finished — retire finished states from the group to keep the rest
     /// advancing). Takes `&mut ExecState` references so a scheduler can
     /// advance lanes that live inside its own bookkeeping structures. The
-    /// [`StripeArenas`] keep each width's lane buffers alive across
-    /// chunks, so a steady-state streaming loop allocates nothing per
-    /// chunk.
+    /// [`StripeArenas`] keep each width's activation, lane and register
+    /// buffers alive across chunks; a chunk still makes a few small
+    /// allocations (the layers' row lists and the pack/unpack scratch).
     ///
     /// # Panics
     ///
-    /// Panics when `states` is empty or holds more than [`MAX_LANES`]
-    /// states, or when any state is not bound to this plan.
+    /// Panics when `states` is empty or holds more than
+    /// [`MAX_LANES`](aqfp_sc_bitstream::MAX_LANES) states, or when any
+    /// state is not bound to this plan.
     pub fn advance_batch_striped(
         &self,
         states: &mut [&mut ExecState],
         max_cycles: usize,
         arenas: &mut StripeArenas,
     ) -> usize {
+        let head = &mut arenas.head;
         match states.len().div_ceil(WORD_BITS) {
-            0 | 1 => self.advance_batch_in(states, max_cycles, &mut arenas.w1),
-            2 => self.advance_batch_in(states, max_cycles, &mut arenas.w2),
-            _ => self.advance_batch_in(states, max_cycles, &mut arenas.w4),
+            0 | 1 => self.advance_batch_in(states, max_cycles, &mut arenas.w1, head),
+            2 => self.advance_batch_in(states, max_cycles, &mut arenas.w2, head),
+            _ => self.advance_batch_in(states, max_cycles, &mut arenas.w4, head),
         }
     }
 
-    /// [`ExecPlan::advance_batch_striped`] at one fixed stripe width `W`.
+    /// [`ExecPlan::advance_batch_striped`] at one fixed stripe width `W`;
+    /// `head` is the output head's transposed input block.
     fn advance_batch_in<const W: usize>(
         &self,
         states: &mut [&mut ExecState],
         max_cycles: usize,
         arena: &mut BatchArena<W>,
+        head: &mut Vec<[u64; WORD_BITS]>,
     ) -> usize {
         assert!(
             !states.is_empty() && states.len() <= WORD_BITS * W,
@@ -695,7 +681,7 @@ impl ExecPlan {
         }
         let BatchArena { cur, next, masks, r_scratch, classes, pad_plane } = arena;
         let remaining = states.iter().map(|s| self.stream_len - s.cycles).min().unwrap();
-        let clen = max_cycles.min(remaining).min(MAX_KERNEL_ROWS);
+        let clen = max_cycles.min(remaining);
         if clen == 0 {
             return 0;
         }
@@ -704,8 +690,6 @@ impl ExecPlan {
         // offset of each lane's class — one class when the offsets agree.
         classes.regroup(states.iter().map(|s| s.cycles));
         let classes = &*classes;
-        let n = states.len();
-        let platform = self.platform;
         let neutral = self.neutral.words();
         // Out-of-bounds conv taps carry the neutral pad at each lane's own
         // class offset: one lane plane per chunk, read like any input.
@@ -732,17 +716,13 @@ impl ExecPlan {
             let (layer_in_c, h, w_dim) = self.shapes[li];
             let mut produced = true;
             match layer {
-                CachedLayer::Conv { k, in_c, out_c, padding, w, b, fsm } => {
+                CachedLayer::Conv { k, in_c, out_c, padding, fsm, .. } => {
                     let (oh, ow) = conv_out_dims(h, w_dim, *k, *padding);
                     let pad = match padding {
                         Padding::Valid => 0isize,
                         Padding::Same => (k / 2) as isize,
                     };
                     let m = in_c * k * k;
-                    // The sorter pads even fan-ins with the 0101… neutral
-                    // stream; fold it in as one more kernel row so the lane
-                    // FSM sees finished counts.
-                    let pad_row = fsm.pads();
                     if next.len() < out_c * oh * ow {
                         next.resize_with(out_c * oh * ow, Vec::new);
                     }
@@ -751,31 +731,20 @@ impl ExecPlan {
                     for oc in 0..*out_c {
                         for oy in 0..oh {
                             for ox in 0..ow {
-                                rows.clear();
-                                let mut j = 0usize;
-                                for ic in 0..*in_c {
-                                    for ky in 0..*k {
-                                        for kx in 0..*k {
-                                            let iy = oy as isize + ky as isize - pad;
-                                            let ix = ox as isize + kx as isize - pad;
-                                            let oob = iy < 0
-                                                || ix < 0
-                                                || iy >= h as isize
-                                                || ix >= w_dim as isize;
-                                            let x = if oob {
-                                                pad_plane
-                                            } else {
-                                                &cur[(ic * h + iy as usize) * w_dim + ix as usize]
-                                            };
-                                            rows.push(LaneRow::Xnor(x, w.row(oc * m + j)));
-                                            j += 1;
-                                        }
+                                let taps = (0..*in_c).flat_map(|ic| {
+                                    (0..*k).flat_map(move |ky| (0..*k).map(move |kx| (ic, ky, kx)))
+                                });
+                                let inputs = taps.map(|(ic, ky, kx)| {
+                                    let iy = (oy + ky) as isize - pad;
+                                    let ix = (ox + kx) as isize - pad;
+                                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= w_dim as isize
+                                    {
+                                        pad_plane
+                                    } else {
+                                        &cur[(ic * h + iy as usize) * w_dim + ix as usize][..]
                                     }
-                                }
-                                rows.push(LaneRow::Broadcast(b.row(oc)));
-                                if pad_row {
-                                    rows.push(LaneRow::Broadcast(neutral));
-                                }
+                                });
+                                self.neuron_rows(li, oc, inputs, &mut rows);
                                 lane_fsm_chunk(
                                     fsm,
                                     states,
@@ -884,21 +853,13 @@ impl ExecPlan {
                         }
                     }
                 }
-                CachedLayer::Dense { in_f, out_f, w, b, fsm } => {
-                    let pad_row = fsm.pads();
+                CachedLayer::Dense { in_f, out_f, fsm, .. } => {
                     if next.len() < *out_f {
                         next.resize_with(*out_f, Vec::new);
                     }
                     let mut rows: Vec<LaneRow<'_, W>> = Vec::with_capacity(in_f + 2);
                     for (o, out) in next.iter_mut().enumerate().take(*out_f) {
-                        rows.clear();
-                        for (x, ws) in cur.iter().zip(w.rows(o * in_f, *in_f)) {
-                            rows.push(LaneRow::Xnor(x, ws));
-                        }
-                        rows.push(LaneRow::Broadcast(b.row(o)));
-                        if pad_row {
-                            rows.push(LaneRow::Broadcast(neutral));
-                        }
+                        self.neuron_rows(li, o, cur.iter().map(|x| &x[..]), &mut rows);
                         lane_fsm_chunk(
                             fsm,
                             states,
@@ -912,62 +873,27 @@ impl ExecPlan {
                         );
                     }
                 }
-                CachedLayer::Output { in_f, classes: n_classes, order, w, b } => {
+                CachedLayer::Output { in_f, classes: n_classes, .. } => {
                     produced = false;
-                    for (cl, class_order) in order.iter().enumerate().take(*n_classes) {
-                        match platform {
-                            Platform::Aqfp => {
-                                // Per-cycle lane-parallel majority chain
-                                // over the XNOR products (wiring order), the
-                                // bias, and — for even fan-in+1 — the
-                                // absolute-parity neutral pad. The chain
-                                // inputs are prebuilt row descriptors (the
-                                // same forms the lane kernel consumes), so
-                                // the cycle loop dispatches on a fixed short
-                                // pattern instead of re-deriving each
-                                // operand. One popcount lane per image.
-                                let width = if (in_f + 1).is_multiple_of(2) {
-                                    in_f + 2
-                                } else {
-                                    in_f + 1
-                                };
-                                let mut rows: Vec<LaneRow<'_, W>> =
-                                    Vec::with_capacity(width);
-                                for &j in class_order.iter().take(*in_f) {
-                                    rows.push(LaneRow::Xnor(&cur[j], w.row(cl * in_f + j)));
+                    // Per 64-lane stripe element and 64-cycle word, every
+                    // input plane transposes into one word per lane; each
+                    // lane then runs the lone image's head at its own
+                    // absolute cycle.
+                    head.resize(*in_f, [0; WORD_BITS]);
+                    for (e, lanes) in states.chunks_mut(WORD_BITS).enumerate() {
+                        for wi in 0..clen.div_ceil(WORD_BITS) {
+                            let cycles = wi * WORD_BITS..clen.min((wi + 1) * WORD_BITS);
+                            for (block, plane) in head.iter_mut().zip(cur.iter()) {
+                                for (row, s) in block.iter_mut().zip(&plane[cycles.clone()]) {
+                                    *row = s.0[e];
                                 }
-                                rows.push(LaneRow::Broadcast(b.row(cl)));
-                                if width > in_f + 1 {
-                                    rows.push(LaneRow::Broadcast(neutral));
-                                }
-                                let mut lp = LanePopcount::<W>::new();
-                                for t in 0..clen {
-                                    lp.add(maj_chain(&rows, |row| row.word(t, classes)));
-                                }
-                                for (g, st) in states.iter_mut().enumerate() {
-                                    st.class_acc[cl] += u64::from(lp.total(g));
-                                }
+                                block[cycles.len()..].fill(0);
+                                transpose64(block);
                             }
-                            Platform::Cmos => {
-                                // APC total per image: Σ per-lane popcounts
-                                // of every XNOR product row and of the bias
-                                // row.
-                                let mut totals = [0u64; MAX_LANES];
-                                let products = cur
-                                    .iter()
-                                    .zip(w.rows(cl * in_f, *in_f))
-                                    .map(|(x, ws)| LaneRow::Xnor(x, ws));
-                                for row in products.chain([LaneRow::Broadcast(b.row(cl))]) {
-                                    let mut lp = LanePopcount::<W>::new();
-                                    for t in 0..clen {
-                                        lp.add(row.word(t, classes));
-                                    }
-                                    for (g, tot) in totals.iter_mut().enumerate().take(n) {
-                                        *tot += u64::from(lp.total(g));
-                                    }
-                                }
-                                for (st, tot) in states.iter_mut().zip(totals) {
-                                    st.class_acc[cl] += tot;
+                            for (g, st) in lanes.iter_mut().enumerate() {
+                                for cl in 0..*n_classes {
+                                    st.class_acc[cl] +=
+                                        self.head_word(li, cl, wi, st.cycles, clen, |j| head[j][g]);
                                 }
                             }
                         }
@@ -1015,7 +941,7 @@ impl ExecPlan {
         out: &mut [BitStream],
     ) {
         let LayerChunk { li, streams, offset, clen, lstate } = chunk;
-        let CachedLayer::Conv { k, in_c, out_c, padding, w, b, fsm } = &self.layers[li] else {
+        let CachedLayer::Conv { k, in_c, out_c, padding, fsm, .. } = &self.layers[li] else {
             unreachable!("conv_spatial runs conv layers")
         };
         let (_, h, w_dim) = self.shapes[li];
@@ -1025,7 +951,6 @@ impl ExecPlan {
             Padding::Same => (k / 2) as isize,
         };
         let (m, positions) = (in_c * k * k, oh * ow);
-        let pad_row = fsm.pads();
         let neutral = self.neutral.words();
         let r = lstate.registers();
         let (planes, fired, classes) = arena.spatial(m, offset, clen);
@@ -1058,17 +983,7 @@ impl ExecPlan {
             }
             let mut rows: Vec<LaneRow<'_, W>> = Vec::with_capacity(m + 2);
             for oc in 0..*out_c {
-                rows.clear();
-                rows.extend(
-                    planes
-                        .iter()
-                        .zip(w.rows(oc * m, m))
-                        .map(|(x, ws)| LaneRow::Xnor(x, ws)),
-                );
-                rows.push(LaneRow::Broadcast(b.row(oc)));
-                if pad_row {
-                    rows.push(LaneRow::Broadcast(neutral));
-                }
+                self.neuron_rows(li, oc, planes.iter().map(|x| &x[..]), &mut rows);
                 let first = oc * positions + base;
                 fsm.run_rows_resume_into(&rows, classes, clen, &mut r[first..first + lanes], fired);
                 unpack_lanes_into(fired, clen, &mut out[first..first + lanes])
@@ -1102,6 +1017,65 @@ impl ExecPlan {
             }
             column_counts_into(&rows, offset, clen, counts);
             fsm.run_counts_resume_into(counts, &mut r[o], fired);
+        }
+    }
+
+    /// Neuron `o` of conv or dense layer `li` as lane kernel rows, into
+    /// `rows`: each input XNORed with its weight stream, then the bias
+    /// and, when the layer's FSM pads an even fan-in, the `0101…` neutral
+    /// pad, so the FSM sees finished counts.
+    fn neuron_rows<'a, const W: usize>(
+        &'a self,
+        li: usize,
+        o: usize,
+        inputs: impl Iterator<Item = &'a [Stripe<W>]>,
+        rows: &mut Vec<LaneRow<'a, W>>,
+    ) {
+        let (CachedLayer::Conv { w, b, fsm, .. } | CachedLayer::Dense { w, b, fsm, .. }) =
+            &self.layers[li]
+        else {
+            unreachable!("neuron_rows runs conv and dense layers")
+        };
+        let fan_in = w.row_count() / b.row_count();
+        rows.clear();
+        rows.extend(inputs.zip(w.rows(o * fan_in, fan_in)).map(|(x, ws)| LaneRow::Xnor(x, ws)));
+        rows.push(LaneRow::Broadcast(b.row(o)));
+        if fsm.pads() {
+            rows.push(LaneRow::Broadcast(self.neutral.words()));
+        }
+    }
+
+    /// The one output head of both orientations: class `cl`'s count over
+    /// word `wi` (64 cycles) of a `clen`-cycle chunk of one image whose
+    /// chunk starts at absolute cycle `offset`. `x(j)` is word `wi` of the
+    /// image's input `j`; the weight, bias and neutral rows are read in
+    /// place at the image's own offset, and bits past the chunk are
+    /// masked. AQFP counts the ones of the majority chain over the
+    /// products in wiring order, the bias and, for an even fan-in + bias,
+    /// the parity pad; CMOS totals the ones of every product and the bias
+    /// (the APC).
+    fn head_word(
+        &self,
+        li: usize,
+        cl: usize,
+        wi: usize,
+        offset: usize,
+        clen: usize,
+        x: impl Fn(usize) -> u64,
+    ) -> u64 {
+        let CachedLayer::Output { in_f, order, w, b, .. } = &self.layers[li] else {
+            unreachable!("head_word runs the output layer")
+        };
+        let mask = u64::MAX >> (WORD_BITS - (clen - wi * WORD_BITS).min(WORD_BITS));
+        let read = |s: &[u64]| KernelRow::Broadcast(s).word(wi, offset);
+        let products = order[cl].iter().map(|&j| !(x(j) ^ read(w.row(cl * in_f + j))));
+        let rows = products.chain([read(b.row(cl))]);
+        match self.platform {
+            Platform::Aqfp => {
+                let pad = (in_f + 1).is_multiple_of(2).then(|| read(self.neutral.words()));
+                u64::from((maj_chain(rows.chain(pad)) & mask).count_ones())
+            }
+            Platform::Cmos => rows.map(|r| u64::from((r & mask).count_ones())).sum(),
         }
     }
 
@@ -1168,8 +1142,8 @@ impl ExecPlan {
 /// masks, gathered per-lane FSM residuals, the group's offset-class table
 /// and its neutral pad plane. Weight, bias and neutral streams are never
 /// copied: every row reads the plan's cached streams at its lanes' class
-/// offsets. Every buffer grows to its high-water mark and is then reused,
-/// so a steady-state chunk loop allocates nothing per chunk. The
+/// offsets. Every buffer grows to its high-water mark and is then reused
+/// across chunks. The
 /// spatial orientation of [`ExecPlan::advance`] uses the same buffers for
 /// a lone image's conv and pool layers on either platform: packed input
 /// or window planes, one lane group's fired stripes, and a one-class
@@ -1226,6 +1200,10 @@ pub struct StripeArenas {
     w2: BatchArena<2>,
     /// 256-lane scratch.
     w4: BatchArena<4>,
+    /// The output head's input block at any width: per input, one
+    /// 64-lane stripe element's 64-cycle word transposed into one word
+    /// per lane (`head[j][g]` holds lane `g`'s 64 cycles of input `j`).
+    head: Vec<[u64; WORD_BITS]>,
 }
 
 /// All resumable state of one in-flight image plus the reusable scratch
@@ -1255,8 +1233,8 @@ pub struct ExecState {
     /// Per-cycle counts buffer.
     counts: Vec<u32>,
     /// Ping-pong activation arenas: the layer under evaluation reads
-    /// `act_a` and writes `act_b`, then the two swap — activations are
-    /// reused across chunks and images with no per-chunk allocation.
+    /// `act_a` and writes `act_b`, then the two swap — the activation
+    /// buffers are reused across chunks and images.
     act_a: Vec<BitStream>,
     /// See [`ExecState::act_a`].
     act_b: Vec<BitStream>,
@@ -1370,18 +1348,13 @@ impl Fsm {
     }
 }
 
-/// The AQFP output head's majority chain, bitwise over one cycle word (of
-/// one image, or of a `64·W`-lane stripe): the first input, then one
-/// 3-input majority gate per later pair. Both heads fold it this way; MAJ
-/// is symmetric, so the operand order within a gate cannot change a bit.
+/// The AQFP output head's majority chain, bitwise over one 64-cycle word:
+/// the first input, then one 3-input majority gate per later pair. MAJ is
+/// symmetric, so the operand order within a gate cannot change a bit.
 #[inline]
-fn maj_chain<R, T>(rows: &[R], word: impl Fn(&R) -> T) -> T
-where
-    T: Copy + BitAnd<Output = T> + BitOr<Output = T>,
-{
-    let mut y = word(&rows[0]);
-    for pair in rows[1..].chunks_exact(2) {
-        let (a, b) = (word(&pair[0]), word(&pair[1]));
+fn maj_chain(mut words: impl Iterator<Item = u64>) -> u64 {
+    let mut y = words.next().expect("a majority chain has an input");
+    while let (Some(a), Some(b)) = (words.next(), words.next()) {
         y = (y & a) | (y & b) | (a & b);
     }
     y

@@ -381,6 +381,45 @@ fn seventeen_offset_classes_in_a_full_w4_group_match_scalar_on_both_platforms() 
 }
 
 #[test]
+fn output_head_tiling_edges_in_one_w4_group_match_one_shot_on_both_platforms() {
+    // Every tiling edge of the output head's transposed blocks in one
+    // group: 200 lanes (W = 4, the last 64-lane element holding 8), two
+    // offset classes at 13 and 37 cycles (neither word-aligned, mixed
+    // within every element), and 150-cycle chunks spanning three 64-cycle
+    // words with a ragged last one. The probe net's even output fan-in +
+    // bias puts the AQFP majority chain's neutral pad in every lane. Each
+    // lane must match its one-shot scores bit for bit.
+    let compiled = compiled_probe();
+    let (n, chunk, lanes) = (350, 150, 200);
+    let ahead = |g: usize| if g.is_multiple_of(3) { 37 } else { 13 };
+    for platform in [Platform::Aqfp, Platform::Cmos] {
+        let plan = ExecPlan::new(compiled, n, platform);
+        let mut states: Vec<ExecState> = (0..lanes).map(|_| plan.new_state()).collect();
+        for (g, st) in states.iter_mut().enumerate() {
+            plan.begin(st, &probe_image(g % 5), 4_000 + g as u64);
+            plan.advance(st, ahead(g));
+        }
+        let mut arenas = StripeArenas::default();
+        let mut group: Vec<&mut ExecState> = states.iter_mut().collect();
+        assert_eq!(plan.advance_batch_striped(&mut group, chunk, &mut arenas), chunk);
+        while plan.advance_batch_striped(&mut group, chunk, &mut arenas) > 0 {}
+        loop {
+            let mut behind: Vec<&mut ExecState> =
+                states.iter_mut().filter(|st| st.cycles() < n).collect();
+            if behind.is_empty() {
+                break;
+            }
+            while plan.advance_batch_striped(&mut behind, chunk, &mut arenas) > 0 {}
+        }
+        for (g, st) in states.iter().enumerate() {
+            let want =
+                plan.run_one_shot(&mut plan.new_state(), &probe_image(g % 5), 4_000 + g as u64);
+            assert_eq!(plan.scores(st), want, "{platform:?} lane {g} diverged");
+        }
+    }
+}
+
+#[test]
 fn rebinding_a_state_reuses_the_arena_without_leaking_bits() {
     // One state driven image A → image B → image A again must reproduce a
     // fresh state's results exactly — the in-place begin() reset may keep
